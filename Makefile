@@ -58,14 +58,14 @@ fuzz:
 # metamorphic, architectural, and differential oracles on each. Oracle
 # failures are ddmin-shrunk into internal/progen/testdata/regressions/
 # where TestRegressionReplay replays them on every plain `go test`.
+# CONFORM_STORE names a campaign store directory: the campaign persists
+# there as it runs, and rerunning with the same directory resumes it.
 CONFORM_N ?= 200
 CONFORM_SEED ?= 1
-CONFORM_CHECKPOINT ?=
 CONFORM_STORE ?=
 conform:
 	$(GO) test ./internal/progen -run 'TestConformRun|TestRegressionReplay|TestDegradationReplay' -v \
 		-conform.n $(CONFORM_N) -conform.seed $(CONFORM_SEED) \
-		$(if $(CONFORM_CHECKPOINT),-conform.checkpoint $(CONFORM_CHECKPOINT) -conform.resume) \
 		$(if $(CONFORM_STORE),-conform.store $(CONFORM_STORE)) \
 		-timeout 30m
 

@@ -3,18 +3,16 @@
 // on each — repair soundness, metamorphic invariance, architectural
 // equivalence, differential enumeration — and prints a per-program
 // verdict summary. It exits non-zero if any oracle fails, and shares the
-// detection CLI's -j / -report / -timeout plumbing. With -checkpoint the
-// campaign is resumable: completed programs are logged as they finish and
-// -resume skips them on the next run.
+// detection CLI's -j / -report / -timeout plumbing.
 //
-// With -store DIR the campaign state lives in a crash-safe transactional
-// store (internal/campstore) instead: every verdict is WAL-committed as
-// it lands, a killed run resumes from the store with no flag beyond
-// -store itself, and -workers N shards the campaign across N OS worker
-// processes that coordinate purely through the store — no network. The
-// final report is assembled from the store in index order, so resumed,
-// re-sharded, and single-process runs emit byte-identical normalized
-// reports.
+// Every campaign runs on a crash-safe transactional store
+// (internal/campstore): every verdict is WAL-committed as it lands. With
+// -store DIR the store outlives the run, so a killed run resumes from it
+// with no flag beyond -store itself, and -workers N shards the campaign
+// across N OS worker processes that coordinate purely through the store
+// — no network. Without -store the campaign uses a throwaway store in a
+// temporary directory. Resumed, re-sharded, and single-process runs emit
+// byte-identical normalized reports.
 package main
 
 import (
@@ -38,12 +36,9 @@ type genOptions struct {
 	jobs       int
 	budget     time.Duration
 	report     string
-	checkpoint string
-	resume     bool
-	store      string // campaign store directory ("" = none)
+	store      string // campaign store directory ("" = a temporary one)
 	workers    int    // OS worker processes to shard across (0 = run in-process)
 	workerMode bool   // this process is a spawned worker: claim/complete until dry
-	importCkpt string // JSONL checkpoint to migrate into the store before running
 }
 
 // genExit converts a campaign error into the exit-code contract:
@@ -61,42 +56,21 @@ func genExit(stderr io.Writer, err error) int {
 // runGen drives one conformance sweep and returns the exit code.
 func runGen(o genOptions, stdout, stderr io.Writer) int {
 	if o.store == "" {
-		if o.workerMode || o.workers > 0 || o.importCkpt != "" {
-			fmt.Fprintln(stderr, "clou: -worker, -workers, and -import-checkpoint require -store")
+		if o.workerMode || o.workers > 0 {
+			fmt.Fprintln(stderr, "clou: -worker and -workers require -store")
 			return exitUsage
 		}
-		return runGenDirect(o, stdout, stderr)
-	}
-	if o.checkpoint != "" {
-		fmt.Fprintln(stderr, "clou: -checkpoint and -store are mutually exclusive; use -import-checkpoint to migrate")
-		return exitUsage
+		dir, err := os.MkdirTemp("", "clou-gen-")
+		if err != nil {
+			return genExit(stderr, faults.IOf("create campaign store: %v", err))
+		}
+		defer os.RemoveAll(dir)
+		o.store = dir
 	}
 	if o.workerMode {
 		return runGenWorker(o, stdout, stderr)
 	}
 	return runGenStore(o, stdout, stderr)
-}
-
-// runGenDirect is the original in-memory/JSONL-checkpoint path.
-func runGenDirect(o genOptions, stdout, stderr io.Writer) int {
-	metrics := obsv.NewRegistry()
-	tracer := obsv.NewTracer()
-	root := tracer.Start("gen")
-	out, err := progen.RunCtx(context.Background(), progen.Options{
-		Seed:       o.seed,
-		N:          o.n,
-		Jobs:       o.jobs,
-		Budget:     o.budget,
-		Checkpoint: o.checkpoint,
-		Resume:     o.resume,
-		Metrics:    metrics,
-		Span:       root,
-	})
-	root.End()
-	if err != nil {
-		return genExit(stderr, err)
-	}
-	return genSummarize(o, out, metrics, tracer, stdout, stderr)
 }
 
 // runGenWorker is the body of a spawned `-worker` process: attach to the
@@ -120,16 +94,18 @@ func runGenWorker(o genOptions, stdout, stderr io.Writer) int {
 	return exitClean
 }
 
-// runGenStore is the campaign coordinator: open (or resume) the store,
-// optionally migrate a JSONL checkpoint into it, run the campaign —
-// in-process via the pool when -workers is 0, otherwise sharded across
-// OS worker processes in waves with a lease reclaim between waves — and
-// assemble the final report from the store in index order.
+// runGenStore is the campaign coordinator: open (or resume) the store
+// and run the campaign — in-process via the pool when -workers is 0,
+// otherwise sharded across OS worker processes in waves with a lease
+// reclaim between waves, assembling the final report from the store in
+// index order.
 func runGenStore(o genOptions, stdout, stderr io.Writer) int {
 	start := time.Now()
-	// The report registry sees only the store counters and the
-	// index-ordered verdict replay, never live analysis interleaving:
-	// that is what makes resumed and re-sharded reports byte-identical.
+	// The report registry sees only the store counters (which Normalize
+	// strips) and the conform.* verdict counters, which are sums and so
+	// do not depend on the order verdicts land in; the span tree is the
+	// bare root. That is what makes resumed, re-sharded, and in-process
+	// reports byte-identical.
 	metrics := obsv.NewRegistry()
 	st, err := campstore.Open(o.store, campstore.Options{
 		Seed: o.seed, N: o.n, Worker: "coordinator", Metrics: metrics,
@@ -139,35 +115,25 @@ func runGenStore(o genOptions, stdout, stderr io.Writer) int {
 	}
 	defer st.Close()
 
-	if o.importCkpt != "" {
-		n, err := progen.ImportCheckpoint(st, o.importCkpt)
-		if err != nil {
-			return genExit(stderr, err)
-		}
-		fmt.Fprintf(stdout, "== store: imported %d checkpoint record(s)\n", n)
-	}
-
-	// Verdicts already in the store — from a previous (possibly killed)
-	// run or a checkpoint import — are resumed, not re-analyzed.
+	// Verdicts already in the store, from a previous (possibly killed)
+	// run, are resumed, not re-analyzed.
 	resumed := st.CompletedCount()
-
+	tracer := obsv.NewTracer()
+	root := tracer.Start("gen")
+	var out *progen.Outcome
 	if o.workers > 0 {
 		if code := runWorkerWaves(o, st, stdout, stderr); code != exitClean {
 			return code
 		}
+		out, err = progen.OutcomeFromStore(st, metrics)
 	} else {
-		live := obsv.NewRegistry()
-		if _, err := progen.RunCtx(context.Background(), progen.Options{
+		// The in-process outcome also covers items this run left out of
+		// the store: budget-skipped and fault-unknown ones.
+		out, err = progen.RunCtx(context.Background(), progen.Options{
 			Seed: o.seed, N: o.n, Jobs: o.jobs, Budget: o.budget,
-			Store: st, Metrics: live,
-		}); err != nil {
-			return genExit(stderr, err)
-		}
+			Store: st, Metrics: metrics,
+		})
 	}
-
-	tracer := obsv.NewTracer()
-	root := tracer.Start("gen")
-	out, err := progen.OutcomeFromStore(st, metrics)
 	root.End()
 	if err != nil {
 		return genExit(stderr, err)

@@ -46,21 +46,10 @@ func withTestWorkers(t *testing.T) {
 // arm — the state on disk survives and a retry can finish — while flag
 // misuse stays a usage error.
 func TestGenStoreExitCodes(t *testing.T) {
-	t.Run("2_store_with_checkpoint", func(t *testing.T) {
-		var out, errb bytes.Buffer
-		args := []string{"-gen", "2", "-store", t.TempDir(), "-checkpoint", filepath.Join(t.TempDir(), "ck")}
-		if code := run(args, &out, &errb); code != exitUsage {
-			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, exitUsage, errb.String())
-		}
-		if !strings.Contains(errb.String(), "mutually exclusive") {
-			t.Errorf("usage error does not explain the conflict:\n%s", errb.String())
-		}
-	})
 	t.Run("2_worker_without_store", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-gen", "2", "-worker"},
 			{"-gen", "2", "-workers", "2"},
-			{"-gen", "2", "-import-checkpoint", "x"},
 		} {
 			var out, errb bytes.Buffer
 			if code := run(args, &out, &errb); code != exitUsage {
@@ -78,6 +67,19 @@ func TestGenStoreExitCodes(t *testing.T) {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-gen", "2", "-store", path}, &out, &errb); code != exitPartial {
 			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, exitPartial, errb.String())
+		}
+	})
+	t.Run("3_budget_skips", func(t *testing.T) {
+		// A budget cut leaves items out of the store; the in-process
+		// outcome still accounts for them as skipped (the partial arm)
+		// instead of failing store assembly on an incomplete campaign.
+		dir := t.TempDir()
+		var out, errb bytes.Buffer
+		if code := run([]string{"-gen", "2", "-gen-budget", "1ns", "-store", dir}, &out, &errb); code != exitPartial {
+			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, exitPartial, out.String(), errb.String())
+		}
+		if !strings.Contains(out.String(), "skipped=2") {
+			t.Errorf("budget-cut run does not report its skipped items:\n%s", out.String())
 		}
 	})
 	t.Run("3_corrupt_snapshot", func(t *testing.T) {
@@ -132,8 +134,9 @@ func normalizedReport(t *testing.T, path string) string {
 
 // TestGenStoreWorkersIdentity is the CLI-level identity guarantee: the
 // same campaign run sharded across worker processes, in one process,
-// and replayed from an already-finished store emits byte-identical
-// normalized reports and the same exit code.
+// replayed from an already-finished store, and run on a throwaway store
+// (no -store) emits byte-identical normalized reports and the same exit
+// code. The throwaway store leaves nothing behind in the temp dir.
 func TestGenStoreWorkersIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process campaign in -short mode")
@@ -175,13 +178,30 @@ func TestGenStoreWorkersIdentity(t *testing.T) {
 		t.Errorf("replay run re-analyzed instead of resuming:\n%s", out.String())
 	}
 
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	ephemeralRep := filepath.Join(repDir, "ephemeral.json")
+	out.Reset()
+	errb.Reset()
+	args = append(append([]string{}, campaign...), "-report", ephemeralRep)
+	if code := run(args, &out, &errb); code != exitClean {
+		t.Fatalf("throwaway-store exit = %d, want %d\nstderr:\n%s", code, exitClean, errb.String())
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Errorf("throwaway store left %d entries in the temp dir (%v)", len(ents), err)
+	}
+
 	sharded := normalizedReport(t, shardRep)
 	solo := normalizedReport(t, soloRep)
 	replay := normalizedReport(t, replayRep)
+	ephemeral := normalizedReport(t, ephemeralRep)
 	if sharded != solo {
 		t.Errorf("sharded report differs from single-process report:\n--- sharded ---\n%s--- solo ---\n%s", sharded, solo)
 	}
 	if replay != sharded {
 		t.Errorf("replayed report differs from original sharded report")
+	}
+	if ephemeral != sharded {
+		t.Errorf("throwaway-store report differs from sharded report")
 	}
 }

@@ -10,23 +10,18 @@
 //	     [-transmitter udt,uct,dt,ct] [-fix] [-dot] [-timeout 30s]
 //	     [-report out.json] [-debug-addr :6060] file.c
 //	clou -gen N [-seed S] [-j 8] [-gen-budget 2m] [-report out.json]
-//	     [-checkpoint run.ckpt [-resume]]
-//	clou -gen N -store DIR [-workers 4] [-import-checkpoint run.ckpt]
-//	     [-report out.json]
+//	     [-store DIR [-workers 4]]
 //
 // -gen N switches to conformance smoke mode: generate N seeded mini-C
 // programs and run the progen oracle families on each (see
-// internal/progen) instead of analyzing a file. -checkpoint logs each
-// completed program to disk; -resume skips the indices already logged,
-// so a killed campaign continues instead of restarting.
-//
-// -store DIR keeps campaign state in a crash-safe transactional store
-// (internal/campstore) instead: verdicts are WAL-committed as they land
-// and a rerun with the same -store resumes automatically. -workers N
-// shards the campaign across N OS worker processes coordinating purely
-// through the store (a killed worker's claims are reclaimed between
-// waves); -worker is the spawned workers' own mode. -import-checkpoint
-// migrates an old JSONL checkpoint into the store first.
+// internal/progen) instead of analyzing a file. The campaign state lives
+// in a crash-safe transactional store (internal/campstore): verdicts are
+// WAL-committed as they land. -store DIR keeps that store, so a killed
+// campaign rerun with the same -store resumes instead of restarting;
+// without it the store is a temporary directory removed at exit.
+// -workers N shards the campaign across N OS worker processes
+// coordinating purely through the store (a killed worker's claims are
+// reclaimed between waves); -worker is the spawned workers' own mode.
 //
 // -report writes the machine-readable run manifest (per-function
 // verdicts, metric snapshot, span tree; see internal/obsv); -debug-addr
@@ -100,12 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	genN := fs.Int("gen", 0, "conformance smoke mode: generate N seeded programs and run the oracle families instead of analyzing a file")
 	seed := fs.Int64("seed", 1, "generator seed for -gen")
 	genBudget := fs.Duration("gen-budget", 0, "optional wall-clock budget for -gen (0 = none; budgeted runs may skip programs)")
-	checkpoint := fs.String("checkpoint", "", "for -gen: log each completed program to this file (JSON lines)")
-	resume := fs.Bool("resume", false, "for -gen: skip indices already recorded in -checkpoint")
-	storeDir := fs.String("store", "", "for -gen: crash-safe campaign store directory (resumes automatically; excludes -checkpoint)")
+	storeDir := fs.String("store", "", "for -gen: keep the crash-safe campaign store in this directory (a rerun resumes it; default: a temporary directory)")
 	workers := fs.Int("workers", 0, "for -gen -store: shard the campaign across N OS worker processes")
 	workerMode := fs.Bool("worker", false, "for -gen -store: run as a campaign worker (claim items until none remain)")
-	importCkpt := fs.String("import-checkpoint", "", "for -gen -store: migrate this JSONL checkpoint into the store before running")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -113,9 +105,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *genN > 0 {
 		return runGen(genOptions{
 			n: *genN, seed: *seed, jobs: *par, budget: *genBudget,
-			report: *reportPath, checkpoint: *checkpoint, resume: *resume,
-			store: *storeDir, workers: *workers, workerMode: *workerMode,
-			importCkpt: *importCkpt,
+			report: *reportPath, store: *storeDir, workers: *workers,
+			workerMode: *workerMode,
 		}, stdout, stderr)
 	}
 	mode, err := smt.ParseMode(*solverMode)

@@ -1,14 +1,10 @@
 package campstore
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkStoreClaimComplete measures the transactional round-trip a
 // worker pays per campaign item: claim (flock + WAL append + fsync) and
-// complete (same again). The fsync dominates — which is exactly why
-// ClaimBatch and Import group-commit.
+// complete (same again). The fsync dominates.
 func BenchmarkStoreClaimComplete(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{Seed: 1, N: b.N + 1, Worker: "bench"})
 	if err != nil {
@@ -25,26 +21,5 @@ func BenchmarkStoreClaimComplete(b *testing.B) {
 		if err := s.Complete(l, payload); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStoreClaimBatch measures the group-commit path: one flock
-// round-trip and one fsync amortized over a whole batch of claims.
-func BenchmarkStoreClaimBatch(b *testing.B) {
-	for _, batch := range []int{16, 256} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{Seed: 1, N: b.N*batch + 1, Worker: "bench"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ls, err := s.ClaimBatch(batch)
-				if err != nil || len(ls) != batch {
-					b.Fatalf("ClaimBatch: %d, %v", len(ls), err)
-				}
-			}
-		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package campstore is the crash-safe transactional work log behind
 // sharded conformance campaigns: an append-only write-ahead log with
-// per-record CRC32 framing and batched fsyncs, compacted into a
+// per-record CRC32 framing and one fsync per record, compacted into a
 // snapshot+log layout (snapshot written to a temp file, fsynced,
 // atomically renamed into place; the live log replayed over it on
 // open), and a lease-based claim protocol that lets N OS processes
@@ -99,8 +99,8 @@ type snapshot struct {
 }
 
 // Completed is one persisted verdict: the campaign index and the
-// caller-defined payload (progen stores a checkpoint-format result
-// record).
+// caller-defined payload (progen stores one JSON-encoded program
+// result).
 type Completed struct {
 	Index   int             `json:"index"`
 	Payload json.RawMessage `json:"payload"`
@@ -478,34 +478,27 @@ func (s *Store) apply(rec walRecord) {
 	}
 }
 
-// appendLocked durably appends recs as one group commit: every frame is
-// written, then a single fsync covers the batch. It does NOT apply the
-// records — the caller's critical section ends with a replayLocked that
-// reads them back, so memory only ever reflects bytes that were read
-// from the file, and a failure anywhere leaves a log the next sync
-// repairs (torn frame) or absorbs (written-but-unsynced frame).
-func (s *Store) appendLocked(recs ...walRecord) error {
-	if len(recs) == 0 {
-		return nil
+// appendLocked durably appends rec: one frame written with one
+// write(2), then one fsync. It does NOT apply the record — the caller's
+// critical section ends with a replayLocked that reads it back, so
+// memory only ever reflects bytes that were read from the file, and a
+// failure anywhere leaves a log the next sync repairs (torn frame) or
+// absorbs (written-but-unsynced frame).
+func (s *Store) appendLocked(rec walRecord) error {
+	if err := faultinject.IOError(faultinject.ProbeStoreWrite, rec.key()); err != nil {
+		return err
 	}
-	var buf []byte
-	for _, rec := range recs {
-		if err := faultinject.IOError(faultinject.ProbeStoreWrite, rec.key()); err != nil {
-			return err
-		}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("campstore: marshal record: %v", err)
-		}
-		buf = appendFrame(buf, payload)
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("campstore: marshal record: %v", err)
 	}
 	killpoint(KillWALWritePre)
-	if _, err := s.wal.WriteAt(buf, s.walOff); err != nil {
+	if _, err := s.wal.WriteAt(appendFrame(nil, payload), s.walOff); err != nil {
 		return faults.IOf("campstore: wal append: %v", err)
 	}
 	killpoint(KillWALWritePost)
-	s.metrics.Counter("store.wal_appends").Add(int64(len(recs)))
-	if err := faultinject.IOError(faultinject.ProbeStoreFsync, recs[0].key()); err != nil {
+	s.metrics.Counter("store.wal_appends").Add(1)
+	if err := faultinject.IOError(faultinject.ProbeStoreFsync, rec.key()); err != nil {
 		return err
 	}
 	killpoint(KillWALSyncPre)
@@ -558,39 +551,9 @@ func (s *Store) ClaimNext() (l Lease, ok bool, err error) {
 	return l, ok, err
 }
 
-// ClaimBatch leases up to k claimable indices in one critical section —
-// one flock round-trip and one fsync for the whole batch.
-func (s *Store) ClaimBatch(k int) (ls []Lease, err error) {
-	err = s.locked(func() error {
-		var recs []walRecord
-		taken := map[int]bool{}
-		for len(recs) < k {
-			idx, found := s.nextClaimableSkip(taken)
-			if !found {
-				break
-			}
-			taken[idx] = true
-			recs = append(recs, walRecord{Op: opClaim, Index: idx, Worker: s.worker, Epoch: s.epoch})
-		}
-		if len(recs) == 0 {
-			return nil
-		}
-		if err := s.appendLocked(recs...); err != nil {
-			return err
-		}
-		for _, r := range recs {
-			ls = append(ls, Lease{Index: r.Index, Worker: r.Worker, Epoch: r.Epoch})
-		}
-		return nil
-	})
-	return ls, err
-}
-
+// nextClaimable returns the lowest index that is neither completed nor
+// leased.
 func (s *Store) nextClaimable() (int, bool) {
-	return s.nextClaimableSkip(nil)
-}
-
-func (s *Store) nextClaimableSkip(skip map[int]bool) (int, bool) {
 	for s.nextFree < s.n {
 		if _, done := s.complete[s.nextFree]; !done {
 			break
@@ -602,9 +565,6 @@ func (s *Store) nextClaimableSkip(skip map[int]bool) (int, bool) {
 			continue
 		}
 		if _, held := s.leases[i]; held {
-			continue
-		}
-		if skip[i] {
 			continue
 		}
 		return i, true
@@ -737,38 +697,6 @@ func (s *Store) completedSorted() []Completed {
 	return out
 }
 
-// Import records verdicts wholesale (the JSONL-checkpoint migration
-// path) as one group commit: N appends, one fsync. Indices already
-// completed are skipped; a leased index is an error (imports belong to
-// fresh or quiescent stores). Returns how many records were imported.
-func (s *Store) Import(recs []Completed) (int, error) {
-	var n int
-	err := s.locked(func() error {
-		var batch []walRecord
-		for _, c := range recs {
-			if c.Index < 0 || c.Index >= s.n {
-				return fmt.Errorf("campstore: import index %d out of range [0,%d)", c.Index, s.n)
-			}
-			if _, done := s.complete[c.Index]; done {
-				continue
-			}
-			if l, held := s.leases[c.Index]; held {
-				return fmt.Errorf("campstore: import index %d is leased to %s", c.Index, l.Worker)
-			}
-			batch = append(batch, walRecord{
-				Op: opComplete, Index: c.Index, Worker: s.worker, Epoch: s.epoch,
-				Payload: c.Payload,
-			})
-		}
-		if err := s.appendLocked(batch...); err != nil {
-			return err
-		}
-		n = len(batch)
-		return nil
-	})
-	return n, err
-}
-
 // Sync catches up with records other handles committed since the last
 // operation. Accessors below read the handle's snapshot of state; call
 // Sync first when cross-process freshness matters.
@@ -808,13 +736,6 @@ func (s *Store) Leases() int {
 	return len(s.leases)
 }
 
-// Epoch returns the current lease epoch.
-func (s *Store) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
 // Gen returns the current snapshot generation.
 func (s *Store) Gen() uint64 {
 	s.mu.Lock()
@@ -827,9 +748,3 @@ func (s *Store) Seed() int64 { return s.seed }
 
 // N returns the campaign size the store is bound to.
 func (s *Store) N() int { return s.n }
-
-// Worker returns this handle's worker identity.
-func (s *Store) Worker() string { return s.worker }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }

@@ -103,12 +103,16 @@ func TestStoreClaimSemantics(t *testing.T) {
 		t.Fatal("Claim(99) out of range succeeded")
 	}
 
-	ls, err := s.ClaimBatch(10)
-	if err != nil {
-		t.Fatalf("ClaimBatch: %v", err)
+	var ls []Lease
+	for want := 1; want <= 3; want++ {
+		l, ok, err := s.ClaimNext()
+		if err != nil || !ok || l.Index != want {
+			t.Fatalf("ClaimNext = %+v, %v, %v, want index %d", l, ok, err, want)
+		}
+		ls = append(ls, l)
 	}
-	if len(ls) != 3 || ls[0].Index != 1 || ls[1].Index != 2 || ls[2].Index != 3 {
-		t.Fatalf("ClaimBatch = %+v, want indices 1,2,3", ls)
+	if _, ok, err := s.ClaimNext(); err != nil || ok {
+		t.Fatalf("ClaimNext with every index leased or done = %v, %v, want nothing claimable", ok, err)
 	}
 	if err := s.Abandon(ls[2]); err != nil {
 		t.Fatalf("Abandon: %v", err)
@@ -533,31 +537,6 @@ func TestStoreMultiHandle(t *testing.T) {
 	if a.CompletedCount() != 3 {
 		t.Fatalf("a sees %d verdicts, want 3", a.CompletedCount())
 	}
-}
-
-func TestStoreImportGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	reg := obsv.NewRegistry()
-	s := openT(t, dir, Options{Seed: 11, N: 8, Worker: "import", Metrics: reg})
-	recs := make([]Completed, 5)
-	for i := range recs {
-		recs[i] = Completed{Index: i, Payload: payloadFor(i)}
-	}
-	n, err := s.Import(recs)
-	if err != nil || n != 5 {
-		t.Fatalf("Import = %d, %v", n, err)
-	}
-	snap := reg.Snapshot()
-	// Group commit: five appends, ONE fsync — the batching evidence.
-	if snap.Counters["store.wal_appends"] != 5 || snap.Counters["store.fsyncs"] != 1 {
-		t.Fatalf("appends=%d fsyncs=%d, want 5/1",
-			snap.Counters["store.wal_appends"], snap.Counters["store.fsyncs"])
-	}
-	// Idempotent: re-import skips existing verdicts.
-	if n, err := s.Import(recs); err != nil || n != 0 {
-		t.Fatalf("re-Import = %d, %v, want 0", n, err)
-	}
-	finish(t, s)
 }
 
 func TestStoreInjectedIOFaults(t *testing.T) {

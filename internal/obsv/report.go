@@ -156,7 +156,7 @@ func (r *Report) Normalize() {
 		r.Metrics.Histograms[name] = h
 	}
 	// Campaign-store counters (store.*) measure how the run executed —
-	// fsync batching, waves, compactions, crash reclaims — not what it
+	// appends, waves, compactions, crash reclaims — not what it
 	// concluded, so resumed, re-sharded, and single-process campaigns
 	// legitimately differ on them. Strip them with the other volatiles.
 	for name := range r.Metrics.Counters {

@@ -2,15 +2,12 @@ package progen
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,26 +29,21 @@ type Options struct {
 	// for byte-reproducible reports.
 	Budget time.Duration
 	// RegrDir, when non-empty, receives one shrunk .c regression file per
-	// failure (see WriteRegression for the format).
+	// distinct failure (see WriteRegression for the format and
+	// WriteRegressionsDeduped for what counts as distinct).
 	RegrDir string
 	// DegrDir, when non-empty, receives one .c file per program whose
 	// verdict was decided below full ladder precision (see
 	// WriteDegradation for the format).
 	DegrDir string
-	// Checkpoint, when non-empty, is the campaign's index-addressed result
-	// log: each completed program appends one JSON line, so a killed run
-	// loses at most the records in flight. Resume loads the log and skips
-	// every index already recorded; replayed items re-increment the
-	// conform.* counters, so a resumed run's normalized report is
-	// byte-identical to an uninterrupted one.
-	Checkpoint string
-	Resume     bool
-	// Store, when non-nil, is the campaign's crash-safe transactional
-	// backend (internal/campstore), mutually exclusive with Checkpoint.
-	// Each item is claimed before analysis and completed with the same
-	// ckRecord payload the JSONL checkpoint uses; items already completed
-	// (by this run's past life or by other worker processes sharing the
-	// store) are replayed instead of re-analyzed, exactly like Resume.
+	// Store, when non-nil, persists the campaign in a crash-safe
+	// transactional store (internal/campstore). Each item is claimed
+	// before analysis and completed with its itemRecord, so a killed run
+	// loses at most the items in flight. Items already completed — by
+	// this run's past life or by other worker processes sharing the
+	// store — are replayed instead of re-analyzed; replayed items
+	// re-increment the conform.* counters, so a resumed run's normalized
+	// report is byte-identical to an uninterrupted one.
 	Store *campstore.Store
 	// Metrics and Span are optional observability sinks.
 	Metrics *obsv.Registry
@@ -63,8 +55,8 @@ type Outcome struct {
 	Programs []ProgramResult
 	Failures []Failure
 	Wall     time.Duration
-	// Resumed counts programs restored from the checkpoint instead of
-	// re-analyzed.
+	// Resumed counts programs whose verdict was read from the store
+	// instead of analyzed by this run.
 	Resumed int
 }
 
@@ -95,7 +87,7 @@ func Run(opts Options) (*Outcome, error) {
 
 // RunCtx is Run under a context. Cancellation stops dispatch: items never
 // started are recorded with an "unknown" verdict (failure "canceled") and
-// are not checkpointed, so a resumed campaign re-runs exactly those.
+// are not stored, so a resumed campaign re-runs exactly those.
 func RunCtx(ctx context.Context, opts Options) (*Outcome, error) {
 	start := time.Now()
 	if opts.N <= 0 {
@@ -108,22 +100,9 @@ func RunCtx(ctx context.Context, opts Options) (*Outcome, error) {
 	if opts.Budget > 0 {
 		deadline = start.Add(opts.Budget)
 	}
-	if opts.Checkpoint != "" && opts.Store != nil {
-		return nil, fmt.Errorf("progen: Checkpoint and Store are mutually exclusive backends")
-	}
-	var ck *checkpointer
-	if opts.Checkpoint != "" {
-		var err error
-		ck, err = openCheckpoint(opts.Checkpoint, opts.Seed, opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer ck.close()
-	}
 	if opts.Store != nil {
-		if opts.Store.Seed() != opts.Seed || opts.Store.N() != opts.N {
-			return nil, fmt.Errorf("progen: store is bound to campaign seed=%d n=%d, not seed=%d n=%d",
-				opts.Store.Seed(), opts.Store.N(), opts.Seed, opts.N)
+		if err := checkBinding(opts.Store, opts); err != nil {
+			return nil, err
 		}
 		if err := opts.Store.Sync(); err != nil {
 			return nil, err
@@ -136,91 +115,34 @@ func RunCtx(ctx context.Context, opts Options) (*Outcome, error) {
 	itemErrs := harness.ForEachSpanCtx(ctx, opts.Span, "conform", opts.Jobs, opts.N, func(i int, sp *obsv.Span) error {
 		psp := sp.Start(fmt.Sprintf("prog-%04d", i))
 		defer psp.End()
-		r := &results[i]
-		r.Index = i
-		r.Counts = map[string]int{}
-		replayStored := func() bool {
-			payload, ok := opts.Store.Completed(i)
-			if !ok {
-				return false
-			}
-			var rec ckRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return false
-			}
-			*r = rec.Result
-			failures[i] = rec.Failures
-			recordProgram(opts.Metrics, *r, len(rec.Failures))
-			resumed.Add(1)
-			return true
+		adopt := func(rec itemRecord) {
+			results[i], failures[i] = rec.Result, rec.Failures
+			recordProgram(opts.Metrics, rec.Result, len(rec.Failures))
 		}
-		if rec, ok := ck.take(i); ok {
-			*r = rec.Result
-			failures[i] = rec.Failures
-			recordProgram(opts.Metrics, *r, len(rec.Failures))
-			resumed.Add(1)
-			return nil
-		}
-		if opts.Store != nil && replayStored() {
-			return nil
+		if opts.Store != nil {
+			rec, ok, err := storedRecord(opts.Store, i)
+			if err != nil {
+				return err
+			}
+			if ok {
+				adopt(rec)
+				resumed.Add(1)
+				return nil
+			}
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			r.Verdict = "skipped"
-			recordProgram(opts.Metrics, *r, 0)
+			adopt(itemRecord{Result: ProgramResult{Index: i, Verdict: "skipped", Counts: map[string]int{}}})
 			return nil
 		}
-		var lease campstore.Lease
-		if opts.Store != nil {
-			l, ok, err := opts.Store.Claim(i)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				// Completed or leased by a worker sharing the store; adopt
-				// its verdict once visible rather than analyzing twice.
-				if err := opts.Store.Sync(); err != nil {
-					return err
-				}
-				if replayStored() {
-					return nil
-				}
-				return fmt.Errorf("index leased by another worker")
-			}
-			lease = l
-		}
-		res, fails, err := analyzeOne(opts, i)
+		rec, fromStore, err := runItem(opts, i)
 		if err != nil {
-			if opts.Store != nil {
-				opts.Store.Abandon(lease)
-			}
 			return err
 		}
-		*r = res
-		failures[i] = fails
-		if opts.Store != nil {
-			payload, err := json.Marshal(ckRecord{Index: i, Result: *r, Failures: fails})
-			if err != nil {
-				return err
-			}
-			if err := opts.Store.Complete(lease, payload); err != nil {
-				if errors.Is(err, campstore.ErrStale) {
-					// An external worker completed the index first; its
-					// verdict is the one on record — adopt it so this run's
-					// outcome matches what the store will report.
-					if serr := opts.Store.Sync(); serr != nil {
-						return serr
-					}
-					if replayStored() {
-						return nil
-					}
-				}
-				return err
-			}
-			recordProgram(opts.Metrics, *r, len(fails))
-			return nil
+		adopt(rec)
+		if fromStore {
+			resumed.Add(1)
 		}
-		recordProgram(opts.Metrics, *r, len(fails))
-		return ck.append(i, *r, failures[i])
+		return nil
 	})
 	for i, err := range itemErrs {
 		if err == nil {
@@ -230,7 +152,7 @@ func RunCtx(ctx context.Context, opts Options) (*Outcome, error) {
 			// The item died of a classified fault before producing a result
 			// (canceled dispatch, a panic the ladder could not absorb). It
 			// is accounted for as a sound unknown — never silently dropped —
-			// and deliberately not checkpointed, so resume re-runs it.
+			// and deliberately not stored, so resume re-runs it.
 			results[i] = ProgramResult{
 				Index:   i,
 				Verdict: "unknown",
@@ -250,21 +172,19 @@ func RunCtx(ctx context.Context, opts Options) (*Outcome, error) {
 		out.Failures = append(out.Failures, fs...)
 	}
 	if opts.RegrDir != "" {
-		for _, f := range out.Failures {
-			if err := WriteRegression(opts.RegrDir, f); err != nil {
-				return out, err
-			}
+		if _, err := WriteRegressionsDeduped(opts.RegrDir, out.Failures); err != nil {
+			return out, err
 		}
 	}
 	return out, nil
 }
 
 // analyzeOne generates, checks, and (on failure) shrinks campaign item
-// i — the per-item work shared by every backend: the in-memory run, the
-// JSONL checkpoint, the store-backed RunCtx path, and the RunStore
-// worker loop. Analysis faults are folded into the result's verdict by
-// the ladder; a returned error is a genuine environmental failure
-// (e.g. the degradation corpus is unwritable).
+// i — the per-item work shared by the in-memory run, the store-backed
+// RunCtx path, and the RunStore worker loop. Analysis faults are
+// folded into the result's verdict by the ladder; a returned error is
+// a genuine environmental failure (e.g. the degradation corpus is
+// unwritable).
 func analyzeOne(opts Options, i int) (ProgramResult, []Failure, error) {
 	r := ProgramResult{Index: i, Counts: map[string]int{}}
 	p, err := Generate(opts.Seed, i)
@@ -306,8 +226,8 @@ func analyzeOne(opts Options, i int) (ProgramResult, []Failure, error) {
 }
 
 // recordProgram folds one program result into the conform.* counters. The
-// live path and the checkpoint-replay path both go through here, so a
-// resumed run's metrics snapshot matches an uninterrupted run exactly.
+// live path and the store-replay path both go through here, so a resumed
+// run's metrics snapshot matches an uninterrupted run exactly.
 func recordProgram(reg *obsv.Registry, r ProgramResult, nfails int) {
 	switch r.Verdict {
 	case "error":
@@ -334,136 +254,6 @@ func recordProgram(reg *obsv.Registry, r ProgramResult, nfails int) {
 	case "unknown":
 		reg.Counter("conform.unknown").Add(1)
 	}
-}
-
-// ckRecord is one checkpoint line: an index-addressed completed result.
-type ckRecord struct {
-	Index    int           `json:"index"`
-	Result   ProgramResult `json:"result"`
-	Failures []Failure     `json:"failures,omitempty"`
-}
-
-// checkpointer is the campaign's append-only JSONL result log. The first
-// line is a header binding the log to its seed; every later line is one
-// ckRecord, written on item completion under a mutex (completion order —
-// the index field, not line order, addresses the record).
-type checkpointer struct {
-	mu        sync.Mutex
-	f         *os.File
-	completed map[int]ckRecord
-}
-
-// openCheckpoint creates (or, with resume, loads and rewrites compacted)
-// the checkpoint at path. Resuming against a log written under a
-// different seed is an error: the indices would address different
-// programs. A missing file under resume starts a fresh campaign; a
-// truncated final line — the usual residue of a killed run — is ignored.
-func openCheckpoint(path string, seed int64, resume bool) (*checkpointer, error) {
-	ck := &checkpointer{completed: map[int]ckRecord{}}
-	if resume {
-		data, err := os.ReadFile(path)
-		switch {
-		case err == nil:
-			if err := ck.load(data, seed); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-			}
-		case !errors.Is(err, os.ErrNotExist):
-			return nil, err
-		}
-	}
-	// (Re)write the log compacted: header plus every surviving record, in
-	// index order. Appending to the old file instead would land new records
-	// after a truncated tail and corrupt them both.
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr, err := json.Marshal(map[string]map[string]int64{"conform": {"seed": seed}})
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, err
-	}
-	idxs := make([]int, 0, len(ck.completed))
-	for i := range ck.completed {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		line, err := json.Marshal(ck.completed[i])
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	ck.f = f
-	return ck, nil
-}
-
-func (ck *checkpointer) load(data []byte, seed int64) error {
-	lines := strings.Split(string(data), "\n")
-	var hdr struct {
-		Conform *struct {
-			Seed int64 `json:"seed"`
-		} `json:"conform"`
-	}
-	if len(lines) == 0 || json.Unmarshal([]byte(lines[0]), &hdr) != nil || hdr.Conform == nil {
-		return fmt.Errorf("malformed header")
-	}
-	if hdr.Conform.Seed != seed {
-		return fmt.Errorf("log seed %d does not match campaign seed %d", hdr.Conform.Seed, seed)
-	}
-	for _, ln := range lines[1:] {
-		if ln == "" {
-			continue
-		}
-		var rec ckRecord
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			// Truncated tail from a killed run: everything before it is
-			// intact, the in-flight record is simply lost and re-run.
-			break
-		}
-		ck.completed[rec.Index] = rec
-	}
-	return nil
-}
-
-// take returns the recorded result for index i, if any. The completed map
-// is read-only after load, so no lock is needed.
-func (ck *checkpointer) take(i int) (ckRecord, bool) {
-	if ck == nil {
-		return ckRecord{}, false
-	}
-	rec, ok := ck.completed[i]
-	return rec, ok
-}
-
-func (ck *checkpointer) append(i int, r ProgramResult, fails []Failure) error {
-	if ck == nil {
-		return nil
-	}
-	data, err := json.Marshal(ckRecord{Index: i, Result: r, Failures: fails})
-	if err != nil {
-		return err
-	}
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	_, err = ck.f.Write(append(data, '\n'))
-	return err
-}
-
-func (ck *checkpointer) close() error {
-	if ck == nil || ck.f == nil {
-		return nil
-	}
-	return ck.f.Close()
 }
 
 // ShrinkFailure minimizes a failure's source with the ddmin shrinker,

@@ -19,12 +19,10 @@ import (
 //
 //	go test ./internal/progen -run TestConformRun -conform.n 200 -conform.seed 1
 var (
-	conformN      = flag.Int("conform.n", 24, "programs per conformance sweep")
-	conformSeed   = flag.Int64("conform.seed", 1, "generator seed for the conformance sweep")
-	conformJobs   = flag.Int("conform.jobs", runtime.GOMAXPROCS(0), "conformance sweep worker width")
-	conformCkpt   = flag.String("conform.checkpoint", "", "index-addressed campaign checkpoint file (empty = none)")
-	conformResume = flag.Bool("conform.resume", false, "resume from the checkpoint, skipping completed indices")
-	conformStore  = flag.String("conform.store", "", "campaign store directory (crash-safe transactional backend; excludes -conform.checkpoint)")
+	conformN     = flag.Int("conform.n", 24, "programs per conformance sweep")
+	conformSeed  = flag.Int64("conform.seed", 1, "generator seed for the conformance sweep")
+	conformJobs  = flag.Int("conform.jobs", runtime.GOMAXPROCS(0), "conformance sweep worker width")
+	conformStore = flag.String("conform.store", "", "campaign store directory (crash-safe, resumable; empty = in-memory run)")
 )
 
 // TestConformRun is the conformance harness entry point: generate the
@@ -36,15 +34,13 @@ func TestConformRun(t *testing.T) {
 	tracer := obsv.NewTracer()
 	root := tracer.Start("conform")
 	opts := Options{
-		Seed:       *conformSeed,
-		N:          *conformN,
-		Jobs:       *conformJobs,
-		RegrDir:    filepath.Join("testdata", "regressions"),
-		DegrDir:    filepath.Join("testdata", "degradations"),
-		Checkpoint: *conformCkpt,
-		Resume:     *conformResume,
-		Metrics:    metrics,
-		Span:       root,
+		Seed:    *conformSeed,
+		N:       *conformN,
+		Jobs:    *conformJobs,
+		RegrDir: filepath.Join("testdata", "regressions"),
+		DegrDir: filepath.Join("testdata", "degradations"),
+		Metrics: metrics,
+		Span:    root,
 	}
 	if *conformStore != "" {
 		st, err := campstore.Open(*conformStore, campstore.Options{

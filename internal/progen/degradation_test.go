@@ -52,3 +52,33 @@ func TestDegradationReplay(t *testing.T) {
 		t.Skip("degradation corpus is empty")
 	}
 }
+
+// TestWriteDegradationRoundTrip: a written degradation entry parses back
+// to the same rung, fault, and verdict, with the source intact.
+func TestWriteDegradationRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	r := ProgramResult{
+		Index:   3,
+		Verdict: "leak",
+		Rung:    "triage",
+		Failure: "deadline",
+	}
+	src := "uint8_t A[16];\nvoid victim(uint32_t y) {\n\tA[y] = 1;\n}\n"
+	if err := WriteDegradation(dir, src, r, 9); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "triage-seed9-idx3.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseDegradation(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Rung != "triage" || d.Fault != "deadline" || d.Verdict != "leak" || d.Replay != "none" {
+		t.Fatalf("round trip lost fields: %+v", d)
+	}
+	if !strings.Contains(d.Src, "victim") {
+		t.Fatalf("source lost in round trip:\n%s", d.Src)
+	}
+}

@@ -56,10 +56,10 @@ func storeOpts() Options {
 	return Options{Seed: storeTestSeed, N: storeTestN, Jobs: 1}
 }
 
-// TestStoreCrashResumeIdentity is the store-backed successor of
-// TestCheckpointResumeIdentity: a campaign interrupted mid-claim and
-// mid-write (a dangling lease from a dead worker plus a torn WAL tail)
-// must resume to a report byte-identical to an uninterrupted run.
+// TestStoreCrashResumeIdentity: a worker-loop campaign interrupted
+// mid-claim and mid-write (a dangling lease from a dead worker plus a
+// torn WAL tail) must resume to a report byte-identical to an
+// uninterrupted run.
 func TestStoreCrashResumeIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("store resume sweep in -short mode")
@@ -197,77 +197,89 @@ func TestStoreRunCtxIdentity(t *testing.T) {
 	}
 }
 
-// TestCheckpointImportIdentity: a partial PR-5-format JSONL checkpoint
-// — the surviving half of a killed checkpoint campaign, torn line
-// included — imports into a campstore, the campaign finishes over the
-// store, and the assembled report is byte-identical to an uninterrupted
-// store campaign. The migration path loses nothing and invents nothing.
-func TestCheckpointImportIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("import sweep in -short mode")
-	}
-	refDir := t.TempDir()
-	ref := openStoreT(t, refDir, "w0", false)
-	if _, err := RunStore(context.Background(), ref, storeOpts(), 0); err != nil {
-		t.Fatal(err)
-	}
-	want := renderStore(t, refDir)
-
-	// Build the checkpoint fixture the old way: a full JSONL campaign,
-	// then forge the kill by keeping the header and every other record
-	// plus a torn trailing line.
-	ckPath := filepath.Join(t.TempDir(), "full.jsonl")
-	ckOpts := storeOpts()
-	ckOpts.Jobs = 2
-	ckOpts.Checkpoint = ckPath
-	if _, err := RunCtx(context.Background(), ckOpts); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(ckPath)
+// renderCampaign runs a campaign through RunCtx with live metrics and
+// spans and renders its normalized report.
+func renderCampaign(t *testing.T, opts Options) ([]byte, *Outcome) {
+	t.Helper()
+	metrics := obsv.NewRegistry()
+	tracer := obsv.NewTracer()
+	root := tracer.Start("conform")
+	opts.Metrics = metrics
+	opts.Span = root
+	out, err := RunCtx(context.Background(), opts)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != storeTestN+1 {
-		t.Fatalf("checkpoint has %d lines, want header + %d records", len(lines), storeTestN)
-	}
-	kept := []string{lines[0]}
-	for i, ln := range lines[1:] {
-		if i%2 == 0 {
-			kept = append(kept, ln)
-		}
-	}
-	partial := filepath.Join(t.TempDir(), "partial.jsonl")
-	body := strings.Join(kept, "\n") + "\n" + `{"index":999,"resu`
-	if err := os.WriteFile(partial, []byte(body), 0o644); err != nil {
+	rep := out.Report(opts.Seed, 1, metrics, tracer)
+	rep.Normalize()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	return buf.Bytes(), out
+}
+
+// TestRunCtxStoreResumeIdentity: kill a store-backed RunCtx campaign
+// partway (some verdicts committed, a lease left dangling, a torn WAL
+// tail), resume it through RunCtx, and demand the resumed report —
+// live conform.* counters and per-program spans included — be
+// byte-identical to an uninterrupted run's.
+func TestRunCtxStoreResumeIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resume sweep in -short mode")
+	}
+	base := storeOpts()
+	base.Jobs = 2
+	base.Store = openStoreT(t, t.TempDir(), "ref", false)
+	want, uninterrupted := renderCampaign(t, base)
+	if uninterrupted.Resumed != 0 {
+		t.Fatalf("fresh campaign resumed %d items", uninterrupted.Resumed)
 	}
 
 	dir := t.TempDir()
-	st := openStoreT(t, dir, "migrate", false)
-	n, err := ImportCheckpoint(st, partial)
-	if err != nil {
-		t.Fatalf("ImportCheckpoint: %v", err)
+	w := openStoreT(t, dir, "killed", false)
+	if n, err := RunStore(context.Background(), w, storeOpts(), 3); err != nil || n != 3 {
+		t.Fatalf("partial RunStore = %d, %v", n, err)
 	}
-	if n != len(kept)-1 {
-		t.Fatalf("imported %d records, want %d (the surviving ones)", n, len(kept)-1)
+	if _, ok, err := w.ClaimNext(); err != nil || !ok {
+		t.Fatalf("claim before kill: %v %v", ok, err)
 	}
-	if _, err := RunStore(context.Background(), st, storeOpts(), 0); err != nil {
-		t.Fatalf("post-import RunStore: %v", err)
-	}
-	got := renderStore(t, dir)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("import-resumed report differs from uninterrupted store run:\n--- store ---\n%s\n--- imported ---\n%s", want, got)
-	}
-
-	// Importing a checkpoint bound to another seed must refuse.
-	other, err := campstore.Open(t.TempDir(), campstore.Options{Seed: storeTestSeed + 1, N: storeTestN, Worker: "x"})
-	if err != nil {
+	w.Close()
+	if err := appendBytes(filepath.Join(dir, "wal.1.log"), []byte{0x13, 0x00, 0x00}); err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
-	if _, err := ImportCheckpoint(other, partial); err == nil || !strings.Contains(err.Error(), "seed") {
-		t.Fatalf("seed-mismatched import = %v, want refusal naming the seed", err)
+
+	opts := base
+	opts.Store = openStoreT(t, dir, "resume", false)
+	got, out := renderCampaign(t, opts)
+	if out.Resumed != 3 {
+		t.Errorf("resumed %d items, want 3 (the committed verdicts)", out.Resumed)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed report differs from uninterrupted run:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+}
+
+// TestStoreSeedMismatch: indices address programs only under the seed
+// and size that generated them, so both store entry points refuse a
+// handle bound to another campaign.
+func TestStoreSeedMismatch(t *testing.T) {
+	st := openStoreT(t, t.TempDir(), "w", false)
+	for _, opts := range []Options{
+		{Seed: storeTestSeed + 1, N: storeTestN, Jobs: 1},
+		{Seed: storeTestSeed, N: storeTestN + 1, Jobs: 1},
+	} {
+		if _, err := RunStore(context.Background(), st, opts, 0); err == nil || !strings.Contains(err.Error(), "seed") {
+			t.Errorf("RunStore(seed=%d n=%d) = %v, want refusal naming the seed", opts.Seed, opts.N, err)
+		}
+		opts.Store = st
+		if _, err := RunCtx(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "seed") {
+			t.Errorf("RunCtx(seed=%d n=%d) = %v, want refusal naming the seed", opts.Seed, opts.N, err)
+		}
+	}
+	if st.CompletedCount() != 0 || st.Leases() != 0 {
+		t.Fatalf("refused runs touched the store: %d verdicts, %d leases", st.CompletedCount(), st.Leases())
 	}
 }
 
