@@ -14,10 +14,11 @@ race:
 	$(GO) test -race ./...
 
 # race-core exercises the packages with real shared state under the
-# parallel pipeline: the worker pool + process-wide caches (harness) and
-# the frontend cache + detector (detect).
+# parallel pipeline: the worker pool + process-wide caches (harness), the
+# frontend cache + detector (detect), and the multi-process campaign
+# waves (cmd/clou).
 race-core:
-	$(GO) test -race ./internal/harness ./internal/detect
+	$(GO) test -race ./internal/harness ./internal/detect ./cmd/clou
 
 vet:
 	$(GO) vet ./...

@@ -49,10 +49,11 @@ func TestExitCodeContract(t *testing.T) {
 	})
 	t.Run("2_usage", func(t *testing.T) {
 		for _, args := range [][]string{
-			{},                      // missing file argument
-			{"/no/such/file.c"},     // unreadable input
-			{"-engine", "x", clean}, // unknown engine
-			{"-nonsense-flag"},      // flag parse error
+			{},                          // missing file argument
+			{"/no/such/file.c"},         // unreadable input
+			{"-engine", "x", clean},     // unknown engine
+			{"-nonsense-flag"},          // flag parse error
+			{"-solver", "fresh", clean}, // retired solver mode
 		} {
 			var out, errb bytes.Buffer
 			if code := run(args, &out, &errb); code != 2 {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -175,14 +176,19 @@ func runWorkerWaves(o genOptions, st *campstore.Store, stdout, stderr io.Writer)
 		if before >= o.n {
 			return exitClean
 		}
+		// Each worker writes its stderr to its own buffer: exec copies a
+		// non-*os.File writer from one goroutine per process, so sharing
+		// the caller's writer would race. The buffers are flushed in
+		// worker order once the wave is over.
 		procs := make([]*exec.Cmd, 0, o.workers)
+		logs := make([]bytes.Buffer, o.workers)
 		for w := 0; w < o.workers; w++ {
 			cmd, err := workerCommand(o)
 			if err != nil {
 				return genExit(stderr, err)
 			}
 			cmd.Stdout = io.Discard
-			cmd.Stderr = stderr
+			cmd.Stderr = &logs[w]
 			if err := cmd.Start(); err != nil {
 				return genExit(stderr, faults.IOf("spawn worker: %v", err))
 			}
@@ -193,6 +199,9 @@ func runWorkerWaves(o genOptions, st *campstore.Store, stdout, stderr io.Writer)
 			if err := cmd.Wait(); err != nil {
 				crashed++
 			}
+		}
+		for i := range procs {
+			stderr.Write(logs[i].Bytes())
 		}
 		if err := st.Sync(); err != nil {
 			return genExit(stderr, err)

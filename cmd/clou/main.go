@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noPrune := fs.Bool("noprune", false, "disable range-analysis candidate pruning")
 	noPresolve := fs.Bool("nopresolve", false, "disable the proof-carrying static pre-solver (ablation baseline)")
 	auditPresolve := fs.Bool("audit-presolve", false, "replay every statically refuted query through the solver and fail on disagreement")
-	solverMode := fs.String("solver", "incremental", "residual-query solver mode: incremental (warm CDCL), fresh (replayed reference instance per query), or check (both; fail on verdict mismatch)")
+	solverMode := fs.String("solver", "incremental", "residual-query solver mode: incremental (warm CDCL) or check (also replay every query on a fresh reference instance; fail on verdict mismatch)")
 	litmusSuite := fs.String("litmus", "", "run the built-in litmus corpus (pht, stl, fwd, new, psf, imp, ss, or all) instead of analyzing a file")
 	par := fs.Int("j", runtime.GOMAXPROCS(0), "analyze up to N functions in parallel")
 	reportPath := fs.String("report", "", "write a machine-readable JSON run report to this path (- for stdout)")

@@ -28,8 +28,8 @@ type Options struct {
 	LSQ   int // load-store-queue capacity: max store-bypass distance
 	Wsize int // sliding window for the transmitter search
 	// SolverMode selects how detection queries are discharged: warm
-	// incremental CDCL (default), fresh-replica-per-query reference, or
-	// both with verdict self-checking (see smt.Mode).
+	// incremental CDCL (default), or that plus a fresh reference replay
+	// of every query with verdict self-checking (see smt.Mode).
 	SolverMode smt.Mode
 }
 
@@ -332,9 +332,9 @@ func (a *AEG) WindowInfo(b, n int) (arms [2]bool, dist int, ok bool) {
 }
 
 // ForEachWindowNode visits every node of branch b's speculation window
-// with its arm fetchability — presolve.WindowEnumerator's fast path over
-// probing WindowInfo per graph node. Iteration order is the windows map's,
-// i.e. unspecified; callers must not depend on it.
+// with its arm fetchability (part of presolve.WindowSource). Iteration
+// order is the windows map's, i.e. unspecified; callers must not depend
+// on it.
 func (a *AEG) ForEachWindowNode(b int, f func(n int, arms [2]bool)) {
 	for n, arms := range a.windows[b] {
 		f(n, arms)

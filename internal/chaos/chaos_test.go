@@ -157,7 +157,7 @@ func TestChaosCampaign(t *testing.T) {
 // five engines armed. Regenerate by reading the failure message after an
 // intentional probe-coverage change.
 var pinnedInjected = map[string]int64{
-	"panic":    145,
-	"deadline": 161,
-	"canceled": 147,
+	"panic":    122,
+	"deadline": 133,
+	"canceled": 114,
 }

@@ -4,11 +4,11 @@ import (
 	"lcm/internal/ir"
 )
 
-// Pruner answers the detect engines' range queries. It satisfies detect's
-// Prune hook and is installed there by default; the engines hand it the
-// instruction behind each A-CFG access node (inlined callee nodes share
-// instruction pointers with their defining function, so per-function
-// range facts apply unchanged).
+// Pruner answers the detect engines' range queries. detect installs it
+// unless Config.NoPrune is set; the engines hand it the instruction
+// behind each A-CFG access node (inlined callee nodes share instruction
+// pointers with their defining function, so per-function range facts
+// apply unchanged).
 //
 // Soundness under each engine's speculation model:
 //

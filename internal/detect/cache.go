@@ -104,7 +104,7 @@ type funcEntry struct {
 
 type prunerEntry struct {
 	once sync.Once
-	p    Pruner
+	p    *dataflow.Pruner
 }
 
 // NewCache returns an empty analysis cache.
@@ -144,7 +144,7 @@ func (c *Cache) frontend(m *ir.Module, fn string, opts acfg.Options) (*frontend,
 // pruner returns the module's shared range-analysis pruner. dataflow's
 // ModuleRanges fills its per-function memo lazily under its own lock, so
 // one Pruner serves every worker analyzing functions of m.
-func (c *Cache) pruner(m *ir.Module) Pruner {
+func (c *Cache) pruner(m *ir.Module) *dataflow.Pruner {
 	c.mu.Lock()
 	e, ok := c.pruners[m]
 	if !ok {

@@ -90,11 +90,6 @@ type Config struct {
 	RequireTaint bool
 	// MaxQueries bounds solver calls per function (0 = unlimited).
 	MaxQueries int
-	// MaxConflicts bounds per-query CDCL effort (0 = unlimited). Unlike
-	// Timeout it is deterministic, so budget-degraded results are
-	// byte-reproducible; exhaustion is classified faults.ErrBudget, never
-	// misread as UNSAT.
-	MaxConflicts int64
 	// Timeout bounds wall time per function (0 = unlimited); the paper
 	// imposes per-function timeouts in Table 2.
 	Timeout time.Duration
@@ -111,15 +106,13 @@ type Config struct {
 	// degradation ladder appends its rung so retried attempts make fresh
 	// injection decisions.
 	InjectKey string
-	// Pruner is the range-analysis prune hook: universal candidates it
-	// discharges are skipped before taint filtering and solver queries.
-	// Pruning only removes the universality claim — a discharged pattern
-	// may still be reported by the DT/CT stages, which is where an
-	// in-bounds table access (it leaks the table's contents, not
-	// attacker-chosen memory) belongs in the taxonomy.
-	// Leave nil to install the default dataflow pruner; set NoPrune to
-	// disable pruning entirely (the ablation baseline).
-	Pruner  Pruner
+	// NoPrune disables the range-analysis pruner (the ablation
+	// baseline). By default dataflow.Pruner discharges universal
+	// candidates before taint filtering and solver queries. Pruning only
+	// removes the universality claim — a discharged pattern may still be
+	// reported by the DT/CT stages, which is where an in-bounds table
+	// access (it leaks the table's contents, not attacker-chosen memory)
+	// belongs in the taxonomy.
 	NoPrune bool
 	// NoPresolve disables the proof-carrying static pre-solver
 	// (internal/presolve), the ablation baseline: every candidate query
@@ -155,22 +148,6 @@ type Config struct {
 	// Metrics, when non-nil, receives the run's counters and per-stage
 	// latency histograms (detect.* and sat.* names).
 	Metrics *obsv.Registry
-}
-
-// Pruner discharges universal candidates with static value-range facts.
-// Implementations must be sound under the engines' speculation models:
-// InBoundsAccess may use any CFG-valid fact (PHT wrong paths are still
-// CFG paths), while DisjointPair must not rely on values read from
-// memory, since STL bypass makes loads return stale data.
-type Pruner interface {
-	// InBoundsAccess reports that the load/store provably stays inside
-	// its base object, so it cannot read attacker-chosen memory and
-	// cannot serve as a universal-transmitter access.
-	InBoundsAccess(in *ir.Instr) bool
-	// DisjointPair reports that the store and load provably touch
-	// disjoint bytes of one object, so the load cannot observe the
-	// store being bypassed.
-	DisjointPair(store, load *ir.Instr) bool
 }
 
 // DefaultPHT returns the paper's Clou-pht configuration (ROB/LSQ 250/50).
@@ -262,9 +239,9 @@ type Result struct {
 	Duration  time.Duration
 	Queries   int
 	TimedOut  bool
-	// BudgetHit reports that a step budget (MaxQueries or MaxConflicts)
-	// bound the search before it finished; the findings present are valid
-	// but the absence of further findings is not proven.
+	// BudgetHit reports that the MaxQueries step budget bound the search
+	// before it finished; the findings present are valid but the absence
+	// of further findings is not proven.
 	BudgetHit bool
 	// Fault carries the classified fault (faults taxonomy) that aborted
 	// the search mid-analysis, nil for a clean run. Injected probe faults
@@ -419,9 +396,6 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 		return nil, err
 	}
 	a := aeg.Build(fe.g, fe.al, cfg.AEG)
-	if cfg.MaxConflicts > 0 {
-		a.S.SetBudget(sat.Budget{Conflicts: cfg.MaxConflicts})
-	}
 	encodeTime := time.Since(encodeStart)
 	encSpan.End()
 	if ctx.Err() != nil {
@@ -434,8 +408,8 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 		return res, nil
 	}
 
-	pruner := cfg.Pruner
-	if pruner == nil && !cfg.NoPrune {
+	var pruner *dataflow.Pruner
+	if !cfg.NoPrune {
 		if cfg.Cache != nil {
 			pruner = cfg.Cache.pruner(m)
 		} else {
@@ -446,8 +420,8 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	var psFactsTime time.Duration
 	if !cfg.NoPresolve && !cfg.TriageOnly {
 		var mr *dataflow.ModuleRanges
-		if dp, ok := pruner.(*dataflow.Pruner); ok {
-			mr = dp.Ranges()
+		if pruner != nil {
+			mr = pruner.Ranges()
 		}
 		psStart := time.Now()
 		facts := fe.presolveFacts(mr)
@@ -501,7 +475,7 @@ type detector struct {
 	fenceOK    map[int][]bool    // dense fence-free reachability, per source
 	feedsCache map[int][]indexEdge
 	allLoads   []*acfg.Node
-	pruner     Pruner
+	pruner     *dataflow.Pruner               // nil under NoPrune
 	prunedAcc  map[int]bool                   // pruneAccess memo, also dedups the counters
 	ps         *presolve.Analysis             // nil when the pre-solver is disabled
 	certSeen   map[*presolve.Certificate]bool // certificates already emitted

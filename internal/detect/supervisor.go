@@ -23,11 +23,9 @@ type Rung int
 const (
 	// RungFull is the configured full-symbolic analysis.
 	RungFull Rung = iota
-	// RungReduced retries with a single loop unrolling, a reduced
-	// speculation window, and tight query/conflict budgets.
-	RungReduced
-	// RungTriage answers solver queries optimistically: range-prune-only
-	// triage, over-approximate but cheap and deterministic.
+	// RungTriage answers solver queries optimistically at the caller's
+	// own bounds: range-prune-only triage, over-approximate but cheap and
+	// deterministic.
 	RungTriage
 	// RungUnknown is the final fallback: no analysis completed; the
 	// verdict is a sound "unknown", never a silent drop.
@@ -38,8 +36,6 @@ func (r Rung) String() string {
 	switch r {
 	case RungFull:
 		return "full"
-	case RungReduced:
-		return "reduced"
 	case RungTriage:
 		return "triage"
 	case RungUnknown:
@@ -50,7 +46,7 @@ func (r Rung) String() string {
 
 // ParseRung inverts Rung.String (used by degradation-regression replay).
 func ParseRung(s string) (Rung, error) {
-	for _, r := range []Rung{RungFull, RungReduced, RungTriage, RungUnknown} {
+	for _, r := range []Rung{RungFull, RungTriage, RungUnknown} {
 		if r.String() == s {
 			return r, nil
 		}
@@ -58,39 +54,21 @@ func ParseRung(s string) (Rung, error) {
 	return 0, fmt.Errorf("unknown rung %q", s)
 }
 
-// reducedCfg derives the RungReduced configuration: the same engine and
-// filters over a smaller, cheaper abstraction. The bounds are fixed
-// constants — not fractions of the caller's — so a rung names one
-// reproducible precision level everywhere.
-func reducedCfg(cfg Config) Config {
-	c := cfg
-	c.ACFG.Unroll = 1
-	c.AEG.ROB = 32
-	c.AEG.LSQ = 16
-	c.AEG.Wsize = 32
-	if c.MaxQueries == 0 || c.MaxQueries > 512 {
-		c.MaxQueries = 512
-	}
-	if c.MaxConflicts == 0 || c.MaxConflicts > 20000 {
-		c.MaxConflicts = 20000
-	}
-	return c
-}
-
-// triageCfg derives the RungTriage configuration: no solver search at
-// all, so the only budgets left are the wall clock and the frontend.
+// triageCfg derives the RungTriage configuration: the caller's engine,
+// filters and A-CFG/S-AEG bounds with no solver search at all. Keeping
+// the caller's Unroll and windows is what makes triage cover the full
+// rung — shrinking either would drop transmitters — so the only budgets
+// left are the wall clock and the frontend.
 func triageCfg(cfg Config) Config {
-	c := reducedCfg(cfg)
+	c := cfg
 	c.TriageOnly = true
 	c.MaxQueries = 0
-	c.MaxConflicts = 0
 	return c
 }
 
 // AnalyzeFuncLadder is the fault-tolerant analysis supervisor: it runs
 // AnalyzeFuncCtx down the degradation ladder — full symbolic, then
-// reduced window and single unrolling, then range-prune-only triage —
-// retrying whenever an attempt dies of a classified fault (deadline,
+// range-prune-only triage — retrying whenever an attempt dies of a classified fault (deadline,
 // budget, panic, or an injected cancellation), and finally returns a
 // sound RungUnknown verdict instead of failing. Every input therefore
 // gets exactly one Result; the rung it was decided at and the fault that
@@ -107,15 +85,12 @@ func AnalyzeFuncLadder(ctx context.Context, m *ir.Module, fn string, cfg Config)
 	}
 	var lastFault error
 	attempts := 0
-	for _, rung := range []Rung{RungFull, RungReduced, RungTriage} {
+	for _, rung := range []Rung{RungFull, RungTriage} {
 		if err := ctx.Err(); err != nil {
 			return nil, faults.FromContext(err)
 		}
 		c := cfg
-		switch rung {
-		case RungReduced:
-			c = reducedCfg(cfg)
-		case RungTriage:
+		if rung == RungTriage {
 			c = triageCfg(cfg)
 		}
 		// Each rung makes fresh injection decisions: a fault that killed

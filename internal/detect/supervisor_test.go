@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"lcm/internal/cryptolib"
 	"lcm/internal/faultinject"
+	"lcm/internal/litmus"
 	"lcm/internal/obsv"
 )
 
@@ -28,9 +30,9 @@ func TestLadderHealthyRunStaysFull(t *testing.T) {
 	}
 }
 
-// TestLadderDescendsOnBudget: a query budget of 1 faults the full and
-// reduced rungs deterministically; triage (no solver search) then
-// decides the function. The verdict carries the rung and the metrics
+// TestLadderDescendsOnBudget: a query budget of 1 faults the full rung
+// deterministically; triage (no solver search) then decides the
+// function. The verdict carries the rung and the metrics
 // carry the retries.
 func TestLadderDescendsOnBudget(t *testing.T) {
 	m := compile(t, spectreV1Src)
@@ -48,18 +50,18 @@ func TestLadderDescendsOnBudget(t *testing.T) {
 	if res.Rung != RungTriage {
 		t.Fatalf("rung = %v, want triage", res.Rung)
 	}
-	if res.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (full, reduced, triage)", res.Attempts)
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (full, triage)", res.Attempts)
 	}
 	if len(res.Findings) == 0 {
 		t.Fatal("triage rung reported no findings for Spectre v1")
 	}
 	snap := cfg.Metrics.Snapshot()
-	if got := snap.Counters["faults.budget"]; got != 2 {
-		t.Errorf("faults.budget = %d, want 2", got)
+	if got := snap.Counters["faults.budget"]; got != 1 {
+		t.Errorf("faults.budget = %d, want 1", got)
 	}
-	if got := snap.Counters["supervisor.retries"]; got != 2 {
-		t.Errorf("supervisor.retries = %d, want 2", got)
+	if got := snap.Counters["supervisor.retries"]; got != 1 {
+		t.Errorf("supervisor.retries = %d, want 1", got)
 	}
 	if got := snap.Counters["supervisor.degraded"]; got != 1 {
 		t.Errorf("supervisor.degraded = %d, want 1", got)
@@ -71,30 +73,46 @@ func TestLadderDescendsOnBudget(t *testing.T) {
 
 // TestTriageOverApproximatesFull: the triage rung admits every candidate
 // the filters pass, so its finding set must cover the full analysis's —
-// the weaker-contract soundness direction of the ladder.
+// the weaker-contract soundness direction of the ladder. It runs the
+// configuration the ladder itself derives, for every engine over the
+// litmus corpus and TEA.
 func TestTriageOverApproximatesFull(t *testing.T) {
-	m := compile(t, spectreV1Src)
-	full, err := AnalyzeFunc(m, "victim", DefaultPHT())
-	if err != nil {
-		t.Fatal(err)
+	type input struct{ name, src, fn string }
+	var inputs []input
+	for _, c := range litmus.All() {
+		inputs = append(inputs, input{"litmus/" + c.Name, c.Source, c.Fn})
 	}
-	cfg := DefaultPHT()
-	cfg.TriageOnly = true
-	triage, err := AnalyzeFunc(m, "victim", cfg)
-	if err != nil {
-		t.Fatal(err)
+	tea := cryptolib.TEA()
+	for _, fn := range tea.PublicFuncs {
+		inputs = append(inputs, input{"tea", tea.Source, fn})
 	}
 	type key struct {
 		class    string
 		transmit int
 	}
-	seen := map[key]bool{}
-	for _, f := range triage.Findings {
-		seen[key{f.Class.String(), f.Transmit}] = true
-	}
-	for _, f := range full.Findings {
-		if !seen[key{f.Class.String(), f.Transmit}] {
-			t.Errorf("full-precision finding %v/%d missing from triage over-approximation", f.Class, f.Transmit)
+	for _, in := range inputs {
+		m := compile(t, in.src)
+		for _, e := range Engines() {
+			full, err := AnalyzeFunc(m, in.fn, DefaultConfig(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			triage, err := AnalyzeFunc(m, in.fn, triageCfg(DefaultConfig(e)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[key]bool{}
+			for _, f := range triage.Findings {
+				seen[key{f.Class.String(), f.Transmit}] = true
+			}
+			for _, f := range full.Findings {
+				k := key{f.Class.String(), f.Transmit}
+				if !seen[k] {
+					seen[k] = true // report each missing transmitter once
+					t.Errorf("%s %s/%v: full-precision %v finding at node %d (line %d) missing from triage",
+						in.name, in.fn, e, f.Class, f.Transmit, f.Line)
+				}
+			}
 		}
 	}
 }
@@ -121,8 +139,8 @@ func TestLadderExhaustedYieldsSoundUnknown(t *testing.T) {
 	if res.Failure == "" {
 		t.Fatal("unknown verdict carries no failure kind")
 	}
-	if res.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", res.Attempts)
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", res.Attempts)
 	}
 	rep := res.Report()
 	if rep.Verdict != "unknown" || rep.Rung != "unknown" {
@@ -138,8 +156,8 @@ func TestLadderExhaustedYieldsSoundUnknown(t *testing.T) {
 			faultsTotal += v
 		}
 	}
-	if faultsTotal != 3 || injected != 3 {
-		t.Errorf("faults=%d injected=%d, want 3 injected faults recorded (one per rung)", faultsTotal, injected)
+	if faultsTotal != 2 || injected != 2 {
+		t.Errorf("faults=%d injected=%d, want 2 injected faults recorded (one per rung)", faultsTotal, injected)
 	}
 	if got := snap.Counters["supervisor.unknown"]; got != 1 {
 		t.Errorf("supervisor.unknown = %d, want 1", got)

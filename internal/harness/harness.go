@@ -101,8 +101,8 @@ type Options struct {
 	NoPresolve    bool
 	AuditPresolve bool
 	// SolverMode selects how residual queries are discharged: warm
-	// incremental CDCL (default), a fresh replayed reference instance per
-	// query, or both with verdict self-checking (smt.ModeCheck).
+	// incremental CDCL (default), or that plus a fresh reference replay
+	// of every query with verdict self-checking (smt.ModeCheck).
 	SolverMode smt.Mode
 }
 

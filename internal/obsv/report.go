@@ -34,7 +34,7 @@ type FuncReport struct {
 	Name    string `json:"name"`
 	Verdict string `json:"verdict"` // "leak", "clean", "timeout", "unknown", or "error"
 	// Rung is the degradation-ladder rung the verdict was decided at
-	// ("reduced", "triage", "unknown"); empty means full precision.
+	// ("triage" or "unknown"); empty means full precision.
 	// Failure names the failure-taxonomy kind ("deadline", "budget",
 	// "panic", "canceled") that forced the final downgrade, when any.
 	Rung    string `json:"rung,omitempty"`

@@ -39,13 +39,9 @@ type WindowSource interface {
 	// window: arms[i] says n is fetchable down successor i, dist is n's
 	// minimum fetch distance from b.
 	WindowInfo(b, n int) (arms [2]bool, dist int, ok bool)
-}
-
-// WindowEnumerator is an optional fast path of WindowSource: a source
-// that can enumerate a branch's window members directly saves the
-// pre-solver from probing WindowInfo once per graph node per branch.
-// Visit order may be arbitrary — consumers must not depend on it.
-type WindowEnumerator interface {
+	// ForEachWindowNode visits every node of branch b's window with its
+	// arm fetchability. Visit order may be arbitrary — consumers must not
+	// depend on it.
 	ForEachWindowNode(b int, f func(n int, arms [2]bool))
 }
 
@@ -163,7 +159,7 @@ func (a *Analysis) feasFor(b int, v bool) *feasSet {
 	g := a.f.G
 	fs := &feasSet{armOK: make([]bool, g.Len()), can: make([]bool, g.Len())}
 	var ids []int
-	a.eachWindowNode(b, func(id int, arms [2]bool) {
+	a.win.ForEachWindowNode(b, func(id int, arms [2]bool) {
 		if (v && arms[1]) || (!v && arms[0]) {
 			fs.armOK[id] = true
 			fs.can[id] = true
@@ -201,20 +197,6 @@ func (a *Analysis) feasFor(b int, v bool) *feasSet {
 	}
 	a.feas[k] = fs
 	return fs
-}
-
-// eachWindowNode visits every node of branch b's window, through the
-// enumerator fast path when the source provides one.
-func (a *Analysis) eachWindowNode(b int, f func(n int, arms [2]bool)) {
-	if we, ok := a.win.(WindowEnumerator); ok {
-		we.ForEachWindowNode(b, f)
-		return
-	}
-	for _, n := range a.f.G.Nodes {
-		if arms, _, ok := a.win.WindowInfo(b, n.ID); ok {
-			f(n.ID, arms)
-		}
-	}
 }
 
 // RefuteQuery decides whether q is statically UNSAT. On success it returns

@@ -114,7 +114,7 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	// fetch runs down the second).
 	fetch := make([]bool, g.Len())
 	var elig []int
-	a.eachWindowNode(b, func(id int, arms [2]bool) {
+	a.win.ForEachWindowNode(b, func(id int, arms [2]bool) {
 		if (v && arms[1]) || (!v && arms[0]) {
 			elig = append(elig, id)
 		}

@@ -69,7 +69,7 @@ type ProgramResult struct {
 	Queries int
 	Gadget  string // template name for differential subjects
 	// Rung names the degradation-ladder rung the verdict was decided at
-	// when below full precision ("reduced", "triage", "unknown"); Failure
+	// when below full precision ("triage" or "unknown"); Failure
 	// is the fault kind that forced the downgrade.
 	Rung    string
 	Failure string
@@ -301,19 +301,17 @@ func ParseRegression(data []byte) (oracle string, src string, err error) {
 
 // Degradation is one parsed degradation-regression entry: a program whose
 // verdict was decided below full ladder precision, plus how to replay the
-// downgrade. Replay "budget" entries carry the query/conflict budgets
-// that deterministically force the descent; replay "none" entries (the
+// downgrade. Replay "budget" entries carry the query budget that deterministically force the descent; replay "none" entries (the
 // usual organic case — wall-clock deadlines are not reproducible) only
 // promise that the program still compiles and the ladder still decides
 // it without an error.
 type Degradation struct {
-	Rung         string
-	Fault        string
-	Verdict      string
-	Replay       string // "budget" or "none"
-	MaxQueries   int
-	MaxConflicts int64
-	Src          string
+	Rung       string
+	Fault      string
+	Verdict    string
+	Replay     string // "budget" or "none"
+	MaxQueries int
+	Src        string
 }
 
 // WriteDegradation records a ladder-degraded program as a replayable .c
@@ -330,7 +328,7 @@ func WriteDegradation(dir, src string, r ProgramResult, seed int64) error {
 }
 
 // ParseDegradation inverts WriteDegradation (and accepts the curated
-// replay=budget entries with maxqueries=/maxconflicts= fields).
+// replay=budget entries with a maxqueries= field).
 func ParseDegradation(data []byte) (Degradation, error) {
 	s := string(data)
 	const tag = "// progen degradation: "
@@ -359,8 +357,6 @@ func ParseDegradation(data []byte) (Degradation, error) {
 			d.Replay = v
 		case "maxqueries":
 			d.MaxQueries, err = strconv.Atoi(v)
-		case "maxconflicts":
-			d.MaxConflicts, err = strconv.ParseInt(v, 10, 64)
 		case "seed", "index":
 			// informational
 		default:
@@ -377,7 +373,7 @@ func ParseDegradation(data []byte) (Degradation, error) {
 }
 
 // ReplayDegradation re-runs a degradation entry's program through the
-// ladder under the entry's recorded budgets and returns the combined
+// ladder under the entry's recorded query budget and returns the combined
 // (worst-rung, verdict) pair across both engines — the values a
 // replay=budget entry pins exactly.
 func ReplayDegradation(d Degradation) (rung string, verdict string, err error) {
@@ -390,7 +386,6 @@ func ReplayDegradation(d Degradation) (rung string, verdict string, err error) {
 	for _, e := range []detect.Engine{detect.PHT, detect.STL} {
 		cfg := conformCfg(e)
 		cfg.MaxQueries = d.MaxQueries
-		cfg.MaxConflicts = d.MaxConflicts
 		// Budget entries pin how the ladder degrades under a raw solver
 		// budget; the pre-solver legitimately shrinks the query stream
 		// (the same budget then no longer trips), so replay disables it

@@ -72,27 +72,20 @@ const (
 	// sequence — learnt clauses, phases, and trail prefixes carry over
 	// (the default, and the fast path).
 	ModeIncremental Mode = iota
-	// ModeFresh replays the recorded CNF into a brand-new CDCL instance
-	// for every Check: the non-incremental reference the equivalence
-	// battery compares against.
-	ModeFresh
-	// ModeCheck answers from the warm instance but also runs the fresh
-	// reference on every Check and counts verdict mismatches (self-check;
-	// see SelfCheckStats). Budget-aborted calls on either side are not
-	// compared — warm and cold searches legitimately exhaust a budget at
-	// different points.
+	// ModeCheck answers from the warm instance but also replays every
+	// Check on a fresh reference instance — the recorded CNF in a
+	// brand-new CDCL solver, with no learnt clauses, phases or trail —
+	// and counts verdict mismatches (self-check; see SelfCheckStats).
+	// Budget-aborted calls on either side are not compared — warm and
+	// cold searches legitimately exhaust a budget at different points.
 	ModeCheck
 )
 
 func (m Mode) String() string {
-	switch m {
-	case ModeFresh:
-		return "fresh"
-	case ModeCheck:
+	if m == ModeCheck {
 		return "check"
-	default:
-		return "incremental"
 	}
+	return "incremental"
 }
 
 // ParseMode parses a -solver flag value.
@@ -100,12 +93,10 @@ func ParseMode(name string) (Mode, error) {
 	switch name {
 	case "incremental", "":
 		return ModeIncremental, nil
-	case "fresh":
-		return ModeFresh, nil
 	case "check":
 		return ModeCheck, nil
 	}
-	return ModeIncremental, fmt.Errorf("smt: unknown solver mode %q (want incremental, fresh, or check)", name)
+	return ModeIncremental, fmt.Errorf("smt: unknown solver mode %q (want incremental or check)", name)
 }
 
 // Solver wraps a sat.Solver with formula-level assertions.
@@ -134,12 +125,9 @@ type Solver struct {
 	memo        map[string]sat.Status
 	memoHits    int64
 	memoLookups int64
-	// fresh/check mode state: every AddClause is logged so a reference
-	// solver can be rebuilt from scratch; eval is the instance whose
-	// model/core/abort-cause accessors read (the warm instance except in
-	// ModeFresh, where it is the last replica).
+	// check mode state: every AddClause is logged so a reference solver
+	// can be rebuilt from scratch.
 	clauseLog      [][]sat.Lit
-	eval           *sat.Solver
 	budget         sat.Budget
 	selfChecks     int64
 	selfMismatches int64
@@ -181,7 +169,6 @@ func NewSolverMode(mode Mode) *Solver {
 		lits: make(map[*Expr]sat.Lit),
 		defs: make(map[string]sat.Lit),
 	}
-	s.eval = s.sat
 	s.trueE = &Expr{op: opTrue}
 	s.falseE = &Expr{op: opFalse}
 	tv := s.sat.NewVar()
@@ -197,7 +184,7 @@ func (s *Solver) Mode() Mode { return s.mode }
 // reference replica may be needed, into the replay log. sat.AddClause
 // sorts its argument slice in place, so the log keeps its own copy.
 func (s *Solver) addClause(lits ...sat.Lit) bool {
-	if s.mode != ModeIncremental {
+	if s.mode == ModeCheck {
 		s.clauseLog = append(s.clauseLog, append([]sat.Lit(nil), lits...))
 	}
 	return s.sat.AddClause(lits...)
@@ -454,49 +441,22 @@ func (s *Solver) CheckCtx(ctx context.Context, assumptions ...*Expr) sat.Status 
 	return s.solve(ctx, s.assume(assumptions))
 }
 
-// solve discharges one query according to the solver mode.
+// solve discharges one query on the warm instance, from the model cache
+// when it can. Check mode then replays the query on a fresh reference —
+// cache answers included, since it distrusts the whole incremental stack.
 func (s *Solver) solve(ctx context.Context, lits []sat.Lit) sat.Status {
-	s.fromCache = false
-	switch s.mode {
-	case ModeFresh:
-		ref := s.freshReplica()
-		st := ref.SolveCtx(ctx, lits...)
-		s.eval = ref
-		return st
-	case ModeCheck:
-		if s.tryModel(lits) {
-			// The cache's Sat is backed by an exhibited model, but check
-			// mode distrusts the whole incremental stack: replay on a fresh
-			// reference anyway.
-			s.fromCache = true
-			s.record(sat.Sat, s.replay(ctx, lits))
-			return sat.Sat
-		}
-		st := s.sat.SolveCtx(ctx, lits...)
-		s.eval = s.sat
+	s.fromCache = s.tryModel(lits)
+	st := sat.Sat
+	if !s.fromCache {
+		st = s.sat.SolveCtx(ctx, lits...)
 		if st == sat.Sat {
 			s.captureModel()
 		}
-		s.record(st, s.replay(ctx, lits))
-		return st
-	default:
-		if s.tryModel(lits) {
-			s.fromCache = true
-			return sat.Sat
-		}
-		st := s.sat.SolveCtx(ctx, lits...)
-		s.eval = s.sat
-		if st == sat.Sat {
-			s.captureModel()
-		}
-		return st
 	}
-}
-
-// replay decides the query on a fresh reference replica (check mode).
-func (s *Solver) replay(ctx context.Context, lits []sat.Lit) sat.Status {
-	ref := s.freshReplica()
-	return ref.SolveCtx(ctx, lits...)
+	if s.mode == ModeCheck {
+		s.record(st, s.freshReplica().SolveCtx(ctx, lits...))
+	}
+	return st
 }
 
 // record tallies one check-mode comparison. Budget-aborted sides are not
@@ -582,7 +542,7 @@ func (s *Solver) captureModel() {
 		s.cachedModel = append(s.cachedModel, false)
 	}
 	for v := 1; v <= n; v++ {
-		s.cachedModel[v] = s.eval.Value(v)
+		s.cachedModel[v] = s.sat.Value(v)
 	}
 	s.modelOK, s.modelVars, s.modelGates = true, n, len(s.gateDefs)
 }
@@ -665,13 +625,11 @@ func (s *Solver) AbortCause() error {
 	if s.fromCache {
 		return nil // cache answers are decided, never aborted
 	}
-	return s.eval.AbortCause()
+	return s.sat.AbortCause()
 }
 
 // SatStats returns the warm CDCL instance's search-effort counters
-// (decisions, propagations, conflicts, restarts). In ModeFresh the warm
-// instance answers no queries, so the counters only reflect root-level
-// propagation during clause loading.
+// (decisions, propagations, conflicts, restarts).
 func (s *Solver) SatStats() (decisions, propagations, conflicts, restarts int64) {
 	return s.sat.Counters()
 }
@@ -724,7 +682,7 @@ func canonKey(lits []sat.Lit) string {
 // Unsat verdict.
 func (s *Solver) FailedAssumptions() []*Expr {
 	var out []*Expr
-	for _, l := range s.eval.FailedAssumptions() {
+	for _, l := range s.sat.FailedAssumptions() {
 		if e, ok := s.lastAssumed[l]; ok {
 			out = append(out, e)
 		}
@@ -744,7 +702,7 @@ func (s *Solver) Value(e *Expr) bool {
 		if s.fromCache {
 			return e.v < len(s.cachedModel) && s.cachedModel[e.v]
 		}
-		return s.eval.Value(e.v)
+		return s.sat.Value(e.v)
 	case opNot:
 		return !s.Value(e.kids[0])
 	case opAnd:
