@@ -36,8 +36,12 @@ fmt:
 lint:
 	$(GO) run ./tools/determlint ./...
 
+# bench is its own module (bench/go.mod), so `go test ./...` from the root
+# never builds it; check vets and tests it explicitly, since it reads the
+# analyzer's metrics counters by name.
 check: vet fmt lint race-core
 	$(GO) test ./internal/attacks ./internal/obsv ./internal/sat ./cmd/clou
+	cd bench && $(GO) vet . && $(GO) test .
 
 # audit-presolve replays every statically discharged candidate through the
 # full SAT encoding and fails on any disagreement — the soundness gate for

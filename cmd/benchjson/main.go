@@ -63,15 +63,10 @@ type entry struct {
 	// ablation baseline.
 	Discharged     int64 `json:"discharged"`
 	SkippedQueries int64 `json:"skipped_queries"`
-	// Incremental-solver counters of the -j run: assumption-trail literals
-	// reused across the per-function sweep, root facts promoted into
-	// clause-DB simplification, Tseitin gates emitted, and gate requests
-	// answered by the hash-cons table instead of fresh definitions.
-	PrefixLits    int64 `json:"prefix_lits"`
-	RootUnits     int64 `json:"root_units"`
-	TseitinGates  int64 `json:"tseitin_gates"`
-	TseitinShared int64 `json:"tseitin_shared"`
-	ModelHits     int64 `json:"model_hits"`
+	// Incremental-solver counters of the -j run: Tseitin gates emitted
+	// and queries answered by the model cache without a search.
+	TseitinGates int64 `json:"tseitin_gates"`
+	ModelHits    int64 `json:"model_hits"`
 	// Ablation column: the same workload at -j width with the static
 	// pre-solver disabled, so every candidate reaches the incremental
 	// solver. AblationRatio = NoPresolveNs / NsPerOp. Zero when the whole
@@ -131,17 +126,13 @@ func main() {
 				e.CacheHits = snap.Counters["detect.cache_hits"]
 				e.Discharged = snap.Counters["presolve.discharged"]
 				e.SkippedQueries = snap.Counters["presolve.skipped_queries"]
-				e.PrefixLits = snap.Counters["sat.prefix_lits"]
-				e.RootUnits = snap.Counters["sat.root_units"]
 				e.TseitinGates = snap.Counters["smt.tseitin_gates"]
-				e.TseitinShared = snap.Counters["smt.tseitin_shared"]
 				e.ModelHits = snap.Counters["smt.model_hits"]
 			}
-			fmt.Printf("%-22s j=%-2d %12v  queries=%-6d cache-hits=%d discharged=%d skipped=%d prefix-lits=%d tseitin-shared=%d\n",
+			fmt.Printf("%-22s j=%-2d %12v  queries=%-6d cache-hits=%d discharged=%d skipped=%d\n",
 				name, w, elapsed.Round(time.Millisecond), snap.Counters["detect.queries"],
 				snap.Counters["detect.cache_hits"], snap.Counters["presolve.discharged"],
-				snap.Counters["presolve.skipped_queries"], snap.Counters["sat.prefix_lits"],
-				snap.Counters["smt.tseitin_shared"])
+				snap.Counters["presolve.skipped_queries"])
 		}
 		// The storage workload never consults the pre-solver: an ablation
 		// column would compare two identical fsync-bound runs and gate CI

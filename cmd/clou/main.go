@@ -235,9 +235,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "   presolve: discharged=%d skipped-queries=%d certs=%d audited=%d disagreements=%d\n",
 					res.Discharged, res.SkippedQueries, len(res.Certificates), res.PresolveAudited, res.PresolveDisagreements)
 			}
-			fmt.Fprintf(stdout, "   frontend=%v encode=%v solve=%v cached=%v memo-hits=%d\n",
+			fmt.Fprintf(stdout, "   frontend=%v encode=%v solve=%v cached=%v\n",
 				res.FrontendTime.Round(time.Microsecond), res.EncodeTime.Round(time.Microsecond),
-				res.SolveTime.Round(time.Microsecond), res.CacheHit, res.MemoHits)
+				res.SolveTime.Round(time.Microsecond), res.CacheHit)
 			fmt.Fprintf(stdout, "   frontend: alias=%v flowgraph=%v aeg-build=%v presolve-facts=%v\n",
 				res.AliasTime.Round(time.Microsecond), res.FlowTime.Round(time.Microsecond),
 				res.EncodeTime.Round(time.Microsecond), res.PresolveFactsTime.Round(time.Microsecond))

@@ -358,30 +358,14 @@ func (a *AEG) CheckCtx(ctx context.Context, assumptions ...*smt.Expr) sat.Status
 	return a.S.CheckCtx(ctx, assumptions...)
 }
 
-// CheckMemo decides a query through the solver's verdict memo: repeated
-// queries over semantically equal assumption sets are answered without a
-// solver call. Memo hits carry no model — witness reconstruction must use
-// Check, which re-solves.
-func (a *AEG) CheckMemo(ctx context.Context, assumptions ...*smt.Expr) (sat.Status, bool) {
-	return a.S.CheckMemo(ctx, assumptions...)
-}
-
-// MemoStats reports the solver's query-memo hit/lookup counters.
-func (a *AEG) MemoStats() (hits, lookups int64) { return a.S.MemoStats() }
-
 // SolverStats reports the CDCL search-effort counters accumulated by this
 // AEG's solver (decisions, propagations, conflicts, restarts).
 func (a *AEG) SolverStats() (decisions, propagations, conflicts, restarts int64) {
 	return a.S.SatStats()
 }
 
-// IncrementalStats reports the warm CDCL instance's incremental-solving
-// counters (prefix-reuse depth, root-unit promotions, clause-DB diet).
-func (a *AEG) IncrementalStats() sat.IncStats { return a.S.IncrementalStats() }
-
-// EncodeStats reports the Tseitin gate counters: gates requested and gates
-// shared through the hash-cons table.
-func (a *AEG) EncodeStats() (gates, shared int64) { return a.S.EncodeStats() }
+// EncodeStats reports the number of And/Or Tseitin gates requested.
+func (a *AEG) EncodeStats() (gates int64) { return a.S.EncodeStats() }
 
 // ModelCacheHits reports how many queries were answered Sat by extending
 // the last model over newly encoded gates, skipping the solver search.

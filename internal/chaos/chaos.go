@@ -113,7 +113,7 @@ func Run(ctx context.Context, opts Options) (*Outcome, error) {
 			cfg.NoPresolve = true
 			// Pin the warm incremental solver (the default, but load-bearing
 			// here): solver.step faults must land mid-sweep on a solver
-			// carrying reused trail prefixes and saved phases, so the
+			// carrying learnt clauses and saved phases, so the
 			// campaign proves the incremental path degrades soundly too.
 			cfg.AEG.SolverMode = smt.ModeIncremental
 			cfg.InjectKey = fmt.Sprintf("g%04d/%s", i, e.name)

@@ -111,7 +111,7 @@ func TestChaosCampaign(t *testing.T) {
 
 	// (6) the solver arm specifically: the campaign pins the warm
 	// incremental solver mode and disables the pre-solver, so solver.step
-	// faults land mid-sweep on a solver carrying reused trail prefixes —
+	// faults land mid-sweep on a solver carrying learnt clauses and phases —
 	// the path whose degradation the equivalence battery most cares about.
 	if fired[faultinject.ProbeSolverStep] == 0 {
 		t.Error("solver.step never fired on the incremental path")

@@ -289,25 +289,17 @@ type Result struct {
 	AliasTime         time.Duration
 	FlowTime          time.Duration
 	PresolveFactsTime time.Duration
-	// CacheHit reports whether the front end came from Config.Cache;
-	// MemoHits counts queries answered by the solver's verdict memo.
+	// CacheHit reports whether the front end came from Config.Cache.
 	CacheHit bool
-	MemoHits int
 	// CDCL search-effort counters harvested from the function's solver.
 	Decisions    int64
 	Propagations int64
 	Conflicts    int64
 	Restarts     int64
-	// Incremental-solving counters: PrefixLits is the summed
-	// prefix-reuse depth across the query sweep, RootUnits the facts
-	// promoted to the root level, TseitinGates/TseitinShared the And/Or
-	// gates requested and the ones answered from the hash-cons table
-	// without fresh auxiliary variables. All are deterministic for a
-	// fixed query sequence and safe to pin in normalized reports.
-	PrefixLits    int64
-	RootUnits     int64
-	TseitinGates  int64
-	TseitinShared int64
+	// TseitinGates counts the And/Or gates requested while encoding;
+	// deterministic for a fixed query sequence and safe to pin in
+	// normalized reports.
+	TseitinGates int64
 	// ModelCacheHits counts queries answered Sat by extending the last
 	// model over newly encoded gates instead of searching.
 	ModelCacheHits int64
@@ -448,9 +440,7 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	d.run()
 	searchSpan.End()
 	d.res.Decisions, d.res.Propagations, d.res.Conflicts, d.res.Restarts = a.SolverStats()
-	inc := a.IncrementalStats()
-	d.res.PrefixLits, d.res.RootUnits = inc.PrefixLits, inc.RootUnits
-	d.res.TseitinGates, d.res.TseitinShared = a.EncodeStats()
+	d.res.TseitinGates = a.EncodeStats()
 	d.res.SolverChecks, d.res.SolverMismatches = a.SelfCheckStats()
 	d.res.ModelCacheHits = a.ModelCacheHits()
 	d.res.Duration = time.Since(start)
@@ -707,11 +697,8 @@ func (d *detector) query(assumptions ...*smt.Expr) bool {
 		return true
 	}
 	t0 := time.Now()
-	st, hit := d.a.CheckMemo(d.ctx, assumptions...)
+	st := d.a.CheckCtx(d.ctx, assumptions...)
 	d.res.SolveTime += time.Since(t0)
-	if hit {
-		d.res.MemoHits++
-	}
 	if st == sat.Unknown {
 		// The query aborted mid-search: classify why before giving up.
 		// An Unknown is never a verdict — in particular not UNSAT.

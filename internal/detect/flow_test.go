@@ -204,11 +204,11 @@ func TestShardDeterminism(t *testing.T) {
 				t.Errorf("%s budget=%d: counts differ: %v vs %v", cfg1.Engine, budget, r1.Counts(), r8.Counts())
 			}
 			type counters struct {
-				queries, candidates, pruned, discharged, skipped, memoHits int
-				budgetHit                                                  bool
+				queries, candidates, pruned, discharged, skipped int
+				budgetHit                                        bool
 			}
-			c1 := counters{r1.Queries, r1.Candidates, r1.Pruned, r1.Discharged, r1.SkippedQueries, r1.MemoHits, r1.BudgetHit}
-			c8 := counters{r8.Queries, r8.Candidates, r8.Pruned, r8.Discharged, r8.SkippedQueries, r8.MemoHits, r8.BudgetHit}
+			c1 := counters{r1.Queries, r1.Candidates, r1.Pruned, r1.Discharged, r1.SkippedQueries, r1.BudgetHit}
+			c8 := counters{r8.Queries, r8.Candidates, r8.Pruned, r8.Discharged, r8.SkippedQueries, r8.BudgetHit}
 			if c1 != c8 {
 				t.Errorf("%s budget=%d: counters differ: %+v vs %+v", cfg1.Engine, budget, c1, c8)
 			}

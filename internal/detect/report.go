@@ -12,7 +12,6 @@ func (r *Result) record(reg *obsv.Registry) {
 	}
 	reg.Counter("detect.functions").Add(1)
 	reg.Counter("detect.queries").Add(int64(r.Queries))
-	reg.Counter("detect.memo_hits").Add(int64(r.MemoHits))
 	reg.Counter("detect.candidates").Add(int64(r.Candidates))
 	reg.Counter("detect.pruned").Add(int64(r.Pruned))
 	reg.Counter("detect.findings").Add(int64(len(r.Findings)))
@@ -28,10 +27,7 @@ func (r *Result) record(reg *obsv.Registry) {
 	reg.Counter("sat.propagations").Add(r.Propagations)
 	reg.Counter("sat.conflicts").Add(r.Conflicts)
 	reg.Counter("sat.restarts").Add(r.Restarts)
-	reg.Counter("sat.prefix_lits").Add(r.PrefixLits)
-	reg.Counter("sat.root_units").Add(r.RootUnits)
 	reg.Counter("smt.tseitin_gates").Add(r.TseitinGates)
-	reg.Counter("smt.tseitin_shared").Add(r.TseitinShared)
 	reg.Counter("smt.model_hits").Add(r.ModelCacheHits)
 	reg.Counter("smt.self_checks").Add(r.SolverChecks)
 	reg.Counter("smt.self_mismatches").Add(r.SolverMismatches)
@@ -61,11 +57,7 @@ func (r *Result) Report() obsv.FuncReport {
 		Skipped:         r.SkippedQueries,
 		Audited:         r.PresolveAudited,
 		Disagreements:   r.PresolveDisagreements,
-		MemoHits:        r.MemoHits,
-		PrefixLits:      r.PrefixLits,
-		RootUnits:       r.RootUnits,
 		TseitinGates:    r.TseitinGates,
-		TseitinShared:   r.TseitinShared,
 		ModelHits:       r.ModelCacheHits,
 		SolverChecks:    r.SolverChecks,
 		Mismatches:      r.SolverMismatches,

@@ -33,7 +33,7 @@ func compareRows(t *testing.T, label string, want, got []Row) {
 // TestNoPresolveDeterministicAcrossWorkers is the ablation leg of the
 // determinism guard: with the static pre-solver off, every residual query
 // reaches the incremental solver, so this pins that warm-solver state
-// (prefix reuse, phase saving, root-unit promotion) never leaks
+// (learnt clauses, phase saving, the model cache) never leaks
 // nondeterminism across the parallel pipeline. All five engines, -j1 vs
 // -j8, byte-identical rows and findings.
 func TestNoPresolveDeterministicAcrossWorkers(t *testing.T) {

@@ -56,17 +56,11 @@ type FuncReport struct {
 	Skipped       int  `json:"skipped_queries,omitempty"`
 	Audited       int  `json:"audited,omitempty"`
 	Disagreements int  `json:"disagreements,omitempty"`
-	MemoHits      int  `json:"memo_hits,omitempty"`
 	CacheHit      bool `json:"cache_hit,omitempty"`
 	TimedOut      bool `json:"timed_out,omitempty"`
-	// Incremental-solving accounting: summed assumption-prefix reuse
-	// depth, root-level unit promotions, Tseitin gates requested, and
-	// gates shared through the hash-cons table. Deterministic for a fixed
-	// query sequence, hence pinned by the goldens like the other counters.
-	PrefixLits    int64 `json:"prefix_lits,omitempty"`
-	RootUnits     int64 `json:"root_units,omitempty"`
-	TseitinGates  int64 `json:"tseitin_gates,omitempty"`
-	TseitinShared int64 `json:"tseitin_shared,omitempty"`
+	// Tseitin gates requested. Deterministic for a fixed query sequence,
+	// hence pinned by the goldens like the other counters.
+	TseitinGates int64 `json:"tseitin_gates,omitempty"`
 	// Queries answered Sat by extending the previous model over newly
 	// encoded gates instead of searching (the smt model cache).
 	ModelHits int64 `json:"model_hits,omitempty"`

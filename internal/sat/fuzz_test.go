@@ -24,9 +24,8 @@ import (
 //	lit byte:   var = 1 + b%nVars, negated when b has bit 7 set
 func FuzzIncrementalSolve(f *testing.F) {
 	// Seeds: the shrunk kernel of the first real soundness bug this battery
-	// caught (an Unsat-under-assumptions return kept a conflicting trail
-	// prefix that poisoned the next query's reuse), plus minimal shapes for
-	// each opcode path.
+	// caught (an Unsat-under-assumptions return left a conflicting trail
+	// behind for the next query), plus minimal shapes for each opcode path.
 	f.Add([]byte{
 		2,       // nVars = 6
 		0, 0, 5, // add {x5}  — wants a root unit early
@@ -34,7 +33,7 @@ func FuzzIncrementalSolve(f *testing.F) {
 		0, 2, 4, 0x82, 5, // add {x5, ¬x3, x6}
 		1, 1, 0x82, // solve {¬x3}
 		1, 2, 0, 2, // solve {x1, x3}
-		2, 2, 0, 2, // solve {x1, x3} again (full prefix reuse)
+		2, 2, 0, 2, // solve {x1, x3} again (repeated assumption set)
 		0, 1, 0x80, 1, // add {¬x1, x2}
 		3, 2, 0, 2, 4, // solve {x1, x3, x5}
 	})

@@ -16,8 +16,8 @@ import (
 // shape the detection engines drive (one warm solver per function, many
 // candidate queries sharing assumption prefixes). Every verdict in a
 // sequence must match a from-scratch reference decision of the same
-// formula under the same assumptions; prefix reuse, root-unit promotion,
-// and phase saving may only change effort, never answers.
+// formula under the same assumptions; learnt clauses, activities and phase
+// saving may only change effort, never answers.
 
 // refDecide is the reference verdict for clauses under assumptions: the
 // assumptions are appended as unit clauses and the whole formula is
@@ -55,10 +55,12 @@ func randomAssumptions(rng *rand.Rand, nVars, n int) []Lit {
 // cross-checks every verdict against the DPLL reference solving from
 // scratch. This is the property the per-function candidate sweep relies
 // on: a warm solver is verdict-equivalent to a fresh one at every step.
+// Every Unsat step must also leave a failed-assumption core drawn from
+// that step's assumptions, non-empty whenever the formula alone is
+// satisfiable, and itself unsatisfiable with the formula.
 func TestDifferentialIncrementalSequences(t *testing.T) {
 	const instances = 300
 	rng := rand.New(rand.NewSource(20260808))
-	var totalPrefix int64
 	for i := 0; i < instances; i++ {
 		nVars := 4 + rng.Intn(9)              // 4..12
 		nClauses := nVars * (2 + rng.Intn(3)) // ratios 2..4
@@ -111,6 +113,9 @@ func TestDifferentialIncrementalSequences(t *testing.T) {
 				}
 				checkModel(t, s, withUnits, tag)
 			}
+			if got == Unsat {
+				checkCore(t, s, nVars, clauses, assumptions, tag)
+			}
 
 			// Occasionally grow the formula mid-sequence, as the lazy
 			// window encoding does between candidate queries.
@@ -125,91 +130,27 @@ func TestDifferentialIncrementalSequences(t *testing.T) {
 				}
 			}
 		}
-		totalPrefix += s.IncrementalStats().PrefixLits
-	}
-	// The sweep must actually exercise the warm path: with prefix-biased
-	// sequences over 300 instances, reuse firing zero times means the
-	// incremental machinery is dead code.
-	if totalPrefix == 0 {
-		t.Fatal("assumption-prefix reuse never fired across the differential sweep")
 	}
 }
 
-// TestAssumptionPrefixReuse pins the reuse accounting: consecutive calls
-// sharing a leading prefix keep exactly that many trail levels, and the
-// verdicts are unchanged from a fresh solver's.
-func TestAssumptionPrefixReuse(t *testing.T) {
-	s := New()
-	a, b, c, d := Lit(s.NewVar()), Lit(s.NewVar()), Lit(s.NewVar()), Lit(s.NewVar())
-	x := Lit(s.NewVar())
-	s.AddClause(a.Neg(), x)          // a → x
-	s.AddClause(b.Neg(), x.Neg(), d) // b ∧ x → d
-
-	if st := s.Solve(a, b, c); st != Sat {
-		t.Fatalf("first solve = %v, want Sat", st)
+// checkCore validates the failed-assumption core of an Unsat step.
+func checkCore(t *testing.T, s *Solver, nVars int, clauses [][]Lit, assumptions []Lit, tag string) {
+	t.Helper()
+	core := s.FailedAssumptions()
+	in := map[Lit]bool{}
+	for _, a := range assumptions {
+		in[a] = true
 	}
-	if got := s.IncrementalStats().PrefixLits; got != 0 {
-		t.Fatalf("PrefixLits after first solve = %d, want 0", got)
+	for _, l := range core {
+		if !in[l] {
+			t.Fatalf("%s: failed assumption %d is not one of the step's assumptions", tag, l)
+		}
 	}
-	// Shares the 2-assumption prefix [a, b].
-	if st := s.Solve(a, b, d.Neg()); st != Unsat {
-		t.Fatalf("second solve = %v, want Unsat (a∧b force d)", st)
+	if len(core) == 0 && refSolve(nVars, clauses) {
+		t.Fatalf("%s: empty failed-assumption core, but the formula alone is satisfiable", tag)
 	}
-	if got := s.IncrementalStats().PrefixLits; got != 2 {
-		t.Fatalf("PrefixLits after prefix-sharing solve = %d, want 2", got)
-	}
-	// Diverges at position 0: nothing reusable.
-	if st := s.Solve(a.Neg(), b); st != Sat {
-		t.Fatalf("third solve = %v, want Sat", st)
-	}
-	if got := s.IncrementalStats().PrefixLits; got != 2 {
-		t.Fatalf("PrefixLits after divergent solve = %d, want 2 (unchanged)", got)
-	}
-	// A failed-assumption core must still be available on the warm path.
-	if st := s.Solve(a, b, d.Neg()); st != Unsat {
-		t.Fatalf("fourth solve = %v, want Unsat", st)
-	}
-	if core := s.FailedAssumptions(); len(core) == 0 {
-		t.Fatal("empty failed-assumption core after warm Unsat")
-	}
-}
-
-// TestRootUnitPromotion pins the clause-DB diet: once a fact reaches the
-// root level, clauses it satisfies disappear from the database and
-// literals it falsifies are stripped from clause tails.
-func TestRootUnitPromotion(t *testing.T) {
-	s := New()
-	x, y, z := Lit(s.NewVar()), Lit(s.NewVar()), Lit(s.NewVar())
-	s.AddClause(x, y)          // satisfied once x is a root fact
-	s.AddClause(x.Neg(), y, z) // ¬x strippable once x is a root fact
-	s.AddClause(y, z)          // untouched
-	before := s.NumClauses()
-	if before != 3 {
-		t.Fatalf("NumClauses = %d, want 3", before)
-	}
-	s.AddClause(x) // root unit
-	if st := s.Solve(); st != Sat {
-		t.Fatalf("solve = %v, want Sat", st)
-	}
-	inc := s.IncrementalStats()
-	if inc.RootUnits == 0 {
-		t.Fatal("RootUnits = 0, want the promoted fact counted")
-	}
-	if inc.RemovedClauses != 1 {
-		t.Fatalf("RemovedClauses = %d, want 1 (x ∨ y satisfied by root x)", inc.RemovedClauses)
-	}
-	if inc.StrippedLits != 1 {
-		t.Fatalf("StrippedLits = %d, want 1 (¬x stripped from ¬x ∨ y ∨ z)", inc.StrippedLits)
-	}
-	if got := s.NumClauses(); got != before-1 {
-		t.Fatalf("NumClauses after promotion = %d, want %d", got, before-1)
-	}
-	// The simplified database must still decide correctly.
-	if st := s.Solve(y.Neg(), z.Neg()); st != Unsat {
-		t.Fatalf("solve(¬y, ¬z) = %v, want Unsat (clause y ∨ z)", st)
-	}
-	if st := s.Solve(y.Neg()); st != Sat {
-		t.Fatalf("solve(¬y) = %v, want Sat via z", st)
+	if refDecide(nVars, clauses, core) {
+		t.Fatalf("%s: failed-assumption core %v is satisfiable with the formula", tag, core)
 	}
 }
 
@@ -256,7 +197,7 @@ func TestBudgetPerCallBaselineAcrossWarmSweep(t *testing.T) {
 		if cause := s.AbortCause(); !errors.Is(cause, faults.ErrBudget) {
 			t.Fatalf("sweep call %d AbortCause = %v, want faults.ErrBudget", i, cause)
 		}
-		_, _, conflicts := s.Stats()
+		_, _, conflicts, _ := s.Counters()
 		if spent := conflicts - prevConflicts; spent < 50 {
 			t.Fatalf("sweep call %d spent %d conflicts, want ≥ 50 (budget must reset per call)", i, spent)
 		}
@@ -265,7 +206,7 @@ func TestBudgetPerCallBaselineAcrossWarmSweep(t *testing.T) {
 
 	// Decisions leg: same per-call-baseline contract.
 	s.SetBudget(Budget{Decisions: 10})
-	prevDecisions, _, _ := s.Stats()
+	prevDecisions, _, _, _ := s.Counters()
 	for i, assumptions := range sweep {
 		if st := s.SolveCtx(context.Background(), assumptions...); st != Unknown {
 			t.Fatalf("decision sweep call %d = %v, want Unknown", i, st)
@@ -273,7 +214,7 @@ func TestBudgetPerCallBaselineAcrossWarmSweep(t *testing.T) {
 		if cause := s.AbortCause(); !errors.Is(cause, faults.ErrBudget) {
 			t.Fatalf("decision sweep call %d AbortCause = %v, want faults.ErrBudget", i, cause)
 		}
-		decisions, _, _ := s.Stats()
+		decisions, _, _, _ := s.Counters()
 		if spent := decisions - prevDecisions; spent < 10 {
 			t.Fatalf("decision sweep call %d spent %d decisions, want ≥ 10", i, spent)
 		}

@@ -106,16 +106,6 @@ type Solver struct {
 	assumptions []Lit
 	conflictSet map[int]bool // vars of failed assumptions
 
-	// incremental-solve state: lastAssumed mirrors the assumption list of
-	// the previous SolveCtx so the next call can keep the shared leading
-	// prefix of the trail enqueued instead of rewinding to the root;
-	// simplifiedAt is the root-trail length at the last clause-DB
-	// simplification, so simplifyDB only walks the database when new
-	// level-0 facts arrived.
-	lastAssumed  []Lit
-	simplifiedAt int
-	inc          IncStats
-
 	modelVal    []bool // satisfying assignment captured at Sat time
 	seenScratch []bool // reusable conflict-analysis buffer
 
@@ -147,8 +137,7 @@ func (s *Solver) SetBudget(b Budget) { s.budget = b }
 // faults.ErrBudget when the effort budget ran out, faults.ErrCanceled /
 // faults.ErrDeadline when the context fired, nil after a decided (Sat or
 // Unsat) call. Callers that see Unknown consult this instead of guessing;
-// a budget abort must never be read as UNSAT, and the verdict memo layer
-// (smt.CheckMemo) never caches aborted calls.
+// a budget abort must never be read as UNSAT.
 func (s *Solver) AbortCause() error { return s.abortCause }
 
 // New returns an empty solver.
@@ -187,39 +176,11 @@ func (s *Solver) NumVars() int { return s.nVars }
 // NumClauses returns the number of problem clauses added.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// Stats returns (decisions, propagations, conflicts).
-func (s *Solver) Stats() (int64, int64, int64) {
-	return s.decisions, s.propagations, s.conflicts
-}
-
 // Counters returns the full search-effort counter set — decisions,
 // propagations, conflicts, and restarts — for metrics snapshots.
 func (s *Solver) Counters() (decisions, propagations, conflicts, restarts int64) {
 	return s.decisions, s.propagations, s.conflicts, s.restarts
 }
-
-// IncStats counts the work the incremental solve path avoided or
-// simplified away. All counters are cumulative over the solver's life and
-// deterministic for a fixed call sequence (no wall-clock input), so they
-// can appear in normalized reports.
-type IncStats struct {
-	// PrefixLits is the total number of assumption positions whose trail
-	// levels were kept enqueued across consecutive SolveCtx calls (the
-	// "prefix-reuse depth" summed over calls).
-	PrefixLits int64
-	// RootUnits is the number of facts promoted to the root level and used
-	// to permanently simplify the clause database.
-	RootUnits int64
-	// RemovedClauses counts clauses deleted because a root-level fact
-	// satisfies them outright.
-	RemovedClauses int64
-	// StrippedLits counts literals removed from clause tails because a
-	// root-level fact falsifies them.
-	StrippedLits int64
-}
-
-// IncrementalStats returns the incremental-solving counters.
-func (s *Solver) IncrementalStats() IncStats { return s.inc }
 
 var errBadLit = errors.New("sat: literal references unallocated variable")
 
@@ -229,18 +190,15 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	// Adding a clause invalidates any trail prefix kept warm by the
-	// incremental solve path: rewind to the root so attach sees a state
-	// where the two-watched-literal invariant can be established against
-	// level-0 assignments only.
-	s.cancelUntil(0)
 	for _, l := range lits {
 		if l == 0 || l.Var() > s.nVars {
 			panic(errBadLit)
 		}
 	}
-	// Simplify: sort, drop duplicates, detect tautologies, drop literals
-	// false at level 0, satisfy-check against level-0 assignments.
+	// SolveCtx always returns at decision level 0, so every assignment
+	// seen here is a root fact. Simplify: sort, drop duplicates, detect
+	// tautologies, drop literals false at level 0, satisfy-check against
+	// level-0 assignments.
 	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
 	out := lits[:0]
 	var prev Lit
@@ -571,65 +529,6 @@ func (s *Solver) locked(c *clause) bool {
 	return s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
 }
 
-// simplifyDB promotes root-level facts into the clause database: clauses
-// satisfied at level 0 are deleted outright and literals false at level 0
-// are stripped from clause tails. Watched positions (0 and 1) are never
-// touched — after full root-level propagation a non-satisfied clause
-// cannot watch a root-false literal — so the watcher lists stay valid
-// (watchers of deleted clauses are dropped lazily by propagate). Must be
-// called at decision level 0; it is a no-op unless new root facts arrived
-// since the last call.
-func (s *Solver) simplifyDB() {
-	if !s.ok || s.decisionLevel() != 0 || len(s.trail) == s.simplifiedAt {
-		return
-	}
-	s.inc.RootUnits += int64(len(s.trail) - s.simplifiedAt)
-	s.simplifiedAt = len(s.trail)
-	// Root facts are axioms from here on: conflict analysis never expands
-	// a level-0 literal's reason, so drop the pointers and let satisfied
-	// reason clauses be collected.
-	for _, l := range s.trail {
-		s.reason[l.Var()] = nil
-	}
-	s.clauses = s.simplifyList(s.clauses)
-	s.learnts = s.simplifyList(s.learnts)
-}
-
-func (s *Solver) simplifyList(cs []*clause) []*clause {
-	kept := cs[:0]
-	for _, c := range cs {
-		if s.rootSatisfied(c) {
-			c.deleted = true
-			s.inc.RemovedClauses++
-			continue
-		}
-		for k := 2; k < len(c.lits); {
-			if s.value(c.lits[k]) == lFalse && s.level[c.lits[k].Var()] == 0 {
-				c.lits[k] = c.lits[len(c.lits)-1]
-				c.lits = c.lits[:len(c.lits)-1]
-				s.inc.StrippedLits++
-			} else {
-				k++
-			}
-		}
-		kept = append(kept, c)
-	}
-	// Zero the freed tail so deleted clauses do not linger reachable.
-	for i := len(kept); i < len(cs); i++ {
-		cs[i] = nil
-	}
-	return kept
-}
-
-func (s *Solver) rootSatisfied(c *clause) bool {
-	for _, l := range c.lits {
-		if s.value(l) == lTrue && s.level[l.Var()] == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // luby computes the Luby restart sequence value for index i (1-based).
 func luby(i int64) int64 {
 	for k := int64(1); ; k++ {
@@ -643,7 +542,7 @@ func luby(i int64) int64 {
 }
 
 // Solve determines satisfiability under the given assumptions. On Sat, the
-// model is available via Value/Model; on Unsat under assumptions, the
+// model is available via Value; on Unsat under assumptions, the
 // failed assumption set is available via FailedAssumptions.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	return s.SolveCtx(context.Background(), assumptions...)
@@ -659,46 +558,19 @@ const pollEvery = 256
 // hundred conflicts/decisions and returns Unknown once it is cancelled,
 // leaving the solver reusable (all learnt clauses are kept).
 //
-// The solver is incremental across calls. VSIDS activities, saved phases,
-// and learnt clauses always survive; additionally, when consecutive calls
-// share a leading prefix of assumptions, the trail stays enqueued up to
-// the divergence point instead of rewinding to the root, so propagation
-// under the shared assumptions is not repeated. Any verdict is identical
-// to what a fresh solve of the same formula under the same assumptions
-// would return — only the search effort differs (see IncrementalStats).
+// The solver is incremental across calls: VSIDS activities, saved
+// phases, and learnt clauses survive, while every call starts from and
+// returns to decision level 0. Any verdict is identical to what a fresh
+// solve of the same formula under the same assumptions would return —
+// only the search effort differs.
 func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
 	s.abortCause = nil
-	// Assumption-prefix reuse: levels 1..decisionLevel() hold, in order,
-	// the assumptions of the previous call (the end-of-call retract below
-	// guarantees decisionLevel() <= len(lastAssumed)). Keep every level
-	// whose assumption literal matches the new sequence; rewind the rest.
-	prefix := 0
-	for prefix < s.decisionLevel() && prefix < len(assumptions) &&
-		prefix < len(s.lastAssumed) && s.lastAssumed[prefix] == assumptions[prefix] {
-		prefix++
-	}
-	s.cancelUntil(prefix)
-	s.inc.PrefixLits += int64(prefix)
 	s.assumptions = append(s.assumptions[:0], assumptions...)
-	s.lastAssumed = append(s.lastAssumed[:0], assumptions...)
 	s.conflictSet = nil
-	if prefix == 0 {
-		// At the root: fold any facts learned at level 0 into the clause
-		// database before searching again.
-		s.simplifyDB()
-	}
-	// Retract only the decision tail at the end of the call, leaving the
-	// assumption levels enqueued for the next call's prefix check.
-	defer func() {
-		keep := len(s.assumptions)
-		if s.decisionLevel() < keep {
-			keep = s.decisionLevel()
-		}
-		s.cancelUntil(keep)
-	}()
+	defer s.cancelUntil(0)
 
 	baseConflicts, baseDecisions := s.conflicts, s.decisions
 	restart := int64(1)
@@ -757,19 +629,13 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 				return Unsat
 			}
 			if cancelled() || exhausted() {
-				// The current level's propagations falsify a clause; drop
-				// them so the trail prefix kept for the next call is
-				// consistent.
-				s.cancelUntil(s.decisionLevel() - 1)
 				return Unknown
 			}
 			if s.decisionLevel() <= len(s.currentAssumed()) {
 				// Conflict depends only on assumptions. Analyze it while
-				// the trail still holds the conflicting propagations, then
-				// unwind the falsified level before returning (the retract
-				// keeps lower levels enqueued for prefix reuse).
+				// the trail still holds the conflicting propagations; the
+				// deferred rewind unwinds them afterwards.
 				s.conflictSet = s.analyzeFinal(conflict)
-				s.cancelUntil(s.decisionLevel() - 1)
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(conflict)
@@ -950,15 +816,6 @@ func (s *Solver) Value(v int) bool {
 		return false
 	}
 	return s.modelVal[v]
-}
-
-// Model returns the satisfying assignment as a map from variable to value.
-func (s *Solver) Model() map[int]bool {
-	m := make(map[int]bool, s.nVars)
-	for v := 1; v <= s.nVars; v++ {
-		m[v] = s.modelVal[v]
-	}
-	return m
 }
 
 // varHeap is a max-heap over variable activity.

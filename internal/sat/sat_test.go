@@ -303,16 +303,21 @@ func TestStatsAndAccessors(t *testing.T) {
 	if s.NumVars() != 2 || s.NumClauses() != 2 {
 		t.Errorf("NumVars/NumClauses = %d/%d", s.NumVars(), s.NumClauses())
 	}
+	if s.Value(a) || s.Value(b) {
+		t.Error("Value before the first Sat must read false")
+	}
 	if s.Solve() != Sat {
 		t.Fatal("unsat")
 	}
-	m := s.Model()
-	if len(m) != 2 || !m[b] {
-		t.Errorf("Model = %v", m)
+	if !s.Value(b) {
+		t.Errorf("Value(%d) = false, want true (forced by both clauses)", b)
 	}
-	d, p, c := s.Stats()
-	if d < 0 || p < 0 || c < 0 {
-		t.Error("stats negative")
+	if fresh := s.NewVar(); s.Value(0) || s.Value(fresh) {
+		t.Error("Value of a variable outside the last model must read false")
+	}
+	d, p, c, r := s.Counters()
+	if d < 0 || p < 0 || c < 0 || r < 0 {
+		t.Error("counters negative")
 	}
 	if Sat.String() != "sat" || Unsat.String() != "unsat" || Unknown.String() != "unknown" {
 		t.Error("status strings")

@@ -69,8 +69,8 @@ type Mode int
 
 const (
 	// ModeIncremental keeps one warm CDCL instance across the whole query
-	// sequence — learnt clauses, phases, and trail prefixes carry over
-	// (the default, and the fast path).
+	// sequence — learnt clauses, activities and phases carry over (the
+	// default, and the fast path).
 	ModeIncremental Mode = iota
 	// ModeCheck answers from the warm instance but also replays every
 	// Check on a fresh reference instance — the recorded CNF in a
@@ -108,23 +108,9 @@ type Solver struct {
 	trueE   *Expr
 	falseE  *Expr
 	trueLit sat.Lit
-	// defs hash-conses Tseitin gate definitions: structurally identical
-	// And/Or nodes (same op, same canonicalized child literal set) map to
-	// one auxiliary variable and one set of definitional clauses, however
-	// many distinct Expr trees produce them.
-	defs         map[string]sat.Lit
-	gates        int64 // And/Or gates requested
-	tseitinSaved int64 // gates answered from defs without new aux vars
+	gates   int64 // And/Or gates requested
 	// assumption literal bookkeeping for FailedAssumptions
-	lastAssumed map[sat.Lit]*Expr
-	// memo caches Check verdicts keyed by the canonicalized assumption
-	// literal set; it is dropped whenever a user-level constraint is
-	// asserted (new constraints can flip Sat verdicts). Tseitin
-	// definitional clauses added while encoding new expressions are an
-	// equisatisfiable extension and do not invalidate it.
-	memo        map[string]sat.Status
-	memoHits    int64
-	memoLookups int64
+	assumed map[sat.Lit]*Expr
 	// check mode state: every AddClause is logged so a reference solver
 	// can be rebuilt from scratch.
 	clauseLog      [][]sat.Lit
@@ -167,7 +153,6 @@ func NewSolverMode(mode Mode) *Solver {
 		mode: mode,
 		vars: make(map[string]*Expr),
 		lits: make(map[*Expr]sat.Lit),
-		defs: make(map[string]sat.Lit),
 	}
 	s.trueE = &Expr{op: opTrue}
 	s.falseE = &Expr{op: opFalse}
@@ -278,8 +263,7 @@ func Xor(a, b *Expr) *Expr {
 }
 
 // lit Tseitin-transforms e and returns its defining literal. Results are
-// memoized per node and gate definitions are hash-consed across nodes, so
-// shared subformulas encode once even when rebuilt as fresh Expr trees.
+// memoized per node, so a shared subformula encodes once.
 func (s *Solver) lit(e *Expr) sat.Lit {
 	if e == nil {
 		return s.trueLit
@@ -311,9 +295,8 @@ func (s *Solver) lit(e *Expr) sat.Lit {
 // gate returns the defining literal of an And/Or over child literals. The
 // child set is canonicalized first (sorted, deduplicated, constants and
 // complementary pairs folded — sound because ∧/∨ are commutative and
-// idempotent), then looked up in the hash-cons table: a structurally
-// identical gate reuses the existing auxiliary variable instead of
-// re-emitting its Tseitin definition.
+// idempotent); what remains gets a fresh auxiliary variable and its
+// Tseitin definition.
 func (s *Solver) gate(o op, kids []sat.Lit) sat.Lit {
 	s.gates++
 	sort.Slice(kids, func(i, j int) bool {
@@ -363,11 +346,6 @@ func (s *Solver) gate(o op, kids []sat.Lit) sat.Lit {
 	case 1:
 		return out[0]
 	}
-	key := gateKey(o, out)
-	if l, ok := s.defs[key]; ok {
-		s.tseitinSaved++
-		return l
-	}
 	v := sat.Lit(s.sat.NewVar())
 	all := make([]sat.Lit, 0, len(out)+1)
 	if o == opAnd {
@@ -384,33 +362,13 @@ func (s *Solver) gate(o op, kids []sat.Lit) sat.Lit {
 		all = append(all, v.Neg()) // v → ∨k
 	}
 	s.addClause(all...)
-	s.defs[key] = v
 	s.gateDefs = append(s.gateDefs, gateDef{v: v, and: o == opAnd, kids: out})
 	return v
 }
 
-// gateKey renders the canonical byte key of a gate: the op tag followed by
-// the canonicalized child literals.
-func gateKey(o op, lits []sat.Lit) string {
-	var b strings.Builder
-	b.Grow(1 + len(lits)*8)
-	b.WriteByte(byte(o))
-	for _, l := range lits {
-		v := uint64(int64(l))
-		for j := 0; j < 8; j++ {
-			b.WriteByte(byte(v >> (8 * j)))
-		}
-	}
-	return b.String()
-}
-
-// invalidate drops every cache a user-level constraint can poison: the
-// verdict memo (a new hard clause can flip Sat verdicts) and the model
-// cache (the cached assignment may violate the new clause).
-func (s *Solver) invalidate() {
-	s.memo = nil
-	s.modelOK = false
-}
+// invalidate drops the model cache, which a user-level constraint can
+// poison: the cached assignment may violate the new clause.
+func (s *Solver) invalidate() { s.modelOK = false }
 
 // Assert adds e as a hard constraint.
 func (s *Solver) Assert(e *Expr) {
@@ -572,46 +530,17 @@ func (s *Solver) freshReplica() *sat.Solver {
 // mapping FailedAssumptions reads back.
 func (s *Solver) assume(assumptions []*Expr) []sat.Lit {
 	lits := make([]sat.Lit, len(assumptions))
-	s.lastAssumed = make(map[sat.Lit]*Expr, len(assumptions))
+	s.assumed = make(map[sat.Lit]*Expr, len(assumptions))
 	for i, a := range assumptions {
 		lits[i] = s.lit(a)
-		s.lastAssumed[lits[i]] = a
+		s.assumed[lits[i]] = a
 	}
 	return lits
 }
 
-// CheckMemo is CheckCtx with a verdict memo keyed by the canonicalized
-// (sorted, deduplicated) assumption literal set: semantically equal
-// assumption sets — even ones built from distinct Expr nodes — share one
-// solver call. The second result reports whether the verdict came from
-// the memo; memo hits do not refresh the model or FailedAssumptions, so
-// callers needing either must re-Check.
-func (s *Solver) CheckMemo(ctx context.Context, assumptions ...*Expr) (sat.Status, bool) {
-	lits := s.assume(assumptions)
-	key := canonKey(lits)
-	s.memoLookups++
-	if st, ok := s.memo[key]; ok {
-		s.memoHits++
-		return st, true
-	}
-	st := s.solve(ctx, lits)
-	if st != sat.Unknown {
-		if s.memo == nil {
-			s.memo = make(map[string]sat.Status)
-		}
-		s.memo[key] = st
-	}
-	return st, false
-}
-
-// MemoStats returns the query-memo hit and lookup counters.
-func (s *Solver) MemoStats() (hits, lookups int64) {
-	return s.memoHits, s.memoLookups
-}
-
 // SetBudget bounds every subsequent solve call's search effort (see
-// sat.Budget). Budget-aborted calls return sat.Unknown and are never
-// cached by CheckMemo, so a later unbudgeted Check recomputes honestly.
+// sat.Budget). Budget-aborted calls return sat.Unknown and leave the
+// solver usable, so a later unbudgeted Check recomputes honestly.
 // Fresh reference replicas inherit the same per-call budget.
 func (s *Solver) SetBudget(b sat.Budget) {
 	s.budget = b
@@ -634,14 +563,8 @@ func (s *Solver) SatStats() (decisions, propagations, conflicts, restarts int64)
 	return s.sat.Counters()
 }
 
-// IncrementalStats returns the warm instance's incremental-solving
-// counters (prefix-reuse depth, root-unit promotions, clause-DB diet).
-func (s *Solver) IncrementalStats() sat.IncStats { return s.sat.IncrementalStats() }
-
-// EncodeStats returns the Tseitin gate counters: gates requested and gates
-// answered from the hash-cons table without allocating a fresh auxiliary
-// variable or re-emitting definitional clauses.
-func (s *Solver) EncodeStats() (gates, shared int64) { return s.gates, s.tseitinSaved }
+// EncodeStats returns the number of And/Or Tseitin gates requested.
+func (s *Solver) EncodeStats() (gates int64) { return s.gates }
 
 // SelfCheckStats returns, for ModeCheck, the number of Check calls whose
 // verdict was replayed on a fresh reference replica and how many of those
@@ -658,32 +581,12 @@ func (s *Solver) FirstMismatch() string { return s.firstMismatch }
 // the cached model over newly defined gates, without any solver search.
 func (s *Solver) ModelCacheHits() int64 { return s.modelHits }
 
-// canonKey renders a canonical byte key for an assumption literal set.
-func canonKey(lits []sat.Lit) string {
-	sorted := append([]sat.Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b strings.Builder
-	b.Grow(len(sorted) * 9)
-	var prev sat.Lit
-	for i, l := range sorted {
-		if i > 0 && l == prev {
-			continue
-		}
-		prev = l
-		v := uint64(int64(l))
-		for j := 0; j < 8; j++ {
-			b.WriteByte(byte(v >> (8 * j)))
-		}
-	}
-	return b.String()
-}
-
 // FailedAssumptions returns the assumption formulas involved in the last
 // Unsat verdict.
 func (s *Solver) FailedAssumptions() []*Expr {
 	var out []*Expr
 	for _, l := range s.sat.FailedAssumptions() {
-		if e, ok := s.lastAssumed[l]; ok {
+		if e, ok := s.assumed[l]; ok {
 			out = append(out, e)
 		}
 	}
