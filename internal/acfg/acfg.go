@@ -9,6 +9,7 @@ package acfg
 
 import (
 	"fmt"
+	"sync"
 
 	"lcm/internal/ir"
 )
@@ -72,6 +73,9 @@ type Graph struct {
 	Exit  int
 	succs [][]int
 	preds [][]int
+
+	reachOnce sync.Once
+	reach     [][]uint64 // transitive closure rows, built by Reach
 }
 
 // Succs returns the successor node IDs of n.
@@ -402,6 +406,40 @@ func (g *Graph) Topo() []int {
 		}
 	}
 	return order
+}
+
+// Reach returns the graph's transitive closure as a strict reachability
+// test: reach(from, to) reports a non-empty successor path from `from` to
+// `to`, so reach(n, n) is false on the DAG. The closure is built once, on
+// the first call, in one pass over a reverse topological order — each
+// node's row is itself plus the union of its successors' rows — and is
+// immutable afterwards, so concurrent callers may share it.
+func (g *Graph) Reach() func(from, to int) bool {
+	g.reachOnce.Do(func() {
+		n := g.Len()
+		words := (n + 63) / 64
+		rows := make([][]uint64, n)
+		topo := g.Topo()
+		for i := len(topo) - 1; i >= 0; i-- {
+			id := topo[i]
+			row := make([]uint64, words)
+			row[id/64] |= 1 << (uint(id) % 64)
+			for _, s := range g.succs[id] {
+				for w, bits := range rows[s] {
+					row[w] |= bits
+				}
+			}
+			rows[id] = row
+		}
+		g.reach = rows
+	})
+	rows := g.reach
+	return func(from, to int) bool {
+		if from == to {
+			return false
+		}
+		return rows[from][to/64]&(1<<(uint(to)%64)) != 0
+	}
 }
 
 // Reachable returns the set of nodes reachable from start within maxDepth

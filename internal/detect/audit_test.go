@@ -1,0 +1,45 @@
+package detect
+
+import (
+	"testing"
+
+	"lcm/internal/core"
+	"lcm/internal/cryptolib"
+	"lcm/internal/presolve"
+)
+
+// TestAuditPresolveWindowRefutations replays the pre-solver's window
+// refutations through the SAT encoding. The litmus and progen corpora emit
+// no window certificates, so this is the one subject where the audit
+// checks the refutation rule: mee-cbc's decrypt under Clou-pht with the
+// crypto corpus's universal classes refutes hundreds of cross-arm queries.
+func TestAuditPresolveWindowRefutations(t *testing.T) {
+	lib, ok := cryptolib.Lookup("mee-cbc")
+	if !ok {
+		t.Fatal("mee-cbc corpus entry missing")
+	}
+	cfg := DefaultPHT()
+	cfg.Transmitters = []core.Class{core.UDT, core.UCT}
+	cfg.AuditPresolve = true
+	r := analyze(t, lib.Source, "mee_cbc_decrypt", cfg)
+	windows := 0
+	for _, c := range r.Certificates {
+		if c.Kind != presolve.KindWindow {
+			continue
+		}
+		windows++
+		if err := c.Check(); err != nil {
+			t.Errorf("%s: %v", c.Key, err)
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no window certificates: the audit replayed no refutation")
+	}
+	if r.PresolveAudited == 0 {
+		t.Fatal("audit replayed no decision")
+	}
+	if r.PresolveDisagreements != 0 {
+		t.Errorf("%d of %d audited decisions disagree with the solver", r.PresolveDisagreements, r.PresolveAudited)
+	}
+	t.Logf("window certificates=%d audited=%d", windows, r.PresolveAudited)
+}

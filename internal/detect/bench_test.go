@@ -59,7 +59,7 @@ func BenchmarkFrontendFlow(b *testing.B) {
 		b.Run(s.lib, func(b *testing.B) {
 			g := benchGraph(b, s.lib, s.fn)
 			al := alias.Analyze(g)
-			reach := cfgReachability(g)
+			reach := g.Reach()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

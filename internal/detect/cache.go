@@ -14,7 +14,7 @@ import (
 )
 
 // frontend bundles the engine-independent per-function artifacts: the
-// A-CFG, alias and taint analyses, the CFG-reachability bitsets, and the
+// A-CFG (with its transitive closure), alias and taint analyses, and the
 // value-flow graph. All of them are immutable after construction, so one
 // frontend may back the PHT and STL detectors of the same function — and
 // many concurrent detectors — at once. The mutable S-AEG (its solver
@@ -32,9 +32,10 @@ type frontend struct {
 	aliasTime time.Duration
 	flowTime  time.Duration
 
-	// psOnce/ps hold the pre-solver's engine-independent fact base (arch
-	// arms, must-alias partition). Like the rest of the frontend it is
-	// immutable once built and shared between the PHT and STL runs.
+	// psOnce/ps hold the pre-solver's engine-independent fact base (the
+	// must-alias partition and range facts). Like the rest of the
+	// frontend it is immutable once built and shared between the PHT and
+	// STL runs.
 	psOnce sync.Once
 	ps     *presolve.Facts
 }
@@ -46,9 +47,6 @@ type frontend struct {
 func (fe *frontend) presolveFacts(mr *dataflow.ModuleRanges) *presolve.Facts {
 	fe.psOnce.Do(func() {
 		fe.ps = presolve.NewFacts(fe.g, fe.al, mr)
-		// Share the frontend's transitive closure; the arch-arm analysis
-		// would otherwise rebuild the same rows.
-		fe.ps.SetReachOracle(fe.cfgReach)
 	})
 	return fe.ps
 }
@@ -66,7 +64,7 @@ func buildFrontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, error
 		g:         g,
 		al:        al,
 		ta:        taint.Analyze(g, al),
-		cfgReach:  cfgReachability(g),
+		cfgReach:  g.Reach(),
 		aliasTime: aliasTime,
 	}
 	flowStart := time.Now()

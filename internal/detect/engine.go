@@ -262,11 +262,12 @@ type Result struct {
 	Pruned     int
 	// Pre-solver accounting. Discharged counts candidates retired without
 	// any solver work: range-rule discharges (one per pruned candidate when
-	// the pre-solver could certify the prune) plus window-rule candidates
-	// all of whose queries were statically refuted. SkippedQueries counts
-	// the solver calls avoided (always 0 under audit, where refuted queries
-	// still run). PresolveAudited/PresolveDisagreements count audit replays
-	// and the replays that contradicted a certificate.
+	// the pre-solver could certify the prune) plus window- and arch-rule
+	// candidates all of whose queries the pre-solver decided — refuted,
+	// witnessed, or arch-witnessed. SkippedQueries counts the solver calls
+	// avoided (always 0 under audit, where decided queries still run).
+	// PresolveAudited/PresolveDisagreements count audit replays and the
+	// replays that contradicted a certificate.
 	Discharged            int
 	SkippedQueries        int
 	PresolveAudited       int
@@ -493,11 +494,12 @@ const (
 	candSS
 )
 
-// candStat tracks one window-rule candidate's query outcomes so fully
-// refuted candidates can be counted as discharged at the end of the run.
+// candStat tracks one window- or arch-rule candidate's query outcomes so
+// candidates the pre-solver decided outright can be counted as discharged
+// at the end of the run.
 type candStat struct {
 	queries int
-	refuted int
+	decided int // queries refuted, witnessed, or arch-witnessed statically
 }
 
 // pruneAccess counts a universal access candidate once and asks the Prune
@@ -549,9 +551,8 @@ func (d *detector) dischargeCert(derive func() (*presolve.Certificate, bool)) {
 	}
 }
 
-// addCert retains a certificate on the result, deduplicated by key, in
-// candidate-enumeration order.
-// addCert appends c unless already emitted. Dedup is by pointer: the
+// addCert retains a certificate on the result, in candidate-enumeration
+// order, unless it was already emitted. Dedup is by pointer: the
 // pre-solver memoizes certificates per key, so two candidates reaching
 // the same query share one *Certificate — hashing the pointer avoids
 // re-hashing the key string per probe.
@@ -583,31 +584,6 @@ func (d *detector) candStatFor(key candKey) *candStat {
 		d.cands[key] = cs
 	}
 	return cs
-}
-
-// cfgReachability precomputes DAG reachability as bitsets.
-func cfgReachability(g *acfg.Graph) func(from, to int) bool {
-	n := g.Len()
-	words := (n + 63) / 64
-	reach := make([][]uint64, n)
-	topo := g.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		id := topo[i]
-		row := make([]uint64, words)
-		row[id/64] |= 1 << (uint(id) % 64)
-		for _, s := range g.Succs(id) {
-			for w, bits := range reach[s] {
-				row[w] |= bits
-			}
-		}
-		reach[id] = row
-	}
-	return func(from, to int) bool {
-		if from == to {
-			return false
-		}
-		return reach[from][to/64]&(1<<(uint(to)%64)) != 0
-	}
 }
 
 // flowFrom returns the value-flow reach info of one source node. The
@@ -749,7 +725,7 @@ func (d *detector) queryWin(key candKey, q presolve.Query) bool {
 	cs.queries++
 	cert, refuted, witnessed := d.ps.Decide(q)
 	if refuted {
-		cs.refuted++
+		cs.decided++
 		d.addCert(cert)
 		if !d.cfg.AuditPresolve {
 			// Skipped queries consume no solver budget: the refutation is
@@ -773,7 +749,7 @@ func (d *detector) queryWin(key candKey, q presolve.Query) bool {
 	}
 	// The dual rule: an explicit model makes the query SAT without search.
 	if wcert := cert; witnessed {
-		cs.refuted++
+		cs.decided++
 		d.addCert(wcert)
 		if !d.cfg.AuditPresolve {
 			d.res.SkippedQueries++
@@ -805,7 +781,7 @@ func (d *detector) queryArch(key candKey, nodes []int, mk func() []*smt.Expr) bo
 	if !ok {
 		return d.query(mk()...)
 	}
-	cs.refuted++
+	cs.decided++
 	d.addCert(cert)
 	if !d.cfg.AuditPresolve {
 		d.res.SkippedQueries++
@@ -842,11 +818,11 @@ func (d *detector) run() {
 	case SS:
 		d.runSS()
 	}
-	// A window candidate whose every issued query was statically refuted
+	// A window candidate whose every issued query the pre-solver decided
 	// needed no solver work at all: count it discharged. (Map iteration
 	// order is irrelevant to a sum.)
 	for _, cs := range d.cands {
-		if cs.queries > 0 && cs.queries == cs.refuted {
+		if cs.queries > 0 && cs.queries == cs.decided {
 			d.res.Discharged++
 		}
 	}

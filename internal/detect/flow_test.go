@@ -109,7 +109,7 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		t.Fatalf("%s/%s: acfg: %v", label, fn, err)
 	}
 	al := alias.Analyze(g)
-	cfgReach := cfgReachability(g)
+	cfgReach := g.Reach()
 	fg := buildFlowGraph(g, al, cfgReach)
 	adj := refFlowEdges(g, al, cfgReach)
 	for _, src := range g.Nodes {

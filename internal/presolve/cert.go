@@ -2,6 +2,7 @@ package presolve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -18,20 +19,12 @@ const (
 
 // Take-case infeasibility reasons recorded in window certificates.
 const (
-	ReasonBranchUnreachable = "branch-unreachable" // misspec(b) needs arch(b); entry cannot reach b
-	ReasonOutsideWindow     = "outside-window"     // TransUnder is constant false for the node
-	ReasonArmConflict       = "arm-conflict"       // node only fetchable down the arm the take value rules out
-	ReasonDataStarved       = "data-starved"       // some operand group has no fetchable definition
-	ReasonExecInfeasible    = "exec-infeasible"    // node neither architecturally nor transiently fetchable
-	ReasonArchArmConflict   = "arch-arm-conflict"  // architectural execution forces the other take value
-	// ReasonArchIncomparable: the node must execute architecturally, but no
-	// single entry path visits both it and the misspeculating branch (the
-	// architectural set of any model is one take-selected path).
-	ReasonArchIncomparable = "arch-incomparable"
+	ReasonOutsideWindow = "outside-window" // TransUnder is constant false for the node
+	ReasonArmConflict   = "arm-conflict"   // node only fetchable down the arm the take value rules out
 )
 
-// Certificate is one machine-checkable static refutation. Exactly one of
-// Window/InBounds/Disjoint is set, per Kind. Certificates are emitted by
+// Certificate is one machine-checkable static decision. Exactly one of
+// Window/Witness/Arch/InBounds/Disjoint is set, per Kind. Certificates are emitted by
 // the pre-solver, retained on detect.Result, replayed by -audit-presolve,
 // and pinned by the golden tests — the serialized form is part of the
 // stable tooling surface.
@@ -54,13 +47,12 @@ type Certificate struct {
 }
 
 // WindowFact records a refuted speculation-window query: the branch, the
-// nodes the query assumes transient (TransUnder), fetched (ExecUnder), or
-// architectural (Arch), and one infeasibility witness per take value.
+// nodes the query assumes transient (TransUnder) or fetched (ExecUnder),
+// and one infeasibility witness per take value.
 type WindowFact struct {
 	Branch int   `json:"branch"`
 	Trans  []int `json:"trans,omitempty"`
 	Exec   []int `json:"exec,omitempty"`
-	Arch   []int `json:"arch,omitempty"`
 	// Cases holds the per-take-value refutation: index 0 is take=false,
 	// index 1 is take=true. A query is refuted only when both directions
 	// of the branch are individually infeasible.
@@ -71,7 +63,7 @@ type WindowFact struct {
 type TakeCase struct {
 	Take   bool   `json:"take"`
 	Reason string `json:"reason"`
-	// Node is the query node the reason applies to.
+	// Node is the Trans node the reason applies to.
 	Node int `json:"node"`
 	// Dist is the node's minimum fetch distance from the branch, when it
 	// lies inside the window (0 otherwise).
@@ -82,14 +74,13 @@ type TakeCase struct {
 // take values select Path as the unique architectural path (Take is the
 // query branch's own direction), and Fetch is the transient fetch set the
 // data-feasibility fixpoint admits down the mispredicted arm. The query's
-// Trans nodes all lie in Fetch, Exec in Fetch ∪ Path, Arch in Path — so
+// Trans nodes all lie in Fetch and its Exec nodes in Fetch ∪ Path — so
 // the assignment satisfies every literal and every asserted clause.
 type WitnessFact struct {
 	Branch int   `json:"branch"`
 	Take   bool  `json:"take"`
 	Trans  []int `json:"trans,omitempty"`
 	Exec   []int `json:"exec,omitempty"`
-	Arch   []int `json:"arch,omitempty"`
 	// Path is the architectural path in fetch order, entry first.
 	Path []int `json:"path"`
 	// Takes is the take assignment of every branch the path resolves.
@@ -144,7 +135,8 @@ type DisjointFact struct {
 // reachability facts a bare arithmetic check cannot re-derive — those are
 // replayed through the full SAT path by audit mode and re-derived from
 // the graph by Analysis.Recheck — but their shape is still validated
-// here: both take directions must be witnessed.
+// here: each take direction must be refuted by a known reason on one of
+// the query's Trans nodes.
 func (c *Certificate) Check() error {
 	switch c.Kind {
 	case KindWindow:
@@ -156,8 +148,15 @@ func (c *Certificate) Check() error {
 			return fmt.Errorf("window certificate cases out of order")
 		}
 		for _, tc := range w.Cases {
-			if tc.Reason == "" {
+			switch tc.Reason {
+			case ReasonOutsideWindow, ReasonArmConflict:
+			case "":
 				return fmt.Errorf("take=%v direction not refuted", tc.Take)
+			default:
+				return fmt.Errorf("take=%v direction has unknown reason %q", tc.Take, tc.Reason)
+			}
+			if !slices.Contains(w.Trans, tc.Node) {
+				return fmt.Errorf("take=%v reason names node %d outside the query's trans nodes", tc.Take, tc.Node)
 			}
 		}
 		return nil
@@ -197,11 +196,6 @@ func (c *Certificate) Check() error {
 		for _, e := range w.Exec {
 			if !fetch[e] && !onPath[e] {
 				return fmt.Errorf("exec node %d neither fetched nor architectural", e)
-			}
-		}
-		for _, n := range w.Arch {
-			if !onPath[n] {
-				return fmt.Errorf("arch node %d not on the witness path", n)
 			}
 		}
 		return nil
@@ -288,9 +282,10 @@ func (c *Certificate) String() string {
 // queryKey builds the stable deduplication key of a window query. It is
 // on the per-query hot path (computed by both RefuteQuery and
 // WitnessQuery), so it formats into one grown byte buffer rather than
-// through fmt; the byte layout is pinned by the certificate goldens.
+// through fmt; the byte layout is pinned by the certificate goldens, which
+// is why the key still ends in an (always empty) "|a=" field.
 func queryKey(q Query) string {
-	buf := make([]byte, 0, 16+8*(len(q.Trans)+len(q.Exec)+len(q.Arch)))
+	buf := make([]byte, 0, 16+8*(len(q.Trans)+len(q.Exec)))
 	buf = append(buf, "window|b="...)
 	buf = strconv.AppendInt(buf, int64(q.Branch), 10)
 	buf = append(buf, "|t="...)
@@ -298,7 +293,6 @@ func queryKey(q Query) string {
 	buf = append(buf, "|e="...)
 	buf = appendSortedInts(buf, q.Exec)
 	buf = append(buf, "|a="...)
-	buf = appendSortedInts(buf, q.Arch)
 	return string(buf)
 }
 

@@ -10,9 +10,9 @@ import (
 // Explain renders the pre-solver's static facts bearing on one
 // instruction, for human consumption (cmd/lcmlint -why): its must-alias
 // class within the partition, the interval analysis's view of the address
-// it touches, and its reachability under speculation. The same facts
-// drive the refutation and witness rules, so the output reads as "what
-// the pre-solver knows about this site".
+// it touches, and its reachability under speculation. The range and
+// window facts are the ones the range and window rules decide with, so
+// the output reads as "what the pre-solver knows about this site".
 func Explain(f *Facts, win WindowSource, in *ir.Instr) []string {
 	var node *acfg.Node
 	for _, n := range f.G.Nodes {

@@ -44,8 +44,9 @@ func (r Rel) String() string {
 // class pairs are separated by the strongest refutable relation — keeping
 // the two S-AEG refinements the paper states (distinct stack allocations
 // have distinct addresses; cross-object alias facts are distrusted during
-// transient execution). The partition is certificate evidence: it backs
-// the stl-disjoint refutations and the lcmlint -why explanations.
+// transient execution). No rule reads the partition — the stl-disjoint
+// certificates re-derive their facts from the range analysis — so its
+// only reader in the analyzer is lcmlint -why, through Explain.
 type Partition struct {
 	g *acfg.Graph
 

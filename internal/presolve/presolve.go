@@ -8,9 +8,9 @@
 //   - interval facts from internal/dataflow proving address separation,
 //     reused verbatim from the trusted pruner so the range certificates
 //     record exactly the arithmetic behind each prune decision;
-//   - speculative-window reachability over the A-CFG: per branch, which
-//     take values are consistent with each node being architecturally
-//     executed or transiently fetched (archarms.go).
+//   - speculative-window arm eligibility: per branch and take value, the
+//     window nodes that can be transiently fetched down the arm that take
+//     value mispredicts.
 //
 // The window rule is the only rule that entails UNSAT of an actual solver
 // query, so it is the one -audit-presolve replays through the full SAT
@@ -54,22 +54,14 @@ type Facts struct {
 	Al *alias.Analysis
 	MR *dataflow.ModuleRanges // nil when range facts are unavailable
 
-	arms *archArms
-
 	partOnce sync.Once
 	part     *Partition
 }
 
 // NewFacts builds the shared fact base for one function.
 func NewFacts(g *acfg.Graph, al *alias.Analysis, mr *dataflow.ModuleRanges) *Facts {
-	return &Facts{G: g, Al: al, MR: mr, arms: newArchArms(g)}
+	return &Facts{G: g, Al: al, MR: mr}
 }
-
-// SetReachOracle installs a shared DAG-reachability closure — reach(from,
-// to) with from == to answered by the analysis itself — so the arch-arm
-// analysis consults it instead of building its own transitive closure.
-// Call before the first engine run consults the pre-solver.
-func (f *Facts) SetReachOracle(reach func(from, to int) bool) { f.arms.pred = reach }
 
 // Partition returns (building on first use) the must-alias partition.
 func (f *Facts) Partition() *Partition {
@@ -79,13 +71,11 @@ func (f *Facts) Partition() *Partition {
 
 // Query is the static shadow of one window-engine SAT query: the solver is
 // asked for a model with misspec(Branch) plus TransUnder(Branch, n) for
-// each n in Trans, ExecUnder(Branch, n) for each n in Exec, and arch(n)
-// for each n in Arch.
+// each n in Trans and ExecUnder(Branch, n) for each n in Exec.
 type Query struct {
 	Branch int
 	Trans  []int
 	Exec   []int
-	Arch   []int
 }
 
 // Analysis evaluates refutations for one engine run. It pairs the shared
@@ -96,9 +86,9 @@ type Analysis struct {
 	f   *Facts
 	win WindowSource
 
-	feas  map[feasKey]*feasSet
+	arms  map[takeKey]*armSet
 	memo  map[string]*Certificate // queryKey → cert; nil entry = known not refuted
-	wit   map[witKey]*satWitness
+	wit   map[takeKey]*satWitness
 	wmemo map[string]*Certificate // queryKey → witness cert; nil = no witness found
 	amemo map[string]*Certificate // archKey → arch-witness cert; nil = none
 
@@ -118,8 +108,8 @@ type Analysis struct {
 func NewAnalysis(f *Facts, win WindowSource) *Analysis {
 	return &Analysis{
 		f: f, win: win,
-		feas: map[feasKey]*feasSet{}, memo: map[string]*Certificate{},
-		wit: map[witKey]*satWitness{}, wmemo: map[string]*Certificate{},
+		arms: map[takeKey]*armSet{}, memo: map[string]*Certificate{},
+		wit: map[takeKey]*satWitness{}, wmemo: map[string]*Certificate{},
 		amemo: map[string]*Certificate{},
 	}
 }
@@ -127,76 +117,43 @@ func NewAnalysis(f *Facts, win WindowSource) *Analysis {
 // Facts exposes the shared fact base (for -why descriptions).
 func (a *Analysis) Facts() *Facts { return a.f }
 
-type feasKey struct {
+// takeKey names one (branch, take value) pair.
+type takeKey struct {
 	b int
 	v bool
 }
 
-// feasSet is the transient-fetch feasibility of every node for one
-// (branch, take value) pair.
-type feasSet struct {
-	armOK []bool // inside the window, down an arm the take value admits
-	can   []bool // armOK and survives the data-feasibility fixpoint
+// armSet is the arm eligibility of one (branch, take value) pair: the
+// window nodes fetchable down the arm the take value mispredicts.
+type armSet struct {
+	in  dataflow.BitSet
+	ids []int // the members, ascending
 }
 
-// feasFor returns (computing on first use) the feasibility set of (b, v).
-//
-// The starting set over-approximates TransUnder: outside the window
+// armsFor returns (computing on first use) the arm eligibility of (b, v).
+// It over-approximates TransUnder under take(b)=v: outside the window
 // TransUnder is constant false, and fetching down arm i asserts the take
 // value that makes arm i the mispredicted path (take=true resolves the
 // branch to its first successor, so transient fetch down it needs
-// take=false). The greatest-fixpoint step then applies the encoder's data
-// feasibility clause: a transient node needs, for every non-empty operand
-// group, some definition that is architecturally executed or itself
-// transiently fetched. Deleting nodes that fail this can only shrink the
-// set toward the true one: by induction, the transiently-fetched set of
-// any satisfying assignment with take(b)=v is contained in `can`.
-func (a *Analysis) feasFor(b int, v bool) *feasSet {
-	k := feasKey{b, v}
-	if fs, ok := a.feas[k]; ok {
-		return fs
+// take=false). Every node transiently fetched by a satisfying assignment
+// with take(b)=v is therefore a member.
+func (a *Analysis) armsFor(b int, v bool) *armSet {
+	k := takeKey{b, v}
+	if as, ok := a.arms[k]; ok {
+		return as
 	}
-	g := a.f.G
-	fs := &feasSet{armOK: make([]bool, g.Len()), can: make([]bool, g.Len())}
-	var ids []int
+	as := &armSet{in: dataflow.NewBitSet(a.f.G.Len())}
 	a.win.ForEachWindowNode(b, func(id int, arms [2]bool) {
 		if (v && arms[1]) || (!v && arms[0]) {
-			fs.armOK[id] = true
-			fs.can[id] = true
-			ids = append(ids, id)
+			as.in.Set(id)
+			as.ids = append(as.ids, id)
 		}
 	})
-	// The greatest fixpoint is unique whatever the deletion order; sorting
-	// just keeps the sweep sequence (and its round count) reproducible.
-	sortInts(ids)
-	ba := a.f.arms.of(b)
-	for changed := true; changed; {
-		changed = false
-		for _, id := range ids {
-			if !fs.can[id] {
-				continue
-			}
-			for _, grp := range g.Nodes[id].ArgDefs {
-				if len(grp) == 0 {
-					continue
-				}
-				fed := false
-				for _, d := range grp {
-					if fs.can[d] || a.archOK(ba, b, d, v) {
-						fed = true
-						break
-					}
-				}
-				if !fed {
-					fs.can[id] = false
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	a.feas[k] = fs
-	return fs
+	// Visit order is arbitrary; sorting keeps every sweep over ids (and
+	// the witness fixpoint's round count) reproducible.
+	sortInts(as.ids)
+	a.arms[k] = as
+	return as
 }
 
 // RefuteQuery decides whether q is statically UNSAT. On success it returns
@@ -243,7 +200,6 @@ func (a *Analysis) refuteKeyed(key string, q Query) (*Certificate, bool) {
 			Branch: q.Branch,
 			Trans:  sortedCopy(q.Trans),
 			Exec:   sortedCopy(q.Exec),
-			Arch:   sortedCopy(q.Arch),
 			Cases:  [2]TakeCase{tcF, tcT},
 		},
 	}
@@ -252,70 +208,21 @@ func (a *Analysis) refuteKeyed(key string, q Query) (*Certificate, bool) {
 }
 
 // refuteCase tries to refute q under take(Branch)=v, returning the witness
-// when the direction is infeasible.
+// when the direction is infeasible: some Trans node cannot be fetched down
+// the arm v mispredicts, so its TransUnder literal is false under v.
 func (a *Analysis) refuteCase(q Query, v bool) (TakeCase, bool) {
-	tc := TakeCase{Take: v}
-	ba := a.f.arms.of(q.Branch)
-	// misspec(b) implies arch(b): an unreachable branch cannot misspeculate
-	// at all. (bypass(b) holds exactly when entry reaches b — the cut only
-	// stops traversal past b's out-edges.)
-	if !ba.bypass(q.Branch) {
-		tc.Reason = ReasonBranchUnreachable
-		tc.Node = q.Branch
-		return tc, true
-	}
-	fs := a.feasFor(q.Branch, v)
+	arms := a.armsFor(q.Branch, v)
 	for _, t := range q.Trans {
-		if fs.can[t] {
+		if arms.in.Has(t) {
 			continue
 		}
-		tc.Node = t
-		if arms, dist, ok := a.win.WindowInfo(q.Branch, t); !ok {
-			tc.Reason = ReasonOutsideWindow
-		} else if !((v && arms[1]) || (!v && arms[0])) {
-			tc.Reason = ReasonArmConflict
-			tc.Dist = dist
-		} else {
-			tc.Reason = ReasonDataStarved
-			tc.Dist = dist
+		tc := TakeCase{Take: v, Reason: ReasonOutsideWindow, Node: t}
+		if _, dist, ok := a.win.WindowInfo(q.Branch, t); ok {
+			tc.Reason, tc.Dist = ReasonArmConflict, dist
 		}
 		return tc, true
 	}
-	for _, e := range q.Exec {
-		if a.archOK(ba, q.Branch, e, v) || fs.can[e] {
-			continue
-		}
-		tc.Node = e
-		if !a.f.arms.comparable(e, q.Branch) {
-			tc.Reason = ReasonArchIncomparable
-		} else {
-			tc.Reason = ReasonExecInfeasible
-		}
-		if _, dist, ok := a.win.WindowInfo(q.Branch, e); ok {
-			tc.Dist = dist
-		}
-		return tc, true
-	}
-	for _, n := range q.Arch {
-		if a.archOK(ba, q.Branch, n, v) {
-			continue
-		}
-		tc.Node = n
-		if !a.f.arms.comparable(n, q.Branch) {
-			tc.Reason = ReasonArchIncomparable
-		} else {
-			tc.Reason = ReasonArchArmConflict
-		}
-		return tc, true
-	}
-	return tc, false
-}
-
-// archOK over-approximates "arch(n)=1 is consistent with misspec(b) and
-// take(b)=v": n's arm constraints admit v, and n shares an entry path with
-// b (misspec(b) forces arch(b), and a model's arch set is a single path).
-func (a *Analysis) archOK(ba *branchArms, b, n int, v bool) bool {
-	return ba.archTake(n, v) && a.f.arms.comparable(n, b)
+	return TakeCase{Take: v}, false
 }
 
 // CertInBounds reconstructs the interval facts behind a successful
@@ -429,7 +336,7 @@ func (a *Analysis) Recheck(c *Certificate) error {
 	switch c.Kind {
 	case KindWindow:
 		w := c.Window
-		d, ok := a.RefuteQuery(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec, Arch: w.Arch})
+		d, ok := a.RefuteQuery(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec})
 		if !ok {
 			return fmt.Errorf("window query %s no longer refuted", c.Key)
 		}
@@ -438,7 +345,7 @@ func (a *Analysis) Recheck(c *Certificate) error {
 		}
 	case KindWitness:
 		w := c.Witness
-		d, ok := a.WitnessQuery(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec, Arch: w.Arch})
+		d, ok := a.WitnessQuery(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec})
 		if !ok {
 			return fmt.Errorf("window query %s no longer witnessed", c.Key)
 		}
@@ -517,7 +424,7 @@ func sortedCopy(ns []int) []int {
 }
 
 // sortInts insertion-sorts short lists (query node lists mostly are) and
-// hands longer ones — window eligibility sweeps — to sort.Ints.
+// hands longer ones — arm eligibility sets — to sort.Ints.
 func sortInts(s []int) {
 	if len(s) > 32 {
 		sort.Ints(s)

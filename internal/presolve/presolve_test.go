@@ -6,6 +6,7 @@ package presolve_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"lcm/internal/acfg"
@@ -13,6 +14,7 @@ import (
 	"lcm/internal/alias"
 	"lcm/internal/dataflow"
 	"lcm/internal/ir"
+	"lcm/internal/litmus"
 	"lcm/internal/lower"
 	"lcm/internal/minic"
 	"lcm/internal/presolve"
@@ -131,6 +133,35 @@ func TestCrossArmRefuted(t *testing.T) {
 	if err := w.an.Recheck(cert); err != nil {
 		t.Errorf("recheck: %v", err)
 	}
+}
+
+// TestWindowCertificateCheck tampers with a refutation's take cases: each
+// must name a known reason and one of the query's Trans nodes.
+func TestWindowCertificateCheck(t *testing.T) {
+	w := build(t, crossArm, "f")
+	b := w.theBranch(t)
+	q := presolve.Query{Branch: b, Trans: []int{w.loadAt(t, 7), w.loadAt(t, 9)}}
+	cert, ok := w.an.RefuteQuery(q)
+	if !ok {
+		t.Fatal("cross-arm query not refuted")
+	}
+	for _, tc := range cert.Window.Cases {
+		if tc.Reason != presolve.ReasonArmConflict {
+			t.Errorf("take=%v: reason %q, want %q", tc.Take, tc.Reason, presolve.ReasonArmConflict)
+		}
+	}
+	tamper := func(name string, f func(*presolve.TakeCase)) {
+		bad := *cert
+		wf := *cert.Window
+		f(&wf.Cases[1])
+		bad.Window = &wf
+		if err := bad.Check(); err == nil {
+			t.Errorf("%s passed Check", name)
+		}
+	}
+	tamper("bogus reason", func(tc *presolve.TakeCase) { tc.Reason = "data-starved" })
+	tamper("empty reason", func(tc *presolve.TakeCase) { tc.Reason = "" })
+	tamper("node outside the query", func(tc *presolve.TakeCase) { tc.Node = b })
 }
 
 // TestRefutationsAgreeWithSolver is the unit-level audit: over every
@@ -300,5 +331,37 @@ int f(int y) {
 	}
 	if d := part.Describe(la); d == "untracked access" {
 		t.Errorf("describe(A[0]) = %q", d)
+	}
+}
+
+// TestExplainLitmusAccess pins what lcmlint -why prints for pht01's
+// secret access array1[x] under the bounds check: its alias class, an
+// offset interval that escapes the 16-byte array, and the one branch
+// whose window fetches it.
+func TestExplainLitmusAccess(t *testing.T) {
+	c := litmus.PHT()[0]
+	w := build(t, c.Source, c.Fn)
+	// array1[x] is the first array load; array2[...] is the second.
+	var acc *acfg.Node
+	for _, n := range w.g.Nodes {
+		if !n.IsLoad() {
+			continue
+		}
+		if gep, ok := n.Instr.Args[0].(*ir.Instr); ok && gep.Op == ir.OpGEP {
+			acc = n
+			break
+		}
+	}
+	if acc == nil {
+		t.Fatal("no array load in pht01")
+	}
+	got := presolve.Explain(w.an.Facts(), w.a, acc.Instr)
+	want := []string{
+		"alias: class{13} base=global:array1 off=[0,4294967295] must-not-alias=0/4 (+4 arch-only)",
+		"range: base=global:array1 off=[0,4294967295] width=1 — may reach outside the 16-byte object",
+		"window: transiently fetchable under 1 branch(es); min fetch distance 7 from branch at line 9 (node 6)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("Explain:\n got  %q\n want %q", got, want)
 	}
 }

@@ -19,10 +19,9 @@ import "lcm/internal/acfg"
 //     mispredicts, seeded by definitions on the architectural path.
 //
 // If the fetch set covers the query's Trans nodes (and path ∪ fetch its
-// Exec nodes, path its Arch nodes), the assignment satisfies every
-// asserted clause, so the query is SAT. Like refutations, witnesses are
-// untrusted: -audit-presolve replays each one through the solver and
-// asserts it answers Sat.
+// Exec nodes), the assignment satisfies every asserted clause, so the
+// query is SAT. Like refutations, witnesses are untrusted: -audit-presolve
+// replays each one through the solver and asserts it answers Sat.
 
 // BranchTake is one branch's direction in a witness's take assignment.
 type BranchTake struct {
@@ -41,15 +40,10 @@ type satWitness struct {
 	fetchList []int // indices of fetch, ascending (certificate form)
 }
 
-type witKey struct {
-	b int
-	v bool
-}
-
 // witnessFor returns (computing on first use) the canonical witness of
 // misspeculating branch b with take(b)=v.
 func (a *Analysis) witnessFor(b int, v bool) *satWitness {
-	k := witKey{b, v}
+	k := takeKey{b, v}
 	if w, ok := a.wit[k]; ok {
 		return w
 	}
@@ -109,19 +103,11 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	}
 
 	// Transient fetch set: least fixpoint of the data-feasibility clause
-	// over window nodes fetchable down the mispredicted arm (take=true
-	// resolves architecturally to the first successor, so the transient
-	// fetch runs down the second).
+	// over the arm eligibility of (b, v). The least fixpoint is
+	// order-independent; the ascending sweep keeps the round count
+	// reproducible.
 	fetch := make([]bool, g.Len())
-	var elig []int
-	a.win.ForEachWindowNode(b, func(id int, arms [2]bool) {
-		if (v && arms[1]) || (!v && arms[0]) {
-			elig = append(elig, id)
-		}
-	})
-	// The least fixpoint is order-independent; sorting keeps the sweep
-	// (and the round count) reproducible across map iteration orders.
-	sortInts(elig)
+	elig := a.armsFor(b, v).ids
 	for changed := true; changed; {
 		changed = false
 		for _, id := range elig {
@@ -208,7 +194,6 @@ func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 				Take:   v,
 				Trans:  sortedCopy(q.Trans),
 				Exec:   sortedCopy(q.Exec),
-				Arch:   sortedCopy(q.Arch),
 				Path:   w.path,
 				Takes:  w.takes,
 				Fetch:  w.fetchList,
@@ -245,14 +230,15 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	// partial order; if some pair is incomparable no single path covers
 	// both and the query is left to the solver (it is in fact UNSAT, but
 	// the engines pre-gate chained candidates so the case is dead).
+	reach := g.Reach()
 	ord := dedupSorted(nodes)
 	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && a.f.arms.reaches(ord[j], ord[j-1]); j-- {
+		for j := i; j > 0 && reach(ord[j], ord[j-1]); j-- {
 			ord[j], ord[j-1] = ord[j-1], ord[j]
 		}
 	}
 	for i := 1; i < len(ord); i++ {
-		if ord[i-1] != ord[i] && !a.f.arms.reaches(ord[i-1], ord[i]) {
+		if !reach(ord[i-1], ord[i]) {
 			return nil
 		}
 	}
@@ -416,11 +402,6 @@ func (a *Analysis) covers(w *satWitness, q Query) bool {
 	}
 	for _, e := range q.Exec {
 		if !w.fetch[e] && !w.onPath[e] {
-			return false
-		}
-	}
-	for _, n := range q.Arch {
-		if !w.onPath[n] {
 			return false
 		}
 	}
