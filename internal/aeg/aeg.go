@@ -5,14 +5,18 @@
 // Edge-presence formulas (Fig. 7) become constraints over these variables:
 // po implies tfo, a mis-speculation window extends down the wrong arm of an
 // architecturally-executed branch for at most the speculation bound, and a
-// transient node's operands must themselves be fetched. Window constraints
-// are encoded lazily, per branch, on first use — the directed-search
-// structure that keeps Clou's solver queries small (§5.3).
+// transient node's operands must themselves be fetched. Nothing is encoded
+// when the graph is built: the architectural path semantics are asserted
+// on the first solver access, and each branch's window is computed, then
+// encoded, on its first use — the directed-search structure that keeps
+// Clou's solver work proportional to the queries that reach it (§5.3).
 package aeg
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"time"
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
@@ -45,82 +49,121 @@ func (o *Options) defaults() {
 	}
 }
 
-// AEG is the symbolic abstract event graph for one function.
+// AEG is the symbolic abstract event graph for one function. Nothing is
+// encoded up front: the architectural path semantics are asserted on the
+// first accessor that returns a solver expression or queries the solver,
+// and each branch's speculation window is computed, then encoded, on its
+// first use. Because its accessors mutate it, an AEG is not safe for
+// concurrent use.
 type AEG struct {
 	G     *acfg.Graph
 	Alias *alias.Analysis
 	S     *smt.Solver
 	Opts  Options
 
-	arch    []*smt.Expr          // per node: executes architecturally
-	take    map[int]*smt.Expr    // branch → first successor taken
-	misspec map[int]*smt.Expr    // branch → window opened (lazily encoded)
-	transIn map[[2]int]*smt.Expr // (branch, node) → node in that window
-	encoded map[int]bool         // branches whose window is asserted
-	// windows[b]: nodes reachable from either arm of b within the
-	// speculation bound without crossing a fence, flagged per arm.
-	windows map[int]map[int][2]bool
-	// winBits[b]: dense mirror of windows[b]'s key set — the detectors
-	// probe window membership once per (candidate, branch), where the
-	// nested map hash is measurable.
-	winBits map[int]dataflow.BitSet
-	// windist[b]: minimum fetch distance of each window node from b (the
-	// first node of an arm is at distance 1).
-	windist map[int]map[int]int
+	arch []*smt.Expr       // per node: executes architecturally (nil until encoded)
+	take map[int]*smt.Expr // branch → first successor taken
+	// wins[b]: branch b's speculation window, nil until first use.
+	wins []*window
+	// encodeTime sums the wall time the lazy encoders spent: the
+	// architectural encoding, window computation and window encoding.
+	encodeTime time.Duration
 }
 
-// Build constructs the AEG, asserts the architectural path semantics, and
-// precomputes (but does not yet assert) the speculation windows.
+// window is one branch's speculation window: the nodes reachable from
+// either arm of the branch within the speculation bound without crossing
+// a fence, and, once encodeBranch has run, its solver variables.
+type window struct {
+	arms map[int][2]bool // node → fetchable down successor 0 / 1
+	// dist: minimum fetch distance of each window node from the branch
+	// (the first node of an arm is at distance 1).
+	dist map[int]int
+	// bits: dense mirror of arms' key set — the detectors probe window
+	// membership once per (candidate, branch), where the map hash is
+	// measurable.
+	bits    dataflow.BitSet
+	misspec *smt.Expr         // window opened; nil until encoded
+	trans   map[int]*smt.Expr // node → transient in this window
+}
+
+// Build constructs the AEG. It encodes nothing: the path semantics and
+// the speculation windows are built on demand by the accessors.
 func Build(g *acfg.Graph, al *alias.Analysis, opts Options) *AEG {
 	opts.defaults()
-	a := &AEG{
-		G:       g,
-		Alias:   al,
-		S:       smt.NewSolverMode(opts.SolverMode),
-		Opts:    opts,
-		take:    map[int]*smt.Expr{},
-		misspec: map[int]*smt.Expr{},
-		transIn: map[[2]int]*smt.Expr{},
-		encoded: map[int]bool{},
-		windows: map[int]map[int][2]bool{},
-		winBits: map[int]dataflow.BitSet{},
-		windist: map[int]map[int]int{},
+	return &AEG{
+		G:     g,
+		Alias: al,
+		S:     smt.NewSolverMode(opts.SolverMode),
+		Opts:  opts,
+		take:  map[int]*smt.Expr{},
+		wins:  make([]*window, g.Len()),
 	}
-	a.encodeArch()
-	a.computeWindows()
-	return a
 }
 
+// EncodeTime reports the wall time spent so far in lazy encoding: the
+// architectural path semantics, per-branch windows and their solver
+// constraints.
+func (a *AEG) EncodeTime() time.Duration { return a.encodeTime }
+
 // Arch returns the architectural-execution variable of node n.
-func (a *AEG) Arch(n int) *smt.Expr { return a.arch[n] }
+func (a *AEG) Arch(n int) *smt.Expr {
+	a.ensureArch()
+	return a.arch[n]
+}
 
 // Take returns the branch-direction variable of branch node b (true =
 // first successor).
-func (a *AEG) Take(b int) *smt.Expr { return a.take[b] }
+func (a *AEG) Take(b int) *smt.Expr {
+	a.ensureArch()
+	return a.take[b]
+}
 
 // Misspec returns branch b's mis-speculation variable, encoding its window
 // constraints on first use.
 func (a *AEG) Misspec(b int) *smt.Expr {
-	a.encodeBranch(b)
-	return a.misspec[b]
+	if win := a.encodeBranch(b); win != nil {
+		return win.misspec
+	}
+	return nil
 }
 
-// Exec returns the formula "node n is fetched when branch b
+// ExecUnder returns the formula "node n is fetched when branch b
 // mis-speculates": architecturally, or transiently inside b's window.
 func (a *AEG) ExecUnder(b, n int) *smt.Expr {
-	return smt.Or(a.arch[n], a.TransUnder(b, n))
+	t := a.TransUnder(b, n) // first: it runs the encoding a.arch needs
+	return smt.Or(a.arch[n], t)
 }
 
 // Exec returns the formula "node n executes architecturally" — for
 // queries that do not involve a speculation window (STL paths).
-func (a *AEG) Exec(n int) *smt.Expr { return a.arch[n] }
+func (a *AEG) Exec(n int) *smt.Expr { return a.Arch(n) }
+
+// ensureArch runs encodeArch once, before any other solver variable is
+// created, so variable numbering does not depend on which accessor came
+// first.
+func (a *AEG) ensureArch() {
+	if a.arch != nil {
+		return
+	}
+	start := time.Now()
+	a.encodeArch()
+	a.encodeTime += time.Since(start)
+}
 
 // encodeArch asserts the architectural path semantics: the entry executes;
 // a node executes iff control reaches it along resolved branch outcomes.
+// A node whose only in-edge is unconditional executes exactly when its
+// predecessor does, so it shares the predecessor's variable: straight-line
+// code costs one variable per block, not one per node.
 func (a *AEG) encodeArch() {
 	g := a.G
+	topo := g.Topo()
 	a.arch = make([]*smt.Expr, len(g.Nodes))
-	for _, id := range g.Topo() {
+	for _, id := range topo {
+		if ps := g.Preds(id); id != g.Entry && len(ps) == 1 && a.edgeArm(ps[0], id) < 0 {
+			a.arch[id] = a.arch[ps[0]]
+			continue
+		}
 		a.arch[id] = a.S.Var(fmt.Sprintf("arch!%d", id))
 	}
 	for _, n := range g.Nodes {
@@ -129,26 +172,21 @@ func (a *AEG) encodeArch() {
 		}
 	}
 	a.S.Assert(a.arch[g.Entry])
-	for _, id := range g.Topo() {
-		if id == g.Entry {
+	for _, id := range topo {
+		ps := g.Preds(id)
+		if id == g.Entry || len(ps) == 1 && a.arch[id] == a.arch[ps[0]] {
 			continue
 		}
 		var ins []*smt.Expr
-		for _, p := range g.Preds(id) {
-			pn := g.Nodes[p]
-			cond := a.arch[p]
-			if pn.IsBranch() {
-				succ := g.Succs(p)
-				switch {
-				case len(succ) < 2 || (succ[0] == id && succ[1] == id):
-					// degenerate branch (cut back edge): unconditional
-				case succ[1] == id && succ[0] != id:
-					cond = smt.And(cond, smt.Not(a.take[p]))
-				default:
-					cond = smt.And(cond, a.take[p])
-				}
+		for _, p := range ps {
+			switch a.edgeArm(p, id) {
+			case 0:
+				ins = append(ins, smt.And(a.arch[p], a.take[p]))
+			case 1:
+				ins = append(ins, smt.And(a.arch[p], smt.Not(a.take[p])))
+			default:
+				ins = append(ins, a.arch[p])
 			}
-			ins = append(ins, cond)
 		}
 		if len(ins) == 0 {
 			a.S.Assert(smt.Not(a.arch[id]))
@@ -158,70 +196,91 @@ func (a *AEG) encodeArch() {
 	}
 }
 
-// computeWindows statically derives each branch's speculation window: the
-// nodes fetchable down each arm within the min(ROB, Wsize) bound without
-// crossing an lfence (§6.1).
-func (a *AEG) computeWindows() {
-	for _, b := range a.G.Nodes {
-		if !b.IsBranch() {
-			continue
-		}
-		succ := a.G.Succs(b.ID)
-		if len(succ) < 2 {
-			continue
-		}
-		win := map[int][2]bool{}
-		dist := map[int]int{}
-		for arm := 0; arm < 2; arm++ {
-			for n, d := range a.windowFrom(succ[arm]) {
-				w := win[n]
-				w[arm] = true
-				win[n] = w
-				if old, ok := dist[n]; !ok || d+1 < old {
-					dist[n] = d + 1
-				}
-			}
-		}
-		a.windows[b.ID] = win
-		a.windist[b.ID] = dist
-		bits := dataflow.NewBitSet(a.G.Len())
-		for n := range win {
-			bits.Set(n)
-		}
-		a.winBits[b.ID] = bits
+// edgeArm reports which arm of branch p the edge p→id is: 0 for the first
+// successor (taken), 1 for the second, and -1 when the edge is
+// unconditional — p is not a branch, or a degenerate one (cut back edge).
+func (a *AEG) edgeArm(p, id int) int {
+	if !a.G.Nodes[p].IsBranch() {
+		return -1
 	}
+	succ := a.G.Succs(p)
+	switch {
+	case len(succ) < 2 || (succ[0] == id && succ[1] == id):
+		return -1
+	case succ[1] == id && succ[0] != id:
+		return 1
+	}
+	return 0
 }
 
-// encodeBranch lazily asserts branch b's window semantics: misspec implies
-// the branch executes architecturally; a node is transient in the window
-// only down the arm the branch did not take; and a transient node's
-// operand definitions must be fetched (architecturally before the branch,
-// or transiently inside the same window).
-func (a *AEG) encodeBranch(b int) {
-	if a.encoded[b] {
-		return
+// opensWindow reports whether node b is a two-way branch, the only kind
+// that can open a speculation window.
+func (a *AEG) opensWindow(b int) bool {
+	return b >= 0 && b < len(a.wins) && a.G.Nodes[b].IsBranch() && len(a.G.Succs(b)) >= 2
+}
+
+// windowOf returns branch b's speculation window, computing it on first use
+// (nil when b opens none): the nodes fetchable down each arm within the
+// min(ROB, Wsize) bound without crossing an lfence (§6.1).
+func (a *AEG) windowOf(b int) *window {
+	if !a.opensWindow(b) {
+		return nil
 	}
-	win, ok := a.windows[b]
-	if !ok {
-		return
+	if w := a.wins[b]; w != nil {
+		return w
 	}
-	a.encoded[b] = true
+	start := time.Now()
+	succ := a.G.Succs(b)
+	w := &window{arms: map[int][2]bool{}, dist: map[int]int{}}
+	for arm := 0; arm < 2; arm++ {
+		for n, d := range a.windowFrom(succ[arm]) {
+			arms := w.arms[n]
+			arms[arm] = true
+			w.arms[n] = arms
+			if old, ok := w.dist[n]; !ok || d+1 < old {
+				w.dist[n] = d + 1
+			}
+		}
+	}
+	w.bits = dataflow.NewBitSet(a.G.Len())
+	for n := range w.arms {
+		w.bits.Set(n)
+	}
+	a.wins[b] = w
+	a.encodeTime += time.Since(start)
+	return w
+}
+
+// encodeBranch asserts branch b's window semantics on first use and
+// returns the window (nil when b opens none): misspec implies the branch
+// executes architecturally; a node is transient in the window only down
+// the arm the branch did not take; and a transient node's operand
+// definitions must be fetched (architecturally before the branch, or
+// transiently inside the same window).
+func (a *AEG) encodeBranch(b int) *window {
+	a.ensureArch()
+	win := a.windowOf(b)
+	if win == nil || win.misspec != nil {
+		return win
+	}
+	start := time.Now()
 	m := a.S.Var(fmt.Sprintf("misspec!%d", b))
-	a.misspec[b] = m
+	win.misspec = m
+	win.trans = make(map[int]*smt.Expr, len(win.arms))
 	a.S.Assert(smt.Implies(m, a.arch[b]))
 	// Window nodes are visited in sorted order so SMT variable numbering
 	// and clause order are run-to-run deterministic; otherwise the CDCL
 	// search (and its effort counters in run reports) would depend on Go
 	// map iteration order.
-	nodes := make([]int, 0, len(win))
-	for n := range win {
+	nodes := make([]int, 0, len(win.arms))
+	for n := range win.arms {
 		nodes = append(nodes, n)
 	}
-	sortInts(nodes)
+	slices.Sort(nodes)
 	for _, n := range nodes {
-		arms := win[n]
+		arms := win.arms[n]
 		v := a.S.Var(fmt.Sprintf("transin!%d!%d", b, n))
-		a.transIn[[2]int{b, n}] = v
+		win.trans[n] = v
 		var armOK []*smt.Expr
 		if arms[0] {
 			armOK = append(armOK, smt.Not(a.take[b]))
@@ -229,12 +288,13 @@ func (a *AEG) encodeBranch(b int) {
 		if arms[1] {
 			armOK = append(armOK, a.take[b])
 		}
-		a.S.Assert(smt.Implies(v, smt.And(m, smt.Or(armOK...))))
+		a.S.Assert(smt.Implies(v, m))
+		a.S.Assert(smt.Implies(v, smt.Or(armOK...)))
 	}
 	// Data feasibility, within this window.
 	for _, n := range nodes {
 		node := a.G.Nodes[n]
-		v := a.transIn[[2]int{b, n}]
+		v := win.trans[n]
 		for _, defs := range node.ArgDefs {
 			if len(defs) == 0 {
 				continue
@@ -242,7 +302,7 @@ func (a *AEG) encodeBranch(b int) {
 			var any []*smt.Expr
 			for _, d := range defs {
 				e := a.arch[d]
-				if dv, ok := a.transIn[[2]int{b, d}]; ok {
+				if dv, ok := win.trans[d]; ok {
 					e = smt.Or(e, dv)
 				}
 				any = append(any, e)
@@ -250,6 +310,8 @@ func (a *AEG) encodeBranch(b int) {
 			a.S.Assert(smt.Implies(v, smt.Or(any...)))
 		}
 	}
+	a.encodeTime += time.Since(start)
+	return win
 }
 
 // windowFrom returns nodes reachable from start within the speculation
@@ -289,9 +351,10 @@ func (a *AEG) windowFrom(start int) map[int]int {
 // TransUnder returns the variable "node n is transient in branch b's
 // window", or False if n is outside every window of b.
 func (a *AEG) TransUnder(b, n int) *smt.Expr {
-	a.encodeBranch(b)
-	if v, ok := a.transIn[[2]int{b, n}]; ok {
-		return v
+	if win := a.encodeBranch(b); win != nil {
+		if v, ok := win.trans[n]; ok {
+			return v
+		}
 	}
 	return a.S.False()
 }
@@ -299,19 +362,12 @@ func (a *AEG) TransUnder(b, n int) *smt.Expr {
 // Branches lists the branch nodes that can open windows, sorted.
 func (a *AEG) Branches() []int {
 	var out []int
-	for b := range a.windows {
-		out = append(out, b)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+	for b := range a.G.Nodes {
+		if a.opensWindow(b) {
+			out = append(out, b)
 		}
 	}
+	return out
 }
 
 // WindowInfo reports whether node n lies inside some speculation window
@@ -320,41 +376,44 @@ func sortInts(xs []int) {
 // pre-solver (internal/presolve) consumes, engine-agnostically, through
 // its WindowSource contract.
 func (a *AEG) WindowInfo(b, n int) (arms [2]bool, dist int, ok bool) {
-	win, okb := a.windows[b]
-	if !okb {
+	win := a.windowOf(b)
+	if win == nil {
 		return arms, 0, false
 	}
-	arms, ok = win[n]
+	arms, ok = win.arms[n]
 	if !ok {
 		return arms, 0, false
 	}
-	return arms, a.windist[b][n], true
+	return arms, win.dist[n], true
 }
 
 // ForEachWindowNode visits every node of branch b's speculation window
 // with its arm fetchability (part of presolve.WindowSource). Iteration
-// order is the windows map's, i.e. unspecified; callers must not depend
+// order is the window map's, i.e. unspecified; callers must not depend
 // on it.
 func (a *AEG) ForEachWindowNode(b int, f func(n int, arms [2]bool)) {
-	for n, arms := range a.windows[b] {
-		f(n, arms)
+	if win := a.windowOf(b); win != nil {
+		for n, arms := range win.arms {
+			f(n, arms)
+		}
 	}
 }
 
 // InWindow reports whether node n is statically inside some window of b.
 func (a *AEG) InWindow(b, n int) bool {
-	bits, ok := a.winBits[b]
-	return ok && bits.Has(n)
+	win := a.windowOf(b)
+	return win != nil && win.bits.Has(n)
 }
 
 // Check decides a query under the structural constraints.
 func (a *AEG) Check(assumptions ...*smt.Expr) sat.Status {
-	return a.S.Check(assumptions...)
+	return a.CheckCtx(context.Background(), assumptions...)
 }
 
 // CheckCtx is Check under a context: a cancelled ctx aborts the solver
 // search promptly with sat.Unknown (the FuncTimeout path of §6.2).
 func (a *AEG) CheckCtx(ctx context.Context, assumptions ...*smt.Expr) sat.Status {
+	a.ensureArch()
 	return a.S.CheckCtx(ctx, assumptions...)
 }
 
@@ -380,6 +439,7 @@ func (a *AEG) SelfCheckStats() (checks, mismatches int64) { return a.S.SelfCheck
 // and the transient nodes (from encoded windows), for witness
 // construction.
 func (a *AEG) Model() (archNodes, transNodes []int, takeDir map[int]bool) {
+	a.ensureArch()
 	takeDir = map[int]bool{}
 	transSeen := map[int]bool{}
 	for _, n := range a.G.Topo() {
@@ -387,18 +447,18 @@ func (a *AEG) Model() (archNodes, transNodes []int, takeDir map[int]bool) {
 			archNodes = append(archNodes, n)
 		}
 	}
-	for b := range a.encoded {
-		if !a.S.Value(a.misspec[b]) {
+	for _, win := range a.wins {
+		if win == nil || win.misspec == nil || !a.S.Value(win.misspec) {
 			continue
 		}
-		for n := range a.windows[b] {
-			if v, ok := a.transIn[[2]int{b, n}]; ok && a.S.Value(v) && !transSeen[n] {
+		for n, v := range win.trans {
+			if a.S.Value(v) && !transSeen[n] {
 				transSeen[n] = true
 				transNodes = append(transNodes, n)
 			}
 		}
 	}
-	sortInts(transNodes)
+	slices.Sort(transNodes)
 	for b, v := range a.take {
 		takeDir[b] = a.S.Value(v)
 	}

@@ -134,3 +134,53 @@ func TestModelReadback(t *testing.T) {
 		t.Error("branch direction missing from model")
 	}
 }
+
+const twoBranches = `
+int A[16];
+int f(int x, int y) {
+	int r = 0;
+	if (x < 16) {
+		r = A[x];
+	}
+	if (y < 16) {
+		r = r + A[y];
+	}
+	return r;
+}
+`
+
+func TestBuildEncodesNothing(t *testing.T) {
+	a := buildAEG(t, twoBranches, "f", Options{})
+	if g := a.EncodeStats(); g != 0 {
+		t.Errorf("gates after Build = %d, want 0", g)
+	}
+	if n := a.S.NumVars(); n != 1 {
+		t.Errorf("solver variables after Build = %d, want 1 (the constant)", n)
+	}
+	computed := func() []int {
+		var bs []int
+		for b, w := range a.wins {
+			if w != nil {
+				bs = append(bs, b)
+			}
+		}
+		return bs
+	}
+	if bs := computed(); len(bs) != 0 {
+		t.Errorf("windows computed by Build: %v", bs)
+	}
+	bs := a.Branches()
+	if len(bs) != 2 {
+		t.Fatalf("branches = %v, want 2", bs)
+	}
+	if bs := computed(); len(bs) != 0 {
+		t.Errorf("windows computed by Branches: %v", bs)
+	}
+	a.InWindow(bs[1], a.G.Exit)
+	if got := computed(); len(got) != 1 || got[0] != bs[1] {
+		t.Errorf("windows after InWindow(%d, ·) = %v, want only [%d]", bs[1], got, bs[1])
+	}
+	if g, n := a.EncodeStats(), a.S.NumVars(); g != 0 || n != 1 {
+		t.Errorf("window computation touched the solver: %d gates, %d variables", g, n)
+	}
+}

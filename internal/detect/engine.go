@@ -278,7 +278,9 @@ type Result struct {
 	Certificates []*presolve.Certificate
 	// Per-stage wall times: FrontendTime covers A-CFG + alias + taint +
 	// reachability + value flow (near zero on a cache hit), EncodeTime
-	// the S-AEG construction, SolveTime the accumulated solver queries.
+	// the S-AEG construction plus the encoding it performs lazily during
+	// search (aeg.AEG.EncodeTime), SolveTime the accumulated solver
+	// queries.
 	FrontendTime time.Duration
 	EncodeTime   time.Duration
 	SolveTime    time.Duration
@@ -440,6 +442,7 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	searchSpan := fnSpan.Start("search")
 	d.run()
 	searchSpan.End()
+	d.res.EncodeTime += a.EncodeTime()
 	d.res.Decisions, d.res.Propagations, d.res.Conflicts, d.res.Restarts = a.SolverStats()
 	d.res.TseitinGates = a.EncodeStats()
 	d.res.SolverChecks, d.res.SolverMismatches = a.SelfCheckStats()
@@ -1032,7 +1035,6 @@ func (d *detector) runPHT() {
 	st := d.computeSteering(loads, mems)
 	seen := map[candKey]bool{}
 	branches := d.a.Branches()
-	sort.Ints(branches)
 	// Query slices share these scratch arrays across the candidate loops:
 	// the pre-solver copies anything it retains, so a fresh slice literal
 	// per probe is pure allocation churn.

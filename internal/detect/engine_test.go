@@ -5,6 +5,7 @@ import (
 
 	"lcm/internal/core"
 	"lcm/internal/ir"
+	"lcm/internal/litmus"
 	"lcm/internal/lower"
 	"lcm/internal/minic"
 )
@@ -276,5 +277,40 @@ func TestNestedCallDetection(t *testing.T) {
 	`, "victim", DefaultPHT())
 	if !hasClass(r, core.UDT) {
 		t.Errorf("inlined gadget not found: %v", r.Findings)
+	}
+}
+
+// TestPresolveDecidedFunctionsEncodeNothing pins the S-AEG's laziness end
+// to end: a function whose every query the pre-solver decided never
+// touches the solver, so it defines no Tseitin gate and propagates
+// nothing. The residual functions show the counters do move when the
+// solver runs.
+func TestPresolveDecidedFunctionsEncodeNothing(t *testing.T) {
+	decided, residual := 0, 0
+	for _, c := range litmus.All() {
+		m := compile(t, c.Source)
+		for _, e := range Engines() {
+			res, err := AnalyzeFunc(m, c.Fn, DefaultConfig(e))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, e, err)
+			}
+			// Queries counts the calls that reached the solver; the
+			// pre-solver's decisions are SkippedQueries.
+			if res.Queries > 0 {
+				residual++
+				if res.TseitinGates == 0 && res.Propagations == 0 {
+					t.Errorf("%s/%s: %d solver queries left no solver effort", c.Name, e, res.Queries)
+				}
+				continue
+			}
+			decided++
+			if res.TseitinGates != 0 || res.Propagations != 0 {
+				t.Errorf("%s/%s: all %d queries presolve-decided, yet tseitin_gates=%d propagations=%d",
+					c.Name, e, res.SkippedQueries, res.TseitinGates, res.Propagations)
+			}
+		}
+	}
+	if decided == 0 || residual == 0 {
+		t.Errorf("decided=%d residual=%d: want both kinds of function", decided, residual)
 	}
 }

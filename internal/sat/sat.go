@@ -10,6 +10,7 @@ package sat
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"lcm/internal/faults"
@@ -199,7 +200,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// seen here is a root fact. Simplify: sort, drop duplicates, detect
 	// tautologies, drop literals false at level 0, satisfy-check against
 	// level-0 assignments.
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev Lit
 	for _, l := range lits {

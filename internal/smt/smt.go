@@ -8,8 +8,10 @@
 package smt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -299,12 +301,11 @@ func (s *Solver) lit(e *Expr) sat.Lit {
 // Tseitin definition.
 func (s *Solver) gate(o op, kids []sat.Lit) sat.Lit {
 	s.gates++
-	sort.Slice(kids, func(i, j int) bool {
-		vi, vj := kids[i].Var(), kids[j].Var()
-		if vi != vj {
-			return vi < vj
+	slices.SortFunc(kids, func(x, y sat.Lit) int {
+		if c := cmp.Compare(x.Var(), y.Var()); c != 0 {
+			return c
 		}
-		return kids[i] < kids[j]
+		return cmp.Compare(x, y)
 	})
 	tru, fls := s.trueLit, s.trueLit.Neg()
 	out := kids[:0]
@@ -370,16 +371,37 @@ func (s *Solver) gate(o op, kids []sat.Lit) sat.Lit {
 // poison: the cached assignment may violate the new clause.
 func (s *Solver) invalidate() { s.modelOK = false }
 
-// Assert adds e as a hard constraint.
+// Assert adds e as a hard constraint. A top-level conjunction asserts
+// each conjunct, and a top-level disjunction becomes one clause over its
+// disjuncts' literals: no gate variable is defined for either, and the
+// result is equivalent over every named variable to asserting e's gate.
 func (s *Solver) Assert(e *Expr) {
 	s.invalidate()
-	s.addClause(s.lit(e))
+	s.assert(e)
 }
 
-// AssertClause adds a disjunction of formulas as one CNF clause (cheaper
-// than Assert(Or(...)) — no auxiliary variable).
+func (s *Solver) assert(e *Expr) {
+	switch {
+	case e != nil && e.op == opAnd:
+		for _, k := range e.kids {
+			s.assert(k)
+		}
+	case e != nil && e.op == opOr:
+		s.clause(e.kids)
+	default:
+		s.addClause(s.lit(e))
+	}
+}
+
+// AssertClause adds a disjunction of formulas as one CNF clause, as
+// Assert(Or(es...)) does.
 func (s *Solver) AssertClause(es ...*Expr) {
 	s.invalidate()
+	s.clause(es)
+}
+
+// clause adds the disjunction of es' literals as one CNF clause.
+func (s *Solver) clause(es []*Expr) {
 	lits := make([]sat.Lit, len(es))
 	for i, e := range es {
 		lits[i] = s.lit(e)

@@ -254,7 +254,9 @@ func randomExpr(s *Solver, rng *rand.Rand, nv, depth int) *Expr {
 	if depth == 0 || rng.Intn(3) == 0 {
 		return s.Var(string(rune('a' + rng.Intn(nv))))
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
+	case 4:
+		return Iff(randomExpr(s, rng, nv, depth-1), randomExpr(s, rng, nv, depth-1))
 	case 0:
 		return Not(randomExpr(s, rng, nv, depth-1))
 	case 1:
@@ -303,5 +305,92 @@ func TestQuickTseitinSound(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// assertGate is the reference top-level assertion: define e's Tseitin gate
+// and assert its unit literal.
+func assertGate(s *Solver, e *Expr) {
+	s.invalidate()
+	s.addClause(s.lit(e))
+}
+
+// Property: the clausal Assert (a top-level Or as one clause, a top-level
+// And conjunct by conjunct) and the gate-unit reference agree on every
+// verdict under random assumptions, and every Sat model satisfies the
+// asserted formulas and the assumptions by tree evaluation.
+func TestClausalAssertMatchesGateAssert(t *testing.T) {
+	const nv = 8
+	names := make([]string, nv)
+	for i := range names {
+		names[i] = string(rune('a' + i))
+	}
+	// build draws the same formulas and assumption sets on either solver
+	// for a given seed.
+	build := func(s *Solver, seed int64) (asserted []*Expr, queries [][]*Expr) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range names {
+			s.Var(n)
+		}
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			e := randomExpr(s, rng, nv, 5)
+			if rng.Intn(3) == 0 {
+				e = And(e, randomExpr(s, rng, nv, 4))
+			}
+			asserted = append(asserted, e)
+		}
+		for q := 0; q < 8; q++ {
+			var as []*Expr
+			for _, n := range names {
+				switch rng.Intn(4) {
+				case 0:
+					as = append(as, s.Var(n))
+				case 1:
+					as = append(as, Not(s.Var(n)))
+				}
+			}
+			if rng.Intn(4) == 0 {
+				as = append(as, randomExpr(s, rng, nv, 3))
+			}
+			queries = append(queries, as)
+		}
+		return asserted, queries
+	}
+	holds := func(s *Solver, es []*Expr) bool {
+		asg := map[string]bool{}
+		for _, n := range names {
+			asg[n] = s.Value(s.Var(n))
+		}
+		for _, e := range es {
+			if !evalTree(e, asg) {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		clausal, gated := NewSolver(), NewSolver()
+		cf, cq := build(clausal, seed)
+		gf, gq := build(gated, seed)
+		for i := range cf {
+			clausal.Assert(cf[i])
+			assertGate(gated, gf[i])
+		}
+		for q := range cq {
+			cs, gs := clausal.Check(cq[q]...), gated.Check(gq[q]...)
+			if cs != gs {
+				t.Fatalf("seed %d query %d: clausal %v, gate reference %v (asserted %v, assumed %v)",
+					seed, q, cs, gs, cf, cq[q])
+			}
+			if cs != sat.Sat {
+				continue
+			}
+			if !holds(clausal, cf) || !holds(clausal, cq[q]) {
+				t.Fatalf("seed %d query %d: clausal model violates %v under %v", seed, q, cf, cq[q])
+			}
+			if !holds(gated, gf) || !holds(gated, gq[q]) {
+				t.Fatalf("seed %d query %d: reference model violates %v under %v", seed, q, gf, gq[q])
+			}
+		}
 	}
 }
