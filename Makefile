@@ -46,10 +46,11 @@ check: vet fmt lint race-core
 # audit-presolve replays every statically discharged candidate through the
 # full SAT encoding and fails on any disagreement — the soundness gate for
 # the pre-solver's refutation and witness rules (see DESIGN.md). The litmus
-# suites emit no window refutations, so the mee-cbc test replays those.
+# suites emit no window refutations, so the mee-cbc test replays those; the
+# donna test replays the crypto corpus's arch witnesses (Clou-stl).
 audit-presolve: build
 	$(GO) run ./cmd/clou -litmus all -audit-presolve
-	$(GO) test ./internal/detect -run '^TestAuditPresolveWindowRefutations$$' -count=1
+	$(GO) test ./internal/detect -run '^(TestAuditPresolveWindowRefutations|TestAuditPresolveArchWitnesses)$$' -count=1 -v
 
 # fuzz gives each native fuzz target a short budget — enough to shake out
 # shallow regressions in CI. Crashing inputs are written to testdata/fuzz/

@@ -53,6 +53,10 @@ func (n *Node) IsBranch() bool { return n.Kind == NInstr && n.Instr.Op == ir.OpC
 // IsFence reports whether the node is a speculation fence.
 func (n *Node) IsFence() bool { return n.Kind == NInstr && n.Instr.Op == ir.OpFence }
 
+// IsLfence reports whether the node is an lfence: a speculation barrier,
+// which stops both transient fetch and the store buffer's forwarding.
+func (n *Node) IsLfence() bool { return n.IsFence() && n.Instr.Sub == "lfence" }
+
 func (n *Node) String() string {
 	switch n.Kind {
 	case NEntry:
@@ -76,6 +80,8 @@ type Graph struct {
 
 	reachOnce sync.Once
 	reach     [][]uint64 // transitive closure rows, built by Reach
+	ffOnce    sync.Once
+	fenceFree [][]uint64 // fence-free closure rows, built by FenceFreeReach
 }
 
 // Succs returns the successor node IDs of n.
@@ -408,39 +414,71 @@ func (g *Graph) Topo() []int {
 	return order
 }
 
+// closure builds one reflexive reachability row per node in a single pass
+// over a reverse topological order: each node's row is itself plus the
+// union of the rows of those successors s for which enter(s) holds.
+func (g *Graph) closure(enter func(s int) bool) [][]uint64 {
+	words := (g.Len() + 63) / 64
+	rows := make([][]uint64, g.Len())
+	topo := g.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		id := topo[i]
+		row := make([]uint64, words)
+		row[id/64] |= 1 << (uint(id) % 64)
+		for _, s := range g.succs[id] {
+			if !enter(s) {
+				continue
+			}
+			for w, bits := range rows[s] {
+				row[w] |= bits
+			}
+		}
+		rows[id] = row
+	}
+	return rows
+}
+
+// reachRows returns the transitive closure rows, building them on first
+// use; they are immutable afterwards, so concurrent callers may share them.
+func (g *Graph) reachRows() [][]uint64 {
+	g.reachOnce.Do(func() { g.reach = g.closure(func(int) bool { return true }) })
+	return g.reach
+}
+
 // Reach returns the graph's transitive closure as a strict reachability
 // test: reach(from, to) reports a non-empty successor path from `from` to
 // `to`, so reach(n, n) is false on the DAG. The closure is built once, on
-// the first call, in one pass over a reverse topological order — each
-// node's row is itself plus the union of its successors' rows — and is
-// immutable afterwards, so concurrent callers may share it.
+// the first call, and shared by every caller.
 func (g *Graph) Reach() func(from, to int) bool {
-	g.reachOnce.Do(func() {
-		n := g.Len()
-		words := (n + 63) / 64
-		rows := make([][]uint64, n)
-		topo := g.Topo()
-		for i := len(topo) - 1; i >= 0; i-- {
-			id := topo[i]
-			row := make([]uint64, words)
-			row[id/64] |= 1 << (uint(id) % 64)
-			for _, s := range g.succs[id] {
-				for w, bits := range rows[s] {
-					row[w] |= bits
-				}
-			}
-			rows[id] = row
-		}
-		g.reach = rows
-	})
-	rows := g.reach
+	rows := g.reachRows()
 	return func(from, to int) bool {
 		if from == to {
 			return false
 		}
-		return rows[from][to/64]&(1<<(uint(to)%64)) != 0
+		return hasBit(rows[from], to)
 	}
 }
+
+// FenceFreeReach returns the fence-free closure as a reflexive test:
+// ff(from, to) reports a successor path from `from` to `to` that enters no
+// lfence (from itself may be one), and ff(n, n) is true. It is built once,
+// on the first call, by the same pass as Reach; in a function without an
+// lfence the two closures coincide and it shares Reach's rows.
+func (g *Graph) FenceFreeReach() func(from, to int) bool {
+	g.ffOnce.Do(func() {
+		for _, n := range g.Nodes {
+			if n.IsLfence() {
+				g.fenceFree = g.closure(func(s int) bool { return !g.Nodes[s].IsLfence() })
+				return
+			}
+		}
+		g.fenceFree = g.reachRows()
+	})
+	rows := g.fenceFree
+	return func(from, to int) bool { return hasBit(rows[from], to) }
+}
+
+func hasBit(row []uint64, n int) bool { return row[n/64]&(1<<(uint(n)%64)) != 0 }
 
 // Reachable returns the set of nodes reachable from start within maxDepth
 // instruction steps (maxDepth < 0 means unbounded).

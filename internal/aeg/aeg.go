@@ -15,6 +15,7 @@ package aeg
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -65,6 +66,12 @@ type AEG struct {
 	take map[int]*smt.Expr // branch → first successor taken
 	// wins[b]: branch b's speculation window, nil until first use.
 	wins []*window
+	// best is windowOf's scratch: a node's minimum fetch distance over the
+	// window being computed, valid where stamp equals epoch, so computing
+	// a window clears nothing.
+	best  []int32
+	stamp []uint32
+	epoch uint32
 	// encodeTime sums the wall time the lazy encoders spent: the
 	// architectural encoding, window computation and window encoding.
 	encodeTime time.Duration
@@ -74,17 +81,28 @@ type AEG struct {
 // either arm of the branch within the speculation bound without crossing
 // a fence, and, once encodeBranch has run, its solver variables.
 type window struct {
-	arms map[int][2]bool // node → fetchable down successor 0 / 1
-	// dist: minimum fetch distance of each window node from the branch
-	// (the first node of an arm is at distance 1).
-	dist map[int]int
-	// bits: dense mirror of arms' key set — the detectors probe window
-	// membership once per (candidate, branch), where the map hash is
-	// measurable.
-	bits    dataflow.BitSet
-	misspec *smt.Expr         // window opened; nil until encoded
-	trans   map[int]*smt.Expr // node → transient in this window
+	arm  [2]dataflow.BitSet // nodes fetchable down successor 0 / 1
+	bits dataflow.BitSet    // arm[0] ∪ arm[1]
+	// nodes lists the window's members in ascending order; dist and trans
+	// run parallel to it. dist is each member's minimum fetch distance
+	// from the branch (the first node of an arm is at distance 1).
+	nodes   []int
+	dist    []int32
+	misspec *smt.Expr   // window opened; nil until encoded
+	trans   []*smt.Expr // transient in this window; nil until encoded
 }
+
+// index returns n's position in nodes, or -1 when n is outside the window.
+func (w *window) index(n int) int {
+	if !w.bits.Has(n) {
+		return -1
+	}
+	i, _ := slices.BinarySearch(w.nodes, n)
+	return i
+}
+
+// arms reports down which arms n is fetchable.
+func (w *window) arms(n int) [2]bool { return [2]bool{w.arm[0].Has(n), w.arm[1].Has(n)} }
 
 // Build constructs the AEG. It encodes nothing: the path semantics and
 // the speculation windows are built on demand by the accessors.
@@ -230,21 +248,27 @@ func (a *AEG) windowOf(b int) *window {
 		return w
 	}
 	start := time.Now()
-	succ := a.G.Succs(b)
-	w := &window{arms: map[int][2]bool{}, dist: map[int]int{}}
-	for arm := 0; arm < 2; arm++ {
-		for n, d := range a.windowFrom(succ[arm]) {
-			arms := w.arms[n]
-			arms[arm] = true
-			w.arms[n] = arms
-			if old, ok := w.dist[n]; !ok || d+1 < old {
-				w.dist[n] = d + 1
-			}
-		}
+	n := a.G.Len()
+	if a.best == nil {
+		a.best, a.stamp = make([]int32, n), make([]uint32, n)
 	}
-	w.bits = dataflow.NewBitSet(a.G.Len())
-	for n := range w.arms {
-		w.bits.Set(n)
+	a.epoch++
+	if a.epoch == 0 { // stamp wraparound: drop every stale mark
+		clear(a.stamp)
+		a.epoch = 1
+	}
+	w := &window{bits: dataflow.NewBitSet(n)}
+	for arm, succ := range a.G.Succs(b)[:2] {
+		w.arm[arm] = a.windowFrom(succ)
+		w.bits.UnionInto(w.arm[arm])
+	}
+	for i, word := range w.bits {
+		for word != 0 {
+			id := i*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			w.nodes = append(w.nodes, id)
+			w.dist = append(w.dist, a.best[id])
+		}
 	}
 	a.wins[b] = w
 	a.encodeTime += time.Since(start)
@@ -266,35 +290,27 @@ func (a *AEG) encodeBranch(b int) *window {
 	start := time.Now()
 	m := a.S.Var(fmt.Sprintf("misspec!%d", b))
 	win.misspec = m
-	win.trans = make(map[int]*smt.Expr, len(win.arms))
+	win.trans = make([]*smt.Expr, len(win.nodes))
 	a.S.Assert(smt.Implies(m, a.arch[b]))
-	// Window nodes are visited in sorted order so SMT variable numbering
-	// and clause order are run-to-run deterministic; otherwise the CDCL
-	// search (and its effort counters in run reports) would depend on Go
-	// map iteration order.
-	nodes := make([]int, 0, len(win.arms))
-	for n := range win.arms {
-		nodes = append(nodes, n)
-	}
-	slices.Sort(nodes)
-	for _, n := range nodes {
-		arms := win.arms[n]
+	// Window nodes are visited in ascending order so SMT variable
+	// numbering and clause order are run-to-run deterministic.
+	for i, n := range win.nodes {
 		v := a.S.Var(fmt.Sprintf("transin!%d!%d", b, n))
-		win.trans[n] = v
+		win.trans[i] = v
 		var armOK []*smt.Expr
-		if arms[0] {
+		if win.arm[0].Has(n) {
 			armOK = append(armOK, smt.Not(a.take[b]))
 		}
-		if arms[1] {
+		if win.arm[1].Has(n) {
 			armOK = append(armOK, a.take[b])
 		}
 		a.S.Assert(smt.Implies(v, m))
 		a.S.Assert(smt.Implies(v, smt.Or(armOK...)))
 	}
 	// Data feasibility, within this window.
-	for _, n := range nodes {
+	for i, n := range win.nodes {
 		node := a.G.Nodes[n]
-		v := win.trans[n]
+		v := win.trans[i]
 		for _, defs := range node.ArgDefs {
 			if len(defs) == 0 {
 				continue
@@ -302,8 +318,8 @@ func (a *AEG) encodeBranch(b int) *window {
 			var any []*smt.Expr
 			for _, d := range defs {
 				e := a.arch[d]
-				if dv, ok := win.trans[d]; ok {
-					e = smt.Or(e, dv)
+				if j := win.index(d); j >= 0 {
+					e = smt.Or(e, win.trans[j])
 				}
 				any = append(any, e)
 			}
@@ -314,36 +330,36 @@ func (a *AEG) encodeBranch(b int) *window {
 	return win
 }
 
-// windowFrom returns nodes reachable from start within the speculation
-// bound, stopping at lfence nodes, each mapped to its BFS depth from
-// start (start itself is at depth 0).
-func (a *AEG) windowFrom(start int) map[int]int {
-	bound := a.Opts.ROB
-	if a.Opts.Wsize < bound {
-		bound = a.Opts.Wsize
-	}
-	out := map[int]int{}
-	if a.G.Nodes[start].IsFence() && a.G.Nodes[start].Instr.Sub == "lfence" {
+// windowFrom returns the nodes reachable from start within the speculation
+// bound, stopping at lfence nodes, by a level-synchronous BFS. Each node
+// at depth d (start is at depth 0) lowers its minimum fetch distance in
+// the scratch to d+1.
+func (a *AEG) windowFrom(start int) dataflow.BitSet {
+	bound := min(a.Opts.ROB, a.Opts.Wsize)
+	out := dataflow.NewBitSet(a.G.Len())
+	if a.G.Nodes[start].IsLfence() {
 		return out
 	}
-	out[start] = 0
-	frontier := []int{start}
-	for depth := 0; depth < bound && len(frontier) > 0; depth++ {
-		var next []int
+	visit := func(n int, depth int) {
+		out.Set(n)
+		if a.stamp[n] != a.epoch || int32(depth+1) < a.best[n] {
+			a.stamp[n], a.best[n] = a.epoch, int32(depth+1)
+		}
+	}
+	visit(start, 0)
+	frontier, next := []int{start}, []int(nil)
+	for depth := 1; depth <= bound && len(frontier) > 0; depth++ {
+		next = next[:0]
 		for _, n := range frontier {
 			for _, s := range a.G.Succs(n) {
-				if _, seen := out[s]; seen {
-					continue
+				if out.Has(s) || a.G.Nodes[s].IsLfence() {
+					continue // seen, or a speculation barrier
 				}
-				sn := a.G.Nodes[s]
-				if sn.IsFence() && sn.Instr.Sub == "lfence" {
-					continue // speculation barrier
-				}
-				out[s] = depth + 1
+				visit(s, depth)
 				next = append(next, s)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return out
 }
@@ -352,8 +368,8 @@ func (a *AEG) windowFrom(start int) map[int]int {
 // window", or False if n is outside every window of b.
 func (a *AEG) TransUnder(b, n int) *smt.Expr {
 	if win := a.encodeBranch(b); win != nil {
-		if v, ok := win.trans[n]; ok {
-			return v
+		if i := win.index(n); i >= 0 {
+			return win.trans[i]
 		}
 	}
 	return a.S.False()
@@ -380,21 +396,20 @@ func (a *AEG) WindowInfo(b, n int) (arms [2]bool, dist int, ok bool) {
 	if win == nil {
 		return arms, 0, false
 	}
-	arms, ok = win.arms[n]
-	if !ok {
+	i := win.index(n)
+	if i < 0 {
 		return arms, 0, false
 	}
-	return arms, win.dist[n], true
+	return win.arms(n), int(win.dist[i]), true
 }
 
 // ForEachWindowNode visits every node of branch b's speculation window
-// with its arm fetchability (part of presolve.WindowSource). Iteration
-// order is the window map's, i.e. unspecified; callers must not depend
-// on it.
+// with its arm fetchability, in ascending node order (part of
+// presolve.WindowSource).
 func (a *AEG) ForEachWindowNode(b int, f func(n int, arms [2]bool)) {
 	if win := a.windowOf(b); win != nil {
-		for n, arms := range win.arms {
-			f(n, arms)
+		for _, n := range win.nodes {
+			f(n, win.arms(n))
 		}
 	}
 }
@@ -451,8 +466,8 @@ func (a *AEG) Model() (archNodes, transNodes []int, takeDir map[int]bool) {
 		if win == nil || win.misspec == nil || !a.S.Value(win.misspec) {
 			continue
 		}
-		for n, v := range win.trans {
-			if a.S.Value(v) && !transSeen[n] {
+		for i, v := range win.trans {
+			if n := win.nodes[i]; a.S.Value(v) && !transSeen[n] {
 				transSeen[n] = true
 				transNodes = append(transNodes, n)
 			}

@@ -111,8 +111,8 @@ func (e *explorer) explore(n int, path []int) {
 		// (per path — no memoization, like eager relational SE), then fork
 		// architecturally.
 		if e.cfg.PHT {
-			e.checkTransient(succs[0], path)
-			e.checkTransient(succs[1], path)
+			e.checkTransient(succs[0])
+			e.checkTransient(succs[1])
 		}
 		e.explore(succs[0], path)
 		e.explore(succs[1], path)
@@ -132,7 +132,7 @@ func (e *explorer) explore(n int, path []int) {
 
 // checkTransient scans the wrong-arm window for tainted-address accesses —
 // the leak condition, without transmitter classification.
-func (e *explorer) checkTransient(arm int, path []int) {
+func (e *explorer) checkTransient(arm int) {
 	window := e.g.Reachable(arm, e.cfg.ROB)
 	for n := range window {
 		node := e.g.Nodes[n]
@@ -148,15 +148,10 @@ func (e *explorer) checkTransient(arm int, path []int) {
 			e.leaks[n] = true
 		}
 	}
-	_ = path
 }
 
 // checkBypass scans one architectural path for store→load bypass leaks.
 func (e *explorer) checkBypass(path []int) {
-	pos := map[int]int{}
-	for i, n := range path {
-		pos[n] = i
-	}
 	for i, sID := range path {
 		s := e.g.Nodes[sID]
 		if !s.IsStore() {

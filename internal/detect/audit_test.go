@@ -43,3 +43,38 @@ func TestAuditPresolveWindowRefutations(t *testing.T) {
 	}
 	t.Logf("window certificates=%d audited=%d", windows, r.PresolveAudited)
 }
+
+// TestAuditPresolveArchWitnesses replays the pre-solver's arch witnesses
+// on the crypto corpus's heaviest subject: donna's Montgomery ladder
+// under Clou-stl with universal classes, where every candidate query is
+// arch-witnessed. Each witness must be one the solver also answers Sat.
+func TestAuditPresolveArchWitnesses(t *testing.T) {
+	lib, ok := cryptolib.Lookup("donna")
+	if !ok {
+		t.Fatal("donna corpus entry missing")
+	}
+	cfg := DefaultSTL()
+	cfg.Transmitters = []core.Class{core.UDT, core.UCT}
+	cfg.AuditPresolve = true
+	r := analyze(t, lib.Source, "crypto_scalarmult", cfg)
+	arch := 0
+	for _, c := range r.Certificates {
+		if c.Kind != presolve.KindArchWitness {
+			continue
+		}
+		arch++
+		if err := c.Check(); err != nil {
+			t.Errorf("%s: %v", c.Key, err)
+		}
+	}
+	if arch == 0 {
+		t.Fatal("no arch-witness certificates: the audit replayed no witness")
+	}
+	if r.PresolveAudited < arch {
+		t.Fatalf("audit replayed %d decisions, fewer than the %d arch witnesses", r.PresolveAudited, arch)
+	}
+	if r.PresolveDisagreements != 0 {
+		t.Errorf("%d of %d audited decisions disagree with the solver", r.PresolveDisagreements, r.PresolveAudited)
+	}
+	t.Logf("arch-witness certificates=%d audited=%d", arch, r.PresolveAudited)
+}

@@ -463,10 +463,10 @@ type detector struct {
 	flow       *flowGraph
 	res        *Result
 	cfgReach   func(from, to int) bool
-	flows      map[int]reachInfo // detector-local view of flow.memo (no mutex)
-	condCache  map[int][]int     // condFeeders memo, per branch
-	dists      map[int]*nearSets // bounded-distance bitsets, per source
-	fenceOK    map[int][]bool    // dense fence-free reachability, per source
+	flows      map[int]reachInfo       // detector-local view of flow.memo (no mutex)
+	condFeed   [][]int                 // condFeeders, per branch node; nil until swept
+	dists      map[int]*nearSets       // bounded-distance bitsets, per source
+	fenceFree  func(from, to int) bool // the graph's FenceFreeReach, on first use
 	feedsCache map[int][]indexEdge
 	allLoads   []*acfg.Node
 	pruner     *dataflow.Pruner               // nil under NoPrune
@@ -841,11 +841,11 @@ func (d *detector) run() {
 // prewarm is the intra-function sharding stage: with ShardWorkers > 1 it
 // computes, in parallel, exactly the pure per-candidate summaries the
 // serial candidate loops would compute lazily — value-flow reach per load,
-// and for STL the per-source BFS distance and fence-free-reach maps — and
-// installs them in the detector's memo caches. The loops then replay
-// serially and find every cache warm, so findings, counters, budget cuts,
-// and certificates are identical to the single-threaded run byte for byte:
-// no solver query, probe, or decision happens off the replay goroutine.
+// and for STL and PSF the per-source bounded-distance sets — and installs
+// them in the detector's memo caches. The loops then replay serially and
+// find every cache warm, so findings, counters, budget cuts, and
+// certificates are identical to the single-threaded run byte for byte: no
+// solver query, probe, or decision happens off the replay goroutine.
 // Prewarm fires no fault-injection probes (workpool.Prewarm's contract) —
 // an injected fault must hit the replay's deterministic probe sequence,
 // not a racy warm-up.
@@ -861,66 +861,31 @@ func (d *detector) prewarm() {
 		}
 		d.flow.from(loads[i].ID)
 	})
-	// Per-engine distance/fence summaries. STL and PSF pair enumeration
-	// asks withinLSQ/withinWsize from every store and load and
-	// fenceBetween from every store; IMP asks fenceBetween from every
-	// index load; SS asks fenceBetween from every store. Warm those into
-	// index-addressed slots and merge serially (the memo maps themselves
-	// are not concurrency-safe).
-	var distSrcs, fenceSrcs []int
-	switch d.cfg.Engine {
-	case STL, PSF:
-		for _, n := range d.g.Nodes {
-			if n.IsStore() || n.IsLoad() {
-				distSrcs = append(distSrcs, n.ID)
-			}
-			if n.IsStore() {
-				fenceSrcs = append(fenceSrcs, n.ID)
-			}
-		}
-	case IMP:
-		for _, n := range d.g.Nodes {
-			if n.IsLoad() {
-				fenceSrcs = append(fenceSrcs, n.ID)
-			}
-		}
-	case SS:
-		for _, n := range d.g.Nodes {
-			if n.IsStore() {
-				fenceSrcs = append(fenceSrcs, n.ID)
-			}
-		}
-	default:
+	if d.cfg.Engine != STL && d.cfg.Engine != PSF {
 		return
 	}
-	dists := make([]*nearSets, len(distSrcs))
-	workpool.Prewarm(w, len(distSrcs), func(i int) {
+	// STL and PSF pair enumeration asks withinLSQ/withinWsize from every
+	// store and load. Warm those into index-addressed slots and merge
+	// serially (the memo map itself is not concurrency-safe).
+	var srcs []int
+	for _, n := range d.g.Nodes {
+		if n.IsStore() || n.IsLoad() {
+			srcs = append(srcs, n.ID)
+		}
+	}
+	dists := make([]*nearSets, len(srcs))
+	workpool.Prewarm(w, len(srcs), func(i int) {
 		if d.ctx.Err() != nil {
 			return
 		}
-		dists[i] = d.bfsDist(distSrcs[i])
+		dists[i] = d.bfsDist(srcs[i])
 	})
 	if d.dists == nil {
 		d.dists = map[int]*nearSets{}
 	}
-	for i, src := range distSrcs {
+	for i, src := range srcs {
 		if dists[i] != nil {
 			d.dists[src] = dists[i]
-		}
-	}
-	fences := make([][]bool, len(fenceSrcs))
-	workpool.Prewarm(w, len(fenceSrcs), func(i int) {
-		if d.ctx.Err() != nil {
-			return
-		}
-		fences[i] = d.fenceReach(fenceSrcs[i])
-	})
-	if d.fenceOK == nil {
-		d.fenceOK = map[int][]bool{}
-	}
-	for i, s := range fenceSrcs {
-		if fences[i] != nil {
-			d.fenceOK[s] = fences[i]
 		}
 	}
 }
@@ -1131,30 +1096,43 @@ func (d *detector) runPHT() {
 }
 
 // condFeeders returns the loads whose values feed branch c's condition,
-// memoized per branch: the UCT pattern asks for the same inner branch
-// under every outer branch, and the scan is O(loads) each time.
+// in loads order. The first call answers every branch at once with the
+// inverted sweep of computeSteering: index condition defs to branches,
+// then walk each load's reached ∩ defs words, so each load is visited
+// once rather than once per branch asked about.
 func (d *detector) condFeeders(c int, loads []*acfg.Node) []int {
-	if accs, ok := d.condCache[c]; ok {
-		return accs
+	if d.condFeed != nil {
+		return d.condFeed[c]
 	}
-	if d.condCache == nil {
-		d.condCache = map[int][]int{}
+	mask := dataflow.NewBitSet(d.g.Len())
+	byDef := make([][]int32, d.g.Len())
+	for _, n := range d.g.Nodes {
+		if !n.IsBranch() || len(n.ArgDefs) == 0 {
+			continue
+		}
+		for _, def := range n.ArgDefs[0] {
+			mask.Set(def)
+			byDef[def] = append(byDef[def], int32(n.ID))
+		}
 	}
-	cn := d.g.Nodes[c]
-	var accs []int
-	if len(cn.ArgDefs) > 0 {
-		for _, acc := range loads {
-			r := d.flowFrom(acc.ID)
-			for _, condDef := range cn.ArgDefs[0] {
-				if ok, _ := r.reaches(condDef); ok {
-					accs = append(accs, acc.ID)
-					break
+	d.condFeed = make([][]int, d.g.Len())
+	for _, acc := range loads {
+		r := d.flowFrom(acc.ID)
+		for w, word := range r.reached {
+			word &= mask[w]
+			for word != 0 {
+				def := w*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				for _, b := range byDef[def] {
+					// A load reaching several of b's defs feeds it once.
+					if fs := d.condFeed[b]; len(fs) == 0 || fs[len(fs)-1] != acc.ID {
+						d.condFeed[b] = append(fs, acc.ID)
+					}
 				}
 			}
 		}
 	}
-	d.condCache[c] = accs
-	return accs
+	return d.condFeed[c]
 }
 
 func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branches []int, seen map[candKey]bool) {
@@ -1380,41 +1358,38 @@ type nearSets struct {
 	win dataflow.BitSet // nodes within Opts.Wsize hops of the source
 }
 
-// bfsDist computes one source's nearSets by BFS out to the larger bound;
-// farther nodes stay unset, which callers treat like unreachable ones.
-// Pure: reads only the immutable graph and options, so prewarm shards may
-// run it concurrently.
+// bfsDist computes one source's nearSets by a level-synchronous BFS out to
+// the larger bound; farther nodes stay unset, which callers treat like
+// unreachable ones. The set of the larger bound doubles as the visited
+// set. Pure: reads only the immutable graph and options, so prewarm shards
+// may run it concurrently.
 func (d *detector) bfsDist(from int) *nearSets {
-	lsqB, winB := int32(d.a.Opts.LSQ), int32(d.a.Opts.Wsize)
-	bound := lsqB
-	if winB > bound {
-		bound = winB
-	}
+	lsqB, winB := d.a.Opts.LSQ, d.a.Opts.Wsize
 	ns := &nearSets{lsq: dataflow.NewBitSet(d.g.Len()), win: dataflow.NewBitSet(d.g.Len())}
-	mark := func(n int, dn int32) {
-		if dn <= lsqB {
-			ns.lsq.Set(n)
-		}
-		if dn <= winB {
-			ns.win.Set(n)
-		}
+	seen, bound := ns.lsq, lsqB
+	if winB > lsqB {
+		seen, bound = ns.win, winB
 	}
-	mark(from, 0)
-	dist := map[int]int32{from: 0}
-	queue := []int{from}
-	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		dn := dist[n]
-		if dn == bound {
-			continue
-		}
-		for _, s := range d.g.Succs(n) {
-			if _, seen := dist[s]; !seen {
-				dist[s] = dn + 1
-				mark(s, dn+1)
-				queue = append(queue, s)
+	ns.lsq.Set(from)
+	ns.win.Set(from)
+	frontier, next := []int{from}, []int(nil)
+	for depth := 1; depth <= bound && len(frontier) > 0; depth++ {
+		next = next[:0]
+		for _, n := range frontier {
+			for _, s := range d.g.Succs(n) {
+				if seen.Has(s) {
+					continue
+				}
+				if depth <= lsqB {
+					ns.lsq.Set(s)
+				}
+				if depth <= winB {
+					ns.win.Set(s)
+				}
+				next = append(next, s)
 			}
 		}
+		frontier, next = next, frontier
 	}
 	return ns
 }
@@ -1443,41 +1418,14 @@ func (d *detector) withinWsize(from, to int) bool {
 	return from == to || d.nearFrom(from).win.Has(to)
 }
 
-// fenceReach computes the dense fence-free reachability vector from one
-// source. Pure: reads only the immutable graph.
-func (d *detector) fenceReach(a int) []bool {
-	reach := make([]bool, d.g.Len())
-	reach[a] = true
-	queue := []int{a}
-	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		for _, s := range d.g.Succs(n) {
-			if reach[s] {
-				continue
-			}
-			sn := d.g.Nodes[s]
-			if sn.IsFence() && sn.Instr.Sub == "lfence" {
-				continue
-			}
-			reach[s] = true
-			queue = append(queue, s)
-		}
-	}
-	return reach
-}
-
-// fenceBetween reports whether every path from a to b crosses an lfence.
-// Fence-free reachability vectors are cached per source.
+// fenceBetween reports whether every path from a to b crosses an lfence:
+// one probe of the graph's fence-free closure, built on first use and
+// shared by every engine run over the same graph.
 func (d *detector) fenceBetween(a, b int) bool {
-	if d.fenceOK == nil {
-		d.fenceOK = map[int][]bool{}
+	if d.fenceFree == nil {
+		d.fenceFree = d.g.FenceFreeReach()
 	}
-	reach, ok := d.fenceOK[a]
-	if !ok {
-		reach = d.fenceReach(a)
-		d.fenceOK[a] = reach
-	}
-	return !reach[b]
+	return !d.fenceFree(a, b)
 }
 
 func line(n *acfg.Node) int {

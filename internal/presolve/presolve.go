@@ -23,7 +23,7 @@ package presolve
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 
 	"lcm/internal/acfg"
@@ -40,8 +40,7 @@ type WindowSource interface {
 	// minimum fetch distance from b.
 	WindowInfo(b, n int) (arms [2]bool, dist int, ok bool)
 	// ForEachWindowNode visits every node of branch b's window with its
-	// arm fetchability. Visit order may be arbitrary — consumers must not
-	// depend on it.
+	// arm fetchability, in ascending node order.
 	ForEachWindowNode(b int, f func(n int, arms [2]bool))
 }
 
@@ -92,9 +91,10 @@ type Analysis struct {
 	wmemo map[string]*Certificate // queryKey → witness cert; nil = no witness found
 	amemo map[string]*Certificate // archKey → arch-witness cert; nil = none
 
-	// bfs is bfsPath's reusable scratch: epoch-stamped visit marks, so
-	// each search clears nothing. Owned by the single detector goroutine
-	// that owns this Analysis (see the type comment above).
+	// bfs is the path searches' reusable scratch: epoch-stamped visit
+	// marks, so each search clears nothing (see nextEpoch). Owned by the
+	// single detector goroutine that owns this Analysis (see the type
+	// comment above).
 	bfs struct {
 		parent []int32
 		stamp  []uint32
@@ -102,6 +102,9 @@ type Analysis struct {
 		queue  []int32
 		ord    []int32 // topological positions, for search pruning
 	}
+	// entry is the entry-rooted BFS tree's parent links (-1 where the
+	// entry does not reach), built by entryPath on first use.
+	entry []int32
 }
 
 // NewAnalysis binds facts to an engine run's window source.
@@ -149,9 +152,6 @@ func (a *Analysis) armsFor(b int, v bool) *armSet {
 			as.ids = append(as.ids, id)
 		}
 	})
-	// Visit order is arbitrary; sorting keeps every sweep over ids (and
-	// the witness fixpoint's round count) reproducible.
-	sortInts(as.ids)
 	a.arms[k] = as
 	return as
 }
@@ -419,20 +419,6 @@ func sortedCopy(ns []int) []int {
 		return nil
 	}
 	s := append([]int{}, ns...)
-	sortInts(s)
+	slices.Sort(s)
 	return s
-}
-
-// sortInts insertion-sorts short lists (query node lists mostly are) and
-// hands longer ones — arm eligibility sets — to sort.Ints.
-func sortInts(s []int) {
-	if len(s) > 32 {
-		sort.Ints(s)
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

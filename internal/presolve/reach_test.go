@@ -1,13 +1,19 @@
 package presolve
 
-// Differential check of the A-CFG transitive closure the pre-solver's
-// arch witnesses order their waypoints by, (*acfg.Graph).Reach, against
-// a plain BFS: from the entry and from every branch successor, the
-// closure must answer exactly the BFS's reachable set. The litmus suite
-// exercises small branchy shapes; the cryptolib sweep covers the large
-// inlined graphs.
+// Differential checks of the reachability structures the pre-solver's
+// arch witnesses are built from, each against a plain search:
+//
+//   - the A-CFG transitive closure the waypoints are ordered by,
+//     (*acfg.Graph).Reach: from the entry and from every branch successor,
+//     it must answer exactly the BFS's reachable set;
+//   - the entry-rooted BFS tree that serves the entry → first-waypoint
+//     segment: its path to every node must equal bfsPath(Entry, n).
+//
+// The litmus suite exercises small branchy shapes; the cryptolib sweep
+// covers the large inlined graphs.
 
 import (
+	"slices"
 	"testing"
 
 	"lcm/internal/acfg"
@@ -100,6 +106,38 @@ func TestBypassMatchesCutReachCryptolib(t *testing.T) {
 					t.Skip("graph too large for the exhaustive sweep")
 				}
 				checkBypass(t, g)
+			})
+		}
+	}
+}
+
+// checkEntryTree compares entryPath, served from the one entry-rooted BFS
+// tree, with a fresh bfsPath(Entry, n) search for every node n.
+func checkEntryTree(t *testing.T, g *acfg.Graph) {
+	t.Helper()
+	a := NewAnalysis(NewFacts(g, nil, nil), nil) // paths read only the graph
+	for n := 0; n < g.Len(); n++ {
+		if got, want := a.entryPath(n), a.bfsPath(g.Entry, n); !slices.Equal(got, want) {
+			t.Fatalf("entryPath(%d) = %v, bfsPath(Entry, %d) = %v", n, got, n, want)
+		}
+	}
+}
+
+func TestEntryTreeMatchesBFSPathLitmus(t *testing.T) {
+	for _, c := range litmus.All() {
+		checkEntryTree(t, buildGraph(t, c.Source, c.Fn))
+	}
+}
+
+func TestEntryTreeMatchesBFSPathCryptolib(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cryptolib graphs are large")
+	}
+	for _, lib := range cryptolib.All() {
+		for _, fn := range lib.PublicFuncs {
+			t.Run(lib.Name+"/"+fn, func(t *testing.T) {
+				g := buildGraph(t, lib.Source, fn)
+				checkEntryTree(t, g)
 			})
 		}
 	}

@@ -1,6 +1,10 @@
 package presolve
 
-import "lcm/internal/acfg"
+import (
+	"slices"
+
+	"lcm/internal/acfg"
+)
 
 // The witness rule is the dual of RefuteQuery: instead of proving a query
 // UNSAT it constructs an explicit satisfying assignment of the S-AEG
@@ -57,7 +61,7 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	// Entry-to-b prefix: any BFS path is take-realizable, because each hop
 	// is a successor edge and a simple path resolves every branch on it at
 	// most once.
-	path := a.bfsPath(g.Entry, b)
+	path := a.entryPath(b)
 	if path == nil {
 		return &satWitness{} // entry cannot reach b: refutation territory
 	}
@@ -142,7 +146,7 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	for br, t := range takes {
 		tl = append(tl, BranchTake{Branch: br, Take: t})
 	}
-	sortTakes(tl)
+	slices.SortFunc(tl, func(x, y BranchTake) int { return x.Branch - y.Branch })
 	var fl []int
 	for n, f := range fetch {
 		if f {
@@ -251,7 +255,12 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 		if w == cur {
 			continue
 		}
-		seg := a.bfsPath(cur, w)
+		var seg []int
+		if cur == g.Entry {
+			seg = a.entryPath(w)
+		} else {
+			seg = a.bfsPath(cur, w)
+		}
 		if seg == nil {
 			return nil
 		}
@@ -267,12 +276,13 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	}
 
 	// Replay the take assignment from entry: the selected path must visit
-	// every waypoint, and extends maximally so the arch Iff closes.
+	// every waypoint, and extends maximally so the arch Iff closes. The
+	// path is marked on the search scratch, under an epoch of its own.
 	var path []int
-	onPath := make([]bool, g.Len())
+	sc, ep := &a.bfs, a.nextEpoch()
 	for n := g.Entry; ; {
 		path = append(path, n)
-		onPath[n] = true
+		sc.stamp[n] = ep
 		succ := g.Succs(n)
 		if len(succ) == 0 {
 			break
@@ -288,13 +298,13 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 				next = succ[1]
 			}
 		}
-		if onPath[next] {
+		if sc.stamp[next] == ep {
 			break
 		}
 		n = next
 	}
 	for _, w := range ord {
-		if !onPath[w] {
+		if sc.stamp[w] != ep {
 			return nil
 		}
 	}
@@ -303,7 +313,7 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	for br, t := range takes {
 		tl = append(tl, BranchTake{Branch: br, Take: t})
 	}
-	sortTakes(tl)
+	slices.SortFunc(tl, func(x, y BranchTake) int { return x.Branch - y.Branch })
 	return &Certificate{
 		Kind: KindArchWitness,
 		Fn:   g.Fn,
@@ -316,11 +326,10 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	}
 }
 
-// bfsPath returns a shortest path from src to dst over successor edges
-// (nil when unreachable), deterministic in queue order. The visit marks
-// are epoch-stamped scratch on the Analysis (which is single-owner, per
-// the type comment), so repeated calls clear nothing.
-func (a *Analysis) bfsPath(src, dst int) []int {
+// nextEpoch allocates the search scratch on first use and starts a pass
+// over it: a node is marked in the pass when its stamp equals the
+// returned epoch, so starting a pass clears nothing.
+func (a *Analysis) nextEpoch() uint32 {
 	g := a.f.G
 	sc := &a.bfs
 	if len(sc.parent) < g.Len() {
@@ -337,12 +346,17 @@ func (a *Analysis) bfsPath(src, dst int) []int {
 	}
 	sc.epoch++
 	if sc.epoch == 0 { // stamp wraparound: drop every stale mark
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
+		clear(sc.stamp)
 		sc.epoch = 1
 	}
-	ep := sc.epoch
+	return sc.epoch
+}
+
+// bfsPath returns a shortest path from src to dst over successor edges
+// (nil when unreachable), deterministic in queue order.
+func (a *Analysis) bfsPath(src, dst int) []int {
+	g := a.f.G
+	sc, ep := &a.bfs, a.nextEpoch()
 	bound := sc.ord[dst]
 	sc.stamp[src], sc.parent[src] = ep, int32(src)
 	queue := append(sc.queue[:0], int32(src))
@@ -359,26 +373,51 @@ func (a *Analysis) bfsPath(src, dst int) []int {
 	if sc.stamp[dst] != ep {
 		return nil
 	}
-	var path []int
-	for n := dst; ; n = int(sc.parent[n]) {
-		path = append(path, n)
-		if n == src {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
+	return treePath(sc.parent, src, dst)
 }
 
-// sortTakes orders a take assignment by branch ID.
-func sortTakes(tl []BranchTake) {
-	for i := 1; i < len(tl); i++ {
-		for j := i; j > 0 && tl[j].Branch < tl[j-1].Branch; j-- {
-			tl[j], tl[j-1] = tl[j-1], tl[j]
+// entryPath is bfsPath(Entry, dst) served from one entry-rooted BFS tree,
+// built on first use. Neither bfsPath's topological pruning nor its early
+// exit changes the parent of a node that reaches dst, so the tree's parent
+// chains are exactly the paths bfsPath would return.
+func (a *Analysis) entryPath(dst int) []int {
+	g := a.f.G
+	if a.entry == nil {
+		a.entry = make([]int32, g.Len())
+		for i := range a.entry {
+			a.entry[i] = -1
+		}
+		a.entry[g.Entry] = int32(g.Entry)
+		queue := []int32{int32(g.Entry)}
+		for head := 0; head < len(queue); head++ {
+			n := int(queue[head])
+			for _, s := range g.Succs(n) {
+				if a.entry[s] < 0 {
+					a.entry[s] = int32(n)
+					queue = append(queue, int32(s))
+				}
+			}
 		}
 	}
+	if a.entry[dst] < 0 {
+		return nil
+	}
+	return treePath(a.entry, g.Entry, dst)
+}
+
+// treePath follows parent links from dst back to src and returns the path
+// in src-to-dst order: one pass counts the hops, a second fills the path
+// back to front.
+func treePath(parent []int32, src, dst int) []int {
+	hops := 0
+	for n := dst; n != src; n = int(parent[n]) {
+		hops++
+	}
+	path := make([]int, hops+1)
+	for i, n := hops, dst; i >= 0; i, n = i-1, int(parent[n]) {
+		path[i] = n
+	}
+	return path
 }
 
 // dedupSorted sorts and deduplicates a node list.
