@@ -47,10 +47,13 @@ check: vet fmt lint race-core
 # full SAT encoding and fails on any disagreement — the soundness gate for
 # the pre-solver's refutation and witness rules (see DESIGN.md). The litmus
 # suites emit no window refutations, so the mee-cbc test replays those; the
-# donna test replays the crypto corpus's arch witnesses (Clou-stl).
+# donna test replays the crypto corpus's arch witnesses (Clou-stl). The
+# conservation test checks the decide step's accounting: over every litmus
+# case and engine, the pre-solver-on run's solver plus skipped queries and
+# the audited run's queries both equal the pre-solver-off run's queries.
 audit-presolve: build
 	$(GO) run ./cmd/clou -litmus all -audit-presolve
-	$(GO) test ./internal/detect -run '^(TestAuditPresolveWindowRefutations|TestAuditPresolveArchWitnesses)$$' -count=1 -v
+	$(GO) test ./internal/detect -run '^(TestAuditPresolveWindowRefutations|TestAuditPresolveArchWitnesses|TestQueryConservationAcrossPresolveModes)$$' -count=1 -v
 
 # fuzz gives each native fuzz target a short budget — enough to shake out
 # shallow regressions in CI. Crashing inputs are written to testdata/fuzz/

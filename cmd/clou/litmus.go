@@ -21,9 +21,9 @@ type litmusOptions struct {
 }
 
 // runLitmus sweeps the built-in litmus corpus through the harness. With
-// -audit-presolve every statically refuted query is replayed through the
-// solver; any disagreement fails the run — this is the CI audit job's
-// entry point.
+// -audit-presolve every pre-solver decision is replayed through the
+// solver and every range certificate rechecked; any disagreement fails the
+// run — this is the CI audit job's entry point.
 func runLitmus(o litmusOptions, stdout, stderr io.Writer) int {
 	suites := []string{o.suite}
 	if o.suite == "all" {

@@ -80,13 +80,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wsize := fs.Int("w", 100, "sliding window size (Wsize)")
 	classes := fs.String("transmitter", "", "comma-separated classes to search (dt,ct,udt,uct); empty = all")
 	fix := fs.Bool("fix", false, "insert a minimal set of lfences and verify the repair")
-	emitDot := fs.Bool("dot", false, "print a witness execution as DOT for each finding class")
+	emitDot := fs.Bool("dot", false, "print a witness execution as DOT for each function's first finding")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-function time budget")
 	printIR := fs.Bool("ir", false, "dump the lowered IR and exit")
 	verbose := fs.Bool("v", false, "report candidate and range-pruned pattern counts per function")
 	noPrune := fs.Bool("noprune", false, "disable range-analysis candidate pruning")
 	noPresolve := fs.Bool("nopresolve", false, "disable the proof-carrying static pre-solver (ablation baseline)")
-	auditPresolve := fs.Bool("audit-presolve", false, "replay every statically refuted query through the solver and fail on disagreement")
+	auditPresolve := fs.Bool("audit-presolve", false, "replay every pre-solver decision (refuted and witnessed queries) through the solver and recheck every range certificate; fail on disagreement")
 	solverMode := fs.String("solver", "incremental", "residual-query solver mode: incremental (warm CDCL) or check (also replay every query on a fresh reference instance; fail on verdict mismatch)")
 	litmusSuite := fs.String("litmus", "", "run the built-in litmus corpus (pht, stl, fwd, new, psf, imp, ss, or all) instead of analyzing a file")
 	par := fs.Int("j", runtime.GOMAXPROCS(0), "analyze up to N functions in parallel")
@@ -238,9 +238,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "   frontend=%v encode=%v solve=%v cached=%v\n",
 				res.FrontendTime.Round(time.Microsecond), res.EncodeTime.Round(time.Microsecond),
 				res.SolveTime.Round(time.Microsecond), res.CacheHit)
-			fmt.Fprintf(stdout, "   frontend: alias=%v flowgraph=%v aeg-build=%v presolve-facts=%v\n",
+			fmt.Fprintf(stdout, "   frontend: alias=%v flowgraph=%v presolve-facts=%v\n",
 				res.AliasTime.Round(time.Microsecond), res.FlowTime.Round(time.Microsecond),
-				res.EncodeTime.Round(time.Microsecond), res.PresolveFactsTime.Round(time.Microsecond))
+				res.PresolveFactsTime.Round(time.Microsecond))
 		}
 		for _, f := range res.Findings {
 			fmt.Fprintf(stdout, "   %s\n", f)

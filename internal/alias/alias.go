@@ -10,7 +10,7 @@
 // followed by allocas and globals in first-appearance order), points-to
 // and memory-contents sets are dataflow.BitSet words, and the fixpoint is
 // a dirty-node worklist that provably evaluates the same node/state
-// sequence as the naive round-robin reference (ref.go) with the no-op
+// sequence as the naive round-robin reference (ref_test.go) with the no-op
 // evaluations elided. Alias queries are answered from per-memory-node
 // summaries precomputed once after the fixpoint, so MayAlias and friends
 // are a few word operations instead of a fresh map resolution per call.

@@ -5,7 +5,7 @@ package alias_test
 // reference (AnalyzeRef) over the whole litmus corpus, every cryptolib
 // function, and 200 seeded progen programs. Any divergence in MayAlias,
 // MayAliasTransient, SameAlloca, or a PointsTo set is a bug in the dense
-// implementation by definition — ref.go's semantics are frozen.
+// implementation by definition — ref_test.go's semantics are frozen.
 
 import (
 	"sort"

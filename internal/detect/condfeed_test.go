@@ -40,12 +40,12 @@ func checkCondFeeders(t *testing.T, label string, m *ir.Module, fn string) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	d := &detector{cfg: DefaultPHT(), g: fe.g, flow: fe.flow}
-	loads := d.loads()
+	d.indexNodes()
 	for _, n := range fe.g.Nodes {
 		if !n.IsBranch() {
 			continue
 		}
-		if got, want := d.condFeeders(n.ID, loads), refCondFeeders(fe.flow, n, loads); !slices.Equal(got, want) {
+		if got, want := d.condFeeders(n.ID), refCondFeeders(fe.flow, n, d.loads); !slices.Equal(got, want) {
 			t.Fatalf("%s: condFeeders(%d) = %v, per-branch scan %v", label, n.ID, got, want)
 		}
 	}

@@ -120,10 +120,11 @@ type Config struct {
 	// contract is "no search at all".
 	NoPresolve bool
 	// AuditPresolve keeps the pre-solver's verdicts advisory: every
-	// statically refuted query is still sent to the solver, the two
-	// answers are compared, and any disagreement is counted on the result
-	// and flagged on the certificate. Findings under audit are exactly the
-	// no-presolve findings.
+	// statically decided query (refuted or witnessed) is still sent to the
+	// solver, the two answers are compared, and any disagreement is
+	// counted on the result and flagged on the certificate; every range
+	// certificate is rechecked by arithmetic. Findings under audit are
+	// exactly the no-presolve findings.
 	AuditPresolve bool
 	// ShardWorkers bounds the intra-function workers that precompute the
 	// per-candidate value-flow and distance summaries (the pure, dominant
@@ -255,9 +256,12 @@ type Result struct {
 	Failure string
 	// Attempts counts ladder attempts consumed (1 for an undegraded run).
 	Attempts int
-	// Candidates counts universal candidates examined (distinct access
-	// loads for PHT, bypassable store/load pairs for STL); Pruned counts
-	// those discharged statically by the Prune hook.
+	// Candidates counts the candidates each engine examines: distinct
+	// universal access loads (PHT), bypassable store/load pairs (STL),
+	// forwardable non-exact store/load pairs (PSF), adjacent trained
+	// instance pairs (IMP), and stores with a secret feeder (SS). Pruned
+	// counts those (or, for SS, their universality claim) discharged
+	// statically by the range pruner.
 	Candidates int
 	Pruned     int
 	// Pre-solver accounting. Discharged counts candidates retired without
@@ -468,13 +472,16 @@ type detector struct {
 	dists      map[int]*nearSets       // bounded-distance bitsets, per source
 	fenceFree  func(from, to int) bool // the graph's FenceFreeReach, on first use
 	feedsCache map[int][]indexEdge
-	allLoads   []*acfg.Node
-	pruner     *dataflow.Pruner               // nil under NoPrune
-	prunedAcc  map[int]bool                   // pruneAccess memo, also dedups the counters
-	ps         *presolve.Analysis             // nil when the pre-solver is disabled
-	certSeen   map[*presolve.Certificate]bool // certificates already emitted
-	cands      map[candKey]*candStat
-	candArena  []candStat // chunked backing store for cands values
+	// The graph's memory nodes (loads, stores, havocs), loads, and
+	// stores, in node order; listed once per detector by indexNodes.
+	mems, loads, stores []*acfg.Node
+	pruner              *dataflow.Pruner               // nil under NoPrune
+	prunedAcc           map[int]bool                   // pruneAccess memo, also dedups the counters
+	ps                  *presolve.Analysis             // nil when the pre-solver is disabled
+	certSeen            map[*presolve.Certificate]bool // certificates already emitted
+	found               map[candKey]bool               // candidates reported, every engine's kinds
+	cands               map[candKey]*candStat
+	candArena           []candStat // chunked backing store for cands values
 }
 
 // candKey identifies one window/arch-rule candidate without string
@@ -520,18 +527,19 @@ func (d *detector) pruneAccess(accID int) bool {
 	n := d.g.Nodes[accID]
 	v := d.pruner != nil && n.Instr != nil && d.pruner.InBoundsAccess(n.Instr)
 	if v {
-		d.res.Pruned++
-		d.dischargeCert(func() (*presolve.Certificate, bool) { return d.ps.CertInBounds(n) })
+		d.prune(func() (*presolve.Certificate, bool) { return d.ps.CertInBounds(n) })
 	}
 	d.prunedAcc[accID] = v
 	return v
 }
 
-// dischargeCert records a range-rule discharge: the trusted pruner already
-// retired the candidate; the pre-solver re-derives the interval facts into
-// a certificate. Under audit, a certificate that cannot be reconstructed
-// or whose arithmetic fails Check is a disagreement.
-func (d *detector) dischargeCert(derive func() (*presolve.Certificate, bool)) {
+// prune records a range-rule discharge: the trusted pruner already
+// retired the candidate (or its universality claim); the pre-solver
+// re-derives the interval facts into a certificate. Under audit, a
+// certificate that cannot be reconstructed or whose arithmetic fails
+// Check is a disagreement.
+func (d *detector) prune(derive func() (*presolve.Certificate, bool)) {
+	d.res.Pruned++
 	if d.ps == nil {
 		return
 	}
@@ -636,24 +644,20 @@ func (d *detector) outOfBudget() bool {
 	return false
 }
 
-func (d *detector) memoryNodes() []*acfg.Node {
-	var out []*acfg.Node
+// indexNodes lists the graph's memory nodes, loads, and stores once for
+// every engine loop of this detector.
+func (d *detector) indexNodes() {
 	for _, n := range d.g.Nodes {
 		if n.IsLoad() || n.IsStore() || n.Kind == acfg.NHavoc {
-			out = append(out, n)
+			d.mems = append(d.mems, n)
 		}
-	}
-	return out
-}
-
-func (d *detector) loads() []*acfg.Node {
-	var out []*acfg.Node
-	for _, n := range d.g.Nodes {
 		if n.IsLoad() {
-			out = append(out, n)
+			d.loads = append(d.loads, n)
+		}
+		if n.IsStore() {
+			d.stores = append(d.stores, n)
 		}
 	}
-	return out
 }
 
 // query runs one solver call. In triage mode (TriageOnly) it answers
@@ -698,107 +702,78 @@ func (d *detector) query(assumptions ...*smt.Expr) bool {
 	return st == sat.Sat
 }
 
-// winExprs builds the solver assumptions a window query's static shadow
-// describes: Misspec plus TransUnder/ExecUnder in query order. Built
-// lazily — Misspec/TransUnder/ExecUnder encode branch windows into the
-// solver on first use, and a refuted query must not pay (or perturb) that
-// encoding. Deriving the assumptions from q instead of taking a closure
-// keeps the candidate loops from allocating a capture per probe.
-func (d *detector) winExprs(q presolve.Query) []*smt.Expr {
+// exprs builds the solver assumptions a query's static shadow describes:
+// Misspec plus TransUnder/ExecUnder in query order for a window query,
+// Arch of each Exec node for a branch-free one. Built lazily — the window
+// accessors encode branch windows into the solver on first use, and a
+// decided query must not pay (or perturb) that encoding. Deriving the
+// assumptions from q instead of taking a closure keeps the candidate
+// loops from allocating a capture per probe.
+func exprs(a *aeg.AEG, q presolve.Query) []*smt.Expr {
+	if q.Branch < 0 {
+		out := make([]*smt.Expr, len(q.Exec))
+		for i, n := range q.Exec {
+			out[i] = a.Arch(n)
+		}
+		return out
+	}
 	out := make([]*smt.Expr, 0, 1+len(q.Trans)+len(q.Exec))
-	out = append(out, d.a.Misspec(q.Branch))
+	out = append(out, a.Misspec(q.Branch))
 	for _, t := range q.Trans {
-		out = append(out, d.a.TransUnder(q.Branch, t))
+		out = append(out, a.TransUnder(q.Branch, t))
 	}
 	for _, e := range q.Exec {
-		out = append(out, d.a.ExecUnder(q.Branch, e))
+		out = append(out, a.ExecUnder(q.Branch, e))
 	}
 	return out
 }
 
-// queryWin is query for the window engines: the static pre-solver gets a
-// shot at refuting the query before any solver work. candKey identifies
-// the candidate for discharge accounting; q is the query's static shadow
-// and, via winExprs, the recipe for the solver assumptions.
-func (d *detector) queryWin(key candKey, q presolve.Query) bool {
+// ask is every engine's decide step: the static pre-solver gets a shot at
+// deciding the query before any solver work, and the solver answers what
+// it leaves open. key identifies the candidate for discharge accounting;
+// q is the query's static shadow and, via exprs, the recipe for the
+// solver assumptions.
+func (d *detector) ask(key candKey, q presolve.Query) bool {
 	if d.ps == nil {
-		return d.query(d.winExprs(q)...)
+		return d.query(exprs(d.a, q)...)
 	}
 	cs := d.candStatFor(key)
 	cs.queries++
-	cert, refuted, witnessed := d.ps.Decide(q)
-	if refuted {
-		cs.decided++
-		d.addCert(cert)
-		if !d.cfg.AuditPresolve {
-			// Skipped queries consume no solver budget: the refutation is
-			// a proof, not a search.
-			d.res.SkippedQueries++
-			return false
-		}
-		// Audit replay: run the solver anyway and return its verdict, so
-		// the audited run's findings match the no-presolve run exactly. A
-		// Sat verdict contradicts the refutation. Aborted queries (budget,
-		// fault, timeout) are not evidence either way and not counted.
-		got := d.query(d.winExprs(q)...)
-		if d.res.Fault == nil {
-			d.res.PresolveAudited++
-			if got {
-				d.res.PresolveDisagreements++
-				cert.Disagreement = true
-			}
-		}
-		return got
-	}
-	// The dual rule: an explicit model makes the query SAT without search.
-	if wcert := cert; witnessed {
-		cs.decided++
-		d.addCert(wcert)
-		if !d.cfg.AuditPresolve {
-			d.res.SkippedQueries++
-			return true
-		}
-		got := d.query(d.winExprs(q)...)
-		if d.res.Fault == nil {
-			d.res.PresolveAudited++
-			if !got {
-				d.res.PresolveDisagreements++
-				wcert.Disagreement = true
-			}
-		}
-		return got
-	}
-	return d.query(d.winExprs(q)...)
-}
-
-// queryArch is query for branch-free architectural queries (the STL
-// engine's shape): the pre-solver tries to witness the whole query SAT by
-// explicit path construction before the solver is consulted.
-func (d *detector) queryArch(key candKey, nodes []int, mk func() []*smt.Expr) bool {
-	if d.ps == nil {
-		return d.query(mk()...)
-	}
-	cs := d.candStatFor(key)
-	cs.queries++
-	cert, ok := d.ps.WitnessArch(nodes)
-	if !ok {
-		return d.query(mk()...)
+	cert, _, verdict := d.ps.Decide(q)
+	if cert == nil {
+		return d.query(exprs(d.a, q)...)
 	}
 	cs.decided++
 	d.addCert(cert)
 	if !d.cfg.AuditPresolve {
+		// Skipped queries consume no solver budget: the decision is a
+		// proof, not a search.
 		d.res.SkippedQueries++
-		return true
+		return verdict
 	}
-	got := d.query(mk()...)
+	// Audit replay: run the solver anyway and return its verdict, so the
+	// audited run's findings match the no-presolve run exactly. Aborted
+	// queries (budget, fault, timeout) are not evidence either way and
+	// not counted.
+	got := d.query(exprs(d.a, q)...)
 	if d.res.Fault == nil {
 		d.res.PresolveAudited++
-		if !got {
+		if got != verdict {
 			d.res.PresolveDisagreements++
 			cert.Disagreement = true
 		}
 	}
 	return got
+}
+
+// report records a confirmed candidate: it is marked found, so no engine
+// loop searches it again, and its finding is appended with the function
+// and the transmitter's source line filled in.
+func (d *detector) report(key candKey, f Finding) {
+	d.found[key] = true
+	f.Fn = d.res.Fn
+	f.Line = line(d.g.Nodes[f.Transmit])
+	d.res.Findings = append(d.res.Findings, f)
 }
 
 // fireProbe consults the solver-step injection probe (panics from it are
@@ -808,14 +783,14 @@ func (d *detector) fireProbe(probe string) error {
 }
 
 func (d *detector) run() {
+	d.indexNodes()
+	d.found = map[candKey]bool{}
 	d.prewarm()
 	switch d.cfg.Engine {
 	case PHT:
 		d.runPHT()
-	case STL:
-		d.runSTL()
-	case PSF:
-		d.runPSF()
+	case STL, PSF:
+		d.runForwarding()
 	case IMP:
 		d.runIMP()
 	case SS:
@@ -854,12 +829,11 @@ func (d *detector) prewarm() {
 	if w <= 1 || d.ctx.Err() != nil {
 		return
 	}
-	loads := d.loads()
-	workpool.Prewarm(w, len(loads), func(i int) {
+	workpool.Prewarm(w, len(d.loads), func(i int) {
 		if d.ctx.Err() != nil {
 			return
 		}
-		d.flow.from(loads[i].ID)
+		d.flow.from(d.loads[i].ID)
 	})
 	if d.cfg.Engine != STL && d.cfg.Engine != PSF {
 		return
@@ -926,7 +900,7 @@ func (d *detector) feedsOf(accID int) []indexEdge {
 	}
 	acc := d.g.Nodes[accID]
 	var out []indexEdge
-	for _, idx := range d.allLoads {
+	for _, idx := range d.loads {
 		if idx.ID == accID {
 			continue
 		}
@@ -939,7 +913,7 @@ func (d *detector) feedsOf(accID int) []indexEdge {
 	return out
 }
 
-func (d *detector) computeSteering(loads []*acfg.Node, mems []*acfg.Node) steering {
+func (d *detector) computeSteering(loads []*acfg.Node) steering {
 	s := steering{steers: map[int][]int{}}
 	// Inverted sweep: instead of probing every memory node's address defs
 	// against each source's reach set (|loads| × |mems| probes), index
@@ -949,13 +923,13 @@ func (d *detector) computeSteering(loads []*acfg.Node, mems []*acfg.Node) steeri
 	// unchanged.
 	mask := dataflow.NewBitSet(d.g.Len())
 	byDef := make([][]int32, d.g.Len())
-	for pos, t := range mems {
+	for pos, t := range d.mems {
 		for _, def := range addrDefs(t) {
 			mask.Set(def)
 			byDef[def] = append(byDef[def], int32(pos))
 		}
 	}
-	hit := make([]bool, len(mems))
+	hit := make([]bool, len(d.mems))
 	var hits []int32
 	for _, acc := range loads {
 		// flowFrom is the expensive step of this precomputation; honor the
@@ -981,7 +955,7 @@ func (d *detector) computeSteering(loads []*acfg.Node, mems []*acfg.Node) steeri
 		slices.Sort(hits)
 		for _, pos := range hits {
 			hit[pos] = false
-			if t := mems[pos]; t.ID != acc.ID {
+			if t := d.mems[pos]; t.ID != acc.ID {
 				s.steers[acc.ID] = append(s.steers[acc.ID], t.ID)
 			}
 		}
@@ -994,11 +968,7 @@ func (d *detector) computeSteering(loads []*acfg.Node, mems []*acfg.Node) steeri
 // the transmitter execute transiently, leaking its data-dependent address
 // into xstate an observer probes.
 func (d *detector) runPHT() {
-	mems := d.memoryNodes()
-	loads := d.loads()
-	d.allLoads = loads
-	st := d.computeSteering(loads, mems)
-	seen := map[candKey]bool{}
+	st := d.computeSteering(d.loads)
 	branches := d.a.Branches()
 	// Query slices share these scratch arrays across the candidate loops:
 	// the pre-solver copies anything it retains, so a fresh slice literal
@@ -1024,7 +994,7 @@ func (d *detector) runPHT() {
 				}
 				for _, tID := range ts {
 					key := candKey{kind: candUDT, a: tID, b: accID}
-					if seen[key] {
+					if d.found[key] {
 						continue
 					}
 					for _, b := range branches {
@@ -1033,14 +1003,12 @@ func (d *detector) runPHT() {
 						}
 						qt[0], qt[1], qe[0] = tID, accID, e.idx
 						q := presolve.Query{Branch: b, Trans: qt[:2], Exec: qe[:1]}
-						if d.queryWin(key, q) {
-							seen[key] = true
-							d.res.Findings = append(d.res.Findings, Finding{
-								Fn: d.res.Fn, Class: core.UDT,
+						if d.ask(key, q) {
+							d.report(key, Finding{
+								Class:    core.UDT,
 								Transmit: tID, Access: accID, Index: e.idx,
 								Branch: b, Store: -1, Load: -1,
 								TransientTransmit: true, TransientAccess: true,
-								Line: line(d.g.Nodes[tID]),
 							})
 							break
 						}
@@ -1058,11 +1026,11 @@ func (d *detector) runPHT() {
 				return
 			}
 			for _, tID := range ts {
-				if seen[candKey{kind: candUDT, a: tID, b: accID}] {
+				if d.found[candKey{kind: candUDT, a: tID, b: accID}] {
 					continue // already reported at higher severity
 				}
 				key := candKey{kind: candDT, a: tID, b: accID}
-				if seen[key] {
+				if d.found[key] {
 					continue
 				}
 				for _, b := range branches {
@@ -1071,15 +1039,13 @@ func (d *detector) runPHT() {
 					}
 					qt[0], qe[0] = tID, accID
 					q := presolve.Query{Branch: b, Trans: qt[:1], Exec: qe[:1]}
-					if d.queryWin(key, q) {
-						seen[key] = true
-						d.res.Findings = append(d.res.Findings, Finding{
-							Fn: d.res.Fn, Class: core.DT,
+					if d.ask(key, q) {
+						d.report(key, Finding{
+							Class:    core.DT,
 							Transmit: tID, Access: accID, Index: -1,
 							Branch: b, Store: -1, Load: -1,
 							TransientTransmit: true,
 							TransientAccess:   d.a.InWindow(b, accID),
-							Line:              line(d.g.Nodes[tID]),
 						})
 						break
 					}
@@ -1091,16 +1057,16 @@ func (d *detector) runPHT() {
 	// Control patterns: the branch condition reads an access load; any
 	// memory node transient under the branch transmits its outcome.
 	if d.wantClass(core.CT) || d.wantClass(core.UCT) {
-		d.controlPatterns(st, mems, loads, branches, seen)
+		d.controlPatterns(branches)
 	}
 }
 
 // condFeeders returns the loads whose values feed branch c's condition,
-// in loads order. The first call answers every branch at once with the
+// in node order. The first call answers every branch at once with the
 // inverted sweep of computeSteering: index condition defs to branches,
 // then walk each load's reached ∩ defs words, so each load is visited
 // once rather than once per branch asked about.
-func (d *detector) condFeeders(c int, loads []*acfg.Node) []int {
+func (d *detector) condFeeders(c int) []int {
 	if d.condFeed != nil {
 		return d.condFeed[c]
 	}
@@ -1116,7 +1082,7 @@ func (d *detector) condFeeders(c int, loads []*acfg.Node) []int {
 		}
 	}
 	d.condFeed = make([][]int, d.g.Len())
-	for _, acc := range loads {
+	for _, acc := range d.loads {
 		r := d.flowFrom(acc.ID)
 		for w, word := range r.reached {
 			word &= mask[w]
@@ -1135,7 +1101,7 @@ func (d *detector) condFeeders(c int, loads []*acfg.Node) []int {
 	return d.condFeed[c]
 }
 
-func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branches []int, seen map[candKey]bool) {
+func (d *detector) controlPatterns(branches []int) {
 	// Query slices share these scratch arrays (see runPHT): the
 	// pre-solver copies anything it retains.
 	var qt [3]int
@@ -1154,7 +1120,7 @@ func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branch
 				if c == b || !d.a.InWindow(b, c) {
 					continue
 				}
-				for _, accID := range d.condFeeders(c, loads) {
+				for _, accID := range d.condFeeders(c) {
 					if !d.a.InWindow(b, accID) {
 						continue
 					}
@@ -1168,24 +1134,22 @@ func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branch
 						if d.cfg.RequireGEP && !e.gep {
 							continue
 						}
-						for _, t := range mems {
+						for _, t := range d.mems {
 							if !d.a.InWindow(b, t.ID) || !d.cfgReach(c, t.ID) {
 								continue
 							}
 							key := candKey{kind: candUCT, a: t.ID, b: accID}
-							if seen[key] {
+							if d.found[key] {
 								continue
 							}
 							qt[0], qt[1], qt[2], qe[0] = t.ID, accID, c, e.idx
 							q := presolve.Query{Branch: b, Trans: qt[:3], Exec: qe[:1]}
-							if d.queryWin(key, q) {
-								seen[key] = true
-								d.res.Findings = append(d.res.Findings, Finding{
-									Fn: d.res.Fn, Class: core.UCT,
+							if d.ask(key, q) {
+								d.report(key, Finding{
+									Class:    core.UCT,
 									Transmit: t.ID, Access: accID, Index: e.idx,
 									Branch: b, Store: -1, Load: -1,
 									TransientTransmit: true, TransientAccess: true,
-									Line: line(t),
 								})
 							}
 						}
@@ -1201,32 +1165,30 @@ func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branch
 		if d.outOfBudget() {
 			return
 		}
-		accs := d.condFeeders(b, loads)
+		accs := d.condFeeders(b)
 		if len(accs) == 0 {
 			continue
 		}
-		for _, t := range mems {
+		for _, t := range d.mems {
 			if !d.a.InWindow(b, t.ID) {
 				continue
 			}
 			for _, accID := range accs {
-				if seen[candKey{kind: candUCT, a: t.ID, b: accID}] {
+				if d.found[candKey{kind: candUCT, a: t.ID, b: accID}] {
 					continue
 				}
 				key := candKey{kind: candCT, a: t.ID, b: accID}
-				if seen[key] {
+				if d.found[key] {
 					continue
 				}
 				qt[0], qe[0] = t.ID, accID
 				q := presolve.Query{Branch: b, Trans: qt[:1], Exec: qe[:1]}
-				if d.queryWin(key, q) {
-					seen[key] = true
-					d.res.Findings = append(d.res.Findings, Finding{
-						Fn: d.res.Fn, Class: core.CT,
+				if d.ask(key, q) {
+					d.report(key, Finding{
+						Class:    core.CT,
 						Transmit: t.ID, Access: accID, Index: -1,
 						Branch: b, Store: -1, Load: -1,
 						TransientTransmit: true,
-						Line:              line(t),
 					})
 				}
 			}
@@ -1234,73 +1196,59 @@ func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branch
 	}
 }
 
-// runSTL searches for transmitters steered by store-to-load forwarding
-// past an unresolved store (§5.3): a load l bypasses a may-aliasing
-// po-earlier store s within the LSQ bound, returning stale
-// attacker-controlled data that steers a later transmitter.
-func (d *detector) runSTL() {
-	mems := d.memoryNodes()
-	loads := d.loads()
-	seen := map[candKey]bool{}
-
-	var stores []*acfg.Node
-	for _, n := range d.g.Nodes {
-		if n.IsStore() {
-			stores = append(stores, n)
-		}
+// runForwarding is the store-forwarding engines' one pair loop. Clou-stl
+// searches for transmitters steered by store-to-load forwarding past an
+// unresolved store (§5.3): a load l bypasses a may-aliasing po-earlier
+// store s within the LSQ bound, returning stale attacker-controlled data
+// that steers a later transmitter. Clou-psf searches for a mispredicted
+// alias forward: a load l with an in-flight po-earlier store s that does
+// NOT have to alias it may be predicted to, transiently returning s's
+// data. The engines differ only in the pair filter (forwardPair), the
+// class predicate, and the candidate kind.
+func (d *detector) runForwarding() {
+	// The class predicate asks whether the value the load returns — stale
+	// memory for STL, the store's data for PSF — may be attacker-controlled.
+	psf := d.cfg.Engine == PSF
+	kind, controlled := candSTL, func(s, l *acfg.Node) bool { return staleControlled(l) }
+	if psf {
+		kind, controlled = candPSF, func(s, l *acfg.Node) bool { return forwardControlled(s) }
 	}
-
-	// Bypassable (store, load) pairs.
 	type pair struct{ s, l int }
 	var pairs []pair
-	for _, s := range stores {
+	for _, s := range d.stores {
 		if d.outOfBudget() {
 			return
 		}
-		for _, l := range loads {
-			if !d.cfgReach(s.ID, l.ID) {
-				continue
+		for _, l := range d.loads {
+			if d.cfgReach(s.ID, l.ID) && d.forwardPair(psf, s, l) {
+				pairs = append(pairs, pair{s.ID, l.ID})
 			}
-			if !d.al.MayAliasTransient(s, l) {
-				continue
-			}
-			if !d.withinLSQ(s.ID, l.ID) {
-				continue
-			}
-			d.res.Candidates++
-			if d.pruner != nil && s.Instr != nil && l.Instr != nil &&
-				d.pruner.DisjointPair(s.Instr, l.Instr) {
-				d.res.Pruned++
-				d.dischargeCert(func() (*presolve.Certificate, bool) { return d.ps.CertDisjoint(s, l) })
-				continue
-			}
-			pairs = append(pairs, pair{s.ID, l.ID})
 		}
 	}
 
-	// One inverted value-flow sweep per distinct stale load replaces the
-	// per-pair probe over every memory node: the steered lists come back
-	// in mems order, so per-pair iteration (and every downstream decision)
-	// is unchanged. flowsToAddr was the most selective filter in this
-	// loop; the surviving checks run only on its few hits.
-	var stale []*acfg.Node
-	staleSeen := map[int]bool{}
+	// One inverted value-flow sweep per distinct stale (or mispredicted)
+	// load replaces the per-pair probe over every memory node: the steered
+	// lists come back in mems order, so per-pair iteration (and every
+	// downstream decision) is unchanged. flowsToAddr was the most
+	// selective filter in this loop; the surviving checks run only on its
+	// few hits.
+	var fwd []*acfg.Node
+	fwdSeen := map[int]bool{}
 	for _, p := range pairs {
-		if !staleSeen[p.l] {
-			staleSeen[p.l] = true
-			stale = append(stale, d.g.Nodes[p.l])
+		if !fwdSeen[p.l] {
+			fwdSeen[p.l] = true
+			fwd = append(fwd, d.g.Nodes[p.l])
 		}
 	}
-	st := d.computeSteering(stale, mems)
+	st := d.computeSteering(fwd)
 
-	// Scratch for queryArch's node sets: the pre-solver copies anything it
-	// retains, so a fresh slice literal per probe is pure churn.
+	// Scratch for the queries' node sets: the pre-solver copies anything
+	// it retains, so a fresh slice literal per probe is pure churn.
 	var qn [3]int
 	for _, p := range pairs {
 		if d.outOfBudget() {
 			return
 		}
-		l := d.g.Nodes[p.l]
 		near := d.nearFrom(p.l)
 		for _, tID := range st.steers[p.l] {
 			if !d.cfgReach(p.l, tID) {
@@ -1309,36 +1257,59 @@ func (d *detector) runSTL() {
 			if !near.win.Has(tID) {
 				continue
 			}
-			t := d.g.Nodes[tID]
+			// An lfence drains the store buffer: nothing is left to bypass
+			// or forward when every s→t path crosses one.
 			if d.fenceBetween(p.s, tID) {
 				continue
 			}
 			class := core.UDT
-			if d.cfg.RequireTaint && !staleControlled(l) {
+			if d.cfg.RequireTaint && !controlled(d.g.Nodes[p.s], d.g.Nodes[p.l]) {
 				class = core.DT
 			}
 			if !d.wantClass(class) {
 				continue
 			}
-			key := candKey{kind: candSTL, a: p.s, b: p.l, c: t.ID}
-			if seen[key] {
+			key := candKey{kind: kind, a: p.s, b: p.l, c: tID}
+			if d.found[key] {
 				continue
 			}
-			qn[0], qn[1], qn[2] = p.s, p.l, t.ID
-			if d.queryArch(key, qn[:3], func() []*smt.Expr {
-				return []*smt.Expr{d.a.Arch(p.s), d.a.Arch(p.l), d.a.Exec(t.ID)}
-			}) {
-				seen[key] = true
-				d.res.Findings = append(d.res.Findings, Finding{
-					Fn: d.res.Fn, Class: class,
-					Transmit: t.ID, Access: p.l, Index: -1,
+			qn[0], qn[1], qn[2] = p.s, p.l, tID
+			if d.ask(key, presolve.Query{Branch: -1, Exec: qn[:3]}) {
+				d.report(key, Finding{
+					Class:    class,
+					Transmit: tID, Access: p.l, Index: -1,
 					Branch: -1, Store: p.s, Load: p.l,
 					TransientTransmit: true, TransientAccess: true,
-					Line: line(t),
 				})
 			}
 		}
 	}
+}
+
+// forwardPair is the store-forwarding engines' pair filter over a
+// po-ordered (store, load), counting the candidates it admits. Clou-stl
+// keeps may-aliasing pairs within the LSQ bound and prunes provably
+// disjoint ones. Clou-psf keeps every pair within the LSQ bound except
+// must-alias-exact ones (the forward would be architecturally correct),
+// and does NOT prune disjoint pairs (misprediction is exactly what makes
+// them dangerous).
+func (d *detector) forwardPair(psf bool, s, l *acfg.Node) bool {
+	if psf {
+		if !d.withinLSQ(s.ID, l.ID) || mustAliasExact(s, l) {
+			return false
+		}
+		d.res.Candidates++
+		return true
+	}
+	if !d.al.MayAliasTransient(s, l) || !d.withinLSQ(s.ID, l.ID) {
+		return false
+	}
+	d.res.Candidates++
+	if d.pruner != nil && s.Instr != nil && l.Instr != nil && d.pruner.DisjointPair(s.Instr, l.Instr) {
+		d.prune(func() (*presolve.Certificate, bool) { return d.ps.CertDisjoint(s, l) })
+		return false
+	}
+	return true
 }
 
 // staleControlled reports whether the stale value a bypassing load returns

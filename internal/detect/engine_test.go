@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
 	"lcm/internal/core"
@@ -313,4 +314,59 @@ func TestPresolveDecidedFunctionsEncodeNothing(t *testing.T) {
 	if decided == 0 || residual == 0 {
 		t.Errorf("decided=%d residual=%d: want both kinds of function", decided, residual)
 	}
+}
+
+// TestQueryConservationAcrossPresolveModes checks the decide step's
+// accounting against the pre-solver-free run it must reproduce. For every
+// litmus case under every engine, with an unbounded budget: findings are
+// identical with the pre-solver off, on, and under audit; every query the
+// pre-solver decides is one the solver would have been asked
+// (on.Queries + on.SkippedQueries == off.Queries); the audit replays all
+// of them (audit.Queries == off.Queries) without a disagreement; and the
+// candidate and prune counts do not depend on the mode.
+func TestQueryConservationAcrossPresolveModes(t *testing.T) {
+	var offQ, onQ, onSkipped, auditQ int
+	for _, c := range litmus.All() {
+		m := compile(t, c.Source)
+		for _, e := range Engines() {
+			run := func(noPresolve, audit bool) *Result {
+				cfg := DefaultConfig(e)
+				cfg.NoPresolve, cfg.AuditPresolve = noPresolve, audit
+				res, err := AnalyzeFunc(m, c.Fn, cfg)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", c.Name, e, err)
+				}
+				return res
+			}
+			off, on, audit := run(true, false), run(false, false), run(false, true)
+			at := c.Name + "/" + e.String()
+			if !slices.Equal(on.Findings, off.Findings) || !slices.Equal(audit.Findings, off.Findings) {
+				t.Errorf("%s: findings differ across pre-solver modes:\noff   %v\non    %v\naudit %v",
+					at, off.Findings, on.Findings, audit.Findings)
+			}
+			if on.Queries+on.SkippedQueries != off.Queries {
+				t.Errorf("%s: on.Queries %d + on.SkippedQueries %d != off.Queries %d",
+					at, on.Queries, on.SkippedQueries, off.Queries)
+			}
+			if audit.Queries != off.Queries {
+				t.Errorf("%s: audit.Queries %d != off.Queries %d", at, audit.Queries, off.Queries)
+			}
+			if audit.PresolveDisagreements != 0 {
+				t.Errorf("%s: %d presolve disagreements under audit", at, audit.PresolveDisagreements)
+			}
+			if on.Candidates != off.Candidates || audit.Candidates != off.Candidates ||
+				on.Pruned != off.Pruned || audit.Pruned != off.Pruned {
+				t.Errorf("%s: candidates off/on/audit %d/%d/%d, pruned %d/%d/%d", at,
+					off.Candidates, on.Candidates, audit.Candidates, off.Pruned, on.Pruned, audit.Pruned)
+			}
+			if on.Discharged != audit.Discharged {
+				t.Errorf("%s: discharged on %d, audit %d", at, on.Discharged, audit.Discharged)
+			}
+			offQ, onQ, onSkipped, auditQ = offQ+off.Queries, onQ+on.Queries, onSkipped+on.SkippedQueries, auditQ+audit.Queries
+		}
+	}
+	if onSkipped == 0 || onQ == 0 {
+		t.Errorf("on: %d queries, %d skipped: want both decided and residual queries", onQ, onSkipped)
+	}
+	t.Logf("queries: on %d + skipped %d, off %d, audit %d", onQ, onSkipped, offQ, auditQ)
 }

@@ -5,117 +5,15 @@ import (
 	"lcm/internal/core"
 	"lcm/internal/ir"
 	"lcm/internal/presolve"
-	"lcm/internal/smt"
 )
 
 // This file holds the taxonomy engines beyond branch prediction and
-// store-to-load bypass: speculative store forwarding via alias
-// prediction (Clou-psf), the indirect memory prefetcher (Clou-imp,
-// Fig. 5b), and silent stores (Clou-ss, Fig. 5a). They reuse the same
-// S-AEG, dense value-flow, bounded-distance bitsets, and pre-solver
-// query paths as Clou-pht/stl; only the candidate shapes differ.
-
-// runPSF searches for transmitters steered by a mispredicted alias
-// forward: a load l with an in-flight po-earlier store s that does NOT
-// have to alias it may be predicted to, transiently returning s's data —
-// which then steers a later transmitter. The shape mirrors STL with two
-// inversions: must-alias pairs are excluded (the forward would be
-// architecturally correct), and provably disjoint pairs are NOT pruned
-// (misprediction is exactly what makes disjoint pairs dangerous).
-func (d *detector) runPSF() {
-	mems := d.memoryNodes()
-	loads := d.loads()
-	seen := map[candKey]bool{}
-
-	var stores []*acfg.Node
-	for _, n := range d.g.Nodes {
-		if n.IsStore() {
-			stores = append(stores, n)
-		}
-	}
-
-	// Forwardable (store, load) pairs: the load issues while the store is
-	// still in the buffer (LSQ bound) and the pair is not an exact
-	// same-address forward.
-	type pair struct{ s, l int }
-	var pairs []pair
-	for _, s := range stores {
-		if d.outOfBudget() {
-			return
-		}
-		for _, l := range loads {
-			if !d.cfgReach(s.ID, l.ID) {
-				continue
-			}
-			if !d.withinLSQ(s.ID, l.ID) {
-				continue
-			}
-			if mustAliasExact(s, l) {
-				continue
-			}
-			d.res.Candidates++
-			pairs = append(pairs, pair{s.ID, l.ID})
-		}
-	}
-
-	// One inverted value-flow sweep per distinct mispredicted load (see
-	// runSTL): steered lists come back in mems order.
-	var fwd []*acfg.Node
-	fwdSeen := map[int]bool{}
-	for _, p := range pairs {
-		if !fwdSeen[p.l] {
-			fwdSeen[p.l] = true
-			fwd = append(fwd, d.g.Nodes[p.l])
-		}
-	}
-	st := d.computeSteering(fwd, mems)
-
-	var qn [3]int
-	for _, p := range pairs {
-		if d.outOfBudget() {
-			return
-		}
-		near := d.nearFrom(p.l)
-		for _, tID := range st.steers[p.l] {
-			if !d.cfgReach(p.l, tID) {
-				continue
-			}
-			if !near.win.Has(tID) {
-				continue
-			}
-			t := d.g.Nodes[tID]
-			// An lfence drains the store buffer: nothing is left to
-			// forward when every s→t path crosses one.
-			if d.fenceBetween(p.s, tID) {
-				continue
-			}
-			class := core.UDT
-			if d.cfg.RequireTaint && !forwardControlled(d.g.Nodes[p.s]) {
-				class = core.DT
-			}
-			if !d.wantClass(class) {
-				continue
-			}
-			key := candKey{kind: candPSF, a: p.s, b: p.l, c: tID}
-			if seen[key] {
-				continue
-			}
-			qn[0], qn[1], qn[2] = p.s, p.l, tID
-			if d.queryArch(key, qn[:3], func() []*smt.Expr {
-				return []*smt.Expr{d.a.Arch(p.s), d.a.Arch(p.l), d.a.Exec(tID)}
-			}) {
-				seen[key] = true
-				d.res.Findings = append(d.res.Findings, Finding{
-					Fn: d.res.Fn, Class: class,
-					Transmit: tID, Access: p.l, Index: -1,
-					Branch: -1, Store: p.s, Load: p.l,
-					TransientTransmit: true, TransientAccess: true,
-					Line: line(t),
-				})
-			}
-		}
-	}
-}
+// store-to-load bypass: the candidate shapes of speculative store
+// forwarding via alias prediction (Clou-psf, whose pair loop it shares
+// with Clou-stl in runForwarding), the indirect memory prefetcher
+// (Clou-imp, Fig. 5b), and silent stores (Clou-ss, Fig. 5a). Every
+// engine's candidates go through the same decide step (ask) over the
+// same S-AEG; only the candidate shapes differ.
 
 // mustAliasExact reports that the store and load provably touch the same
 // address with the same width, so forwarding is architecturally correct
@@ -155,10 +53,6 @@ func forwardControlled(s *acfg.Node) bool {
 // adjacent instance pair is one training window, and the second data
 // instance is the transmitter whose prefetch leaks.
 func (d *detector) runIMP() {
-	loads := d.loads()
-	d.allLoads = loads
-	seen := map[candKey]bool{}
-
 	// Collect dependent pair instances in load-ID order (deterministic),
 	// grouped by static (index instr, data instr) pair. Reaching defs
 	// cross unrolled iterations (iteration 1's index load also feeds
@@ -169,7 +63,7 @@ func (d *detector) runIMP() {
 	groups := map[[2]*ir.Instr][]inst{}
 	var order [][2]*ir.Instr
 	nearest := map[*ir.Instr]int{}
-	for _, dn := range loads {
+	for _, dn := range d.loads {
 		if d.outOfBudget() {
 			return
 		}
@@ -230,25 +124,18 @@ func (d *detector) runIMP() {
 				continue
 			}
 			key := candKey{kind: candIMP, a: a.i, b: b.dnode}
-			if seen[key] {
+			if d.found[key] {
 				continue
 			}
 			qn[0], qn[1], qn[2], qn[3] = a.i, a.dnode, b.i, b.dnode
-			if d.queryArch(key, qn[:4], func() []*smt.Expr {
-				return []*smt.Expr{
-					d.a.Arch(a.i), d.a.Arch(a.dnode),
-					d.a.Arch(b.i), d.a.Arch(b.dnode),
-				}
-			}) {
-				seen[key] = true
-				d.res.Findings = append(d.res.Findings, Finding{
-					Fn: d.res.Fn, Class: core.UDT,
+			if d.ask(key, presolve.Query{Branch: -1, Exec: qn[:4]}) {
+				d.report(key, Finding{
+					Class:    core.UDT,
 					Transmit: b.dnode, Access: a.dnode, Index: b.i,
 					Branch: -1, Store: -1, Load: a.i,
 					// The training accesses are architectural; the leak is
 					// the prefetch the hardware issues alongside them.
 					TransientTransmit: false, TransientAccess: false,
-					Line: line(d.g.Nodes[b.dnode]),
 				})
 			}
 		}
@@ -270,9 +157,7 @@ func walkAddressed(in *ir.Instr) bool {
 // control-shaped — one bit per store — so findings are CT, or UCT when
 // the attacker also steers which address is compared.
 func (d *detector) runSS() {
-	loads := d.loads()
 	exit := d.exitNode()
-	seen := map[candKey]bool{}
 
 	var qn [2]int
 	for _, s := range d.g.Nodes {
@@ -282,7 +167,7 @@ func (d *detector) runSS() {
 		if d.outOfBudget() {
 			return
 		}
-		feeders := d.valueFeeders(s, loads)
+		feeders := d.valueFeeders(s)
 		if len(feeders) == 0 {
 			continue
 		}
@@ -299,8 +184,7 @@ func (d *detector) runSS() {
 				// In-bounds store: the attacker steers within one object,
 				// not to arbitrary memory — only the universality claim
 				// dies, the one-bit channel remains.
-				d.res.Pruned++
-				d.dischargeCert(func() (*presolve.Certificate, bool) { return d.ps.CertInBounds(s) })
+				d.prune(func() (*presolve.Certificate, bool) { return d.ps.CertInBounds(s) })
 			} else {
 				class = core.UCT
 			}
@@ -310,20 +194,16 @@ func (d *detector) runSS() {
 		}
 		for _, aID := range feeders {
 			key := candKey{kind: candSS, a: s.ID, b: aID}
-			if seen[key] {
+			if d.found[key] {
 				continue
 			}
 			qn[0], qn[1] = aID, s.ID
-			if d.queryArch(key, qn[:2], func() []*smt.Expr {
-				return []*smt.Expr{d.a.Arch(aID), d.a.Arch(s.ID)}
-			}) {
-				seen[key] = true
-				d.res.Findings = append(d.res.Findings, Finding{
-					Fn: d.res.Fn, Class: class,
+			if d.ask(key, presolve.Query{Branch: -1, Exec: qn[:2]}) {
+				d.report(key, Finding{
+					Class:    class,
 					Transmit: s.ID, Access: aID, Index: -1,
 					Branch: -1, Store: s.ID, Load: -1,
 					TransientTransmit: false, TransientAccess: false,
-					Line: line(s),
 				})
 				break // one witness per store; Counts dedups by transmitter
 			}
@@ -337,12 +217,12 @@ func (d *detector) runSS() {
 // -O0 spill slot only ever holds values the function computed itself
 // (arguments, locals), so a store sourced exclusively from them compares
 // attacker-known data against memory and leaks nothing.
-func (d *detector) valueFeeders(s *acfg.Node, loads []*acfg.Node) []int {
+func (d *detector) valueFeeders(s *acfg.Node) []int {
 	if len(s.ArgDefs) == 0 || len(s.ArgDefs[0]) == 0 {
 		return nil
 	}
 	var out []int
-	for _, acc := range loads {
+	for _, acc := range d.loads {
 		if acc.ID == s.ID || allocaReload(acc) {
 			continue
 		}

@@ -2,10 +2,12 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 
 	"lcm/internal/acfg"
 	"lcm/internal/event"
 	"lcm/internal/ir"
+	"lcm/internal/presolve"
 	"lcm/internal/sat"
 )
 
@@ -14,15 +16,25 @@ import (
 // window from a satisfying model, with po/tfo, dependency edges recovered
 // from def-use chains, rf from initial state, and the transmitter's rfx
 // edge into the observer ⊥.
+//
+// A window finding (Branch >= 0) is re-asked as its branch's window with
+// the transmitter transient; a branch-free finding as the architectural
+// execution of its distinct nodes, which for each engine is exactly the
+// node set its query asserted (STL/PSF: store, load, transmitter; IMP:
+// both index and data instances; SS: feeder and store).
 func Witness(res *Result, f Finding) (*event.Graph, error) {
 	a := res.AEG
-	var status sat.Status
+	q := presolve.Query{Branch: f.Branch}
 	if f.Branch >= 0 {
-		status = a.Check(a.Misspec(f.Branch), a.TransUnder(f.Branch, f.Transmit))
+		q.Trans = []int{f.Transmit}
 	} else {
-		status = a.Check(a.Arch(f.Store), a.Arch(f.Load), a.Exec(f.Transmit))
+		for _, n := range []int{f.Store, f.Load, f.Access, f.Index, f.Transmit} {
+			if n >= 0 && !slices.Contains(q.Exec, n) {
+				q.Exec = append(q.Exec, n)
+			}
+		}
 	}
-	if status != sat.Sat {
+	if a.Check(exprs(a, q)...) != sat.Sat {
 		return nil, fmt.Errorf("witness: query no longer satisfiable")
 	}
 	archNodes, transNodes, _ := a.Model()

@@ -96,7 +96,7 @@ type Options struct {
 	// every analyzed function.
 	Metrics *obsv.Registry
 	// NoPresolve disables the static pre-solver (ablation baseline);
-	// AuditPresolve replays every statically refuted query through the
+	// AuditPresolve replays every query the pre-solver decided through the
 	// solver and counts disagreements instead of skipping it.
 	NoPresolve    bool
 	AuditPresolve bool

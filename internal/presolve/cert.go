@@ -280,8 +280,8 @@ func (c *Certificate) String() string {
 }
 
 // queryKey builds the stable deduplication key of a window query. It is
-// on the per-query hot path (computed by both RefuteQuery and
-// WitnessQuery), so it formats into one grown byte buffer rather than
+// on the per-query hot path (computed once per Decide, for both the
+// refutation and the witness memo), so it formats into one grown byte buffer rather than
 // through fmt; the byte layout is pinned by the certificate goldens, which
 // is why the key still ends in an (always empty) "|a=" field.
 func queryKey(q Query) string {

@@ -68,9 +68,11 @@ func (f *Facts) Partition() *Partition {
 	return f.part
 }
 
-// Query is the static shadow of one window-engine SAT query: the solver is
-// asked for a model with misspec(Branch) plus TransUnder(Branch, n) for
-// each n in Trans and ExecUnder(Branch, n) for each n in Exec.
+// Query is the static shadow of one candidate SAT query. A window query
+// (Branch >= 0) asks the solver for a model with misspec(Branch) plus
+// TransUnder(Branch, n) for each n in Trans and ExecUnder(Branch, n) for
+// each n in Exec. A branch-free query (Branch < 0) asks for one where every
+// Exec node executes architecturally; its Trans is empty.
 type Query struct {
 	Branch int
 	Trans  []int
@@ -156,17 +158,17 @@ func (a *Analysis) armsFor(b int, v bool) *armSet {
 	return as
 }
 
-// RefuteQuery decides whether q is statically UNSAT. On success it returns
-// the certificate witnessing infeasibility of both take directions.
-func (a *Analysis) RefuteQuery(q Query) (*Certificate, bool) {
-	return a.refuteKeyed(queryKey(q), q)
-}
-
-// Decide applies the refutation rule and, failing that, its witness dual,
-// computing the query key once — every decided query consults both memos,
-// and formatting plus hashing the key twice shows up in the candidate
-// loops. When cert is non-nil exactly one of refuted/witnessed is true.
+// Decide is the pre-solver's decision entry point. A window query gets the
+// refutation rule and, failing that, its witness dual, with the query key
+// computed once — every decided query consults both memos, and formatting
+// plus hashing the key twice shows up in the candidate loops. A
+// branch-free query gets the architectural witness rule (witnessArch).
+// When cert is non-nil exactly one of refuted/witnessed is true.
 func (a *Analysis) Decide(q Query) (cert *Certificate, refuted, witnessed bool) {
+	if q.Branch < 0 {
+		c := a.witnessArch(q.Exec)
+		return c, false, c != nil
+	}
 	key := queryKey(q)
 	if c, ok := a.refuteKeyed(key, q); ok {
 		return c, true, false
@@ -177,7 +179,9 @@ func (a *Analysis) Decide(q Query) (cert *Certificate, refuted, witnessed bool) 
 	return nil, false, false
 }
 
-// refuteKeyed is RefuteQuery with the key precomputed by the caller.
+// refuteKeyed decides whether q is statically UNSAT, with the key
+// precomputed by the caller. On success it returns the certificate
+// witnessing infeasibility of both take directions.
 func (a *Analysis) refuteKeyed(key string, q Query) (*Certificate, bool) {
 	if c, ok := a.memo[key]; ok {
 		return c, c != nil
@@ -336,7 +340,7 @@ func (a *Analysis) Recheck(c *Certificate) error {
 	switch c.Kind {
 	case KindWindow:
 		w := c.Window
-		d, ok := a.RefuteQuery(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec})
+		d, ok, _ := a.Decide(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec})
 		if !ok {
 			return fmt.Errorf("window query %s no longer refuted", c.Key)
 		}
@@ -345,7 +349,7 @@ func (a *Analysis) Recheck(c *Certificate) error {
 		}
 	case KindWitness:
 		w := c.Witness
-		d, ok := a.WitnessQuery(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec})
+		d, _, ok := a.Decide(Query{Branch: w.Branch, Trans: w.Trans, Exec: w.Exec})
 		if !ok {
 			return fmt.Errorf("window query %s no longer witnessed", c.Key)
 		}
@@ -354,7 +358,7 @@ func (a *Analysis) Recheck(c *Certificate) error {
 		}
 	case KindArchWitness:
 		w := c.Arch
-		d, ok := a.WitnessArch(w.Nodes)
+		d, _, ok := a.Decide(Query{Branch: -1, Exec: w.Nodes})
 		if !ok {
 			return fmt.Errorf("arch query %s no longer witnessed", c.Key)
 		}

@@ -116,7 +116,7 @@ func TestCrossArmRefuted(t *testing.T) {
 	b := w.theBranch(t)
 	la, lb := w.loadAt(t, 7), w.loadAt(t, 9)
 	q := presolve.Query{Branch: b, Trans: []int{la, lb}}
-	cert, ok := w.an.RefuteQuery(q)
+	cert, ok, _ := w.an.Decide(q)
 	if !ok {
 		t.Fatal("cross-arm query not refuted")
 	}
@@ -126,7 +126,7 @@ func TestCrossArmRefuted(t *testing.T) {
 	// Each direction individually must remain feasible — the refutation is
 	// about the pair, and an over-eager rule would break findings.
 	for _, n := range []int{la, lb} {
-		if _, ok := w.an.RefuteQuery(presolve.Query{Branch: b, Trans: []int{n}}); ok {
+		if _, ok, _ := w.an.Decide(presolve.Query{Branch: b, Trans: []int{n}}); ok {
 			t.Errorf("single-arm query on node %d wrongly refuted", n)
 		}
 	}
@@ -141,7 +141,7 @@ func TestWindowCertificateCheck(t *testing.T) {
 	w := build(t, crossArm, "f")
 	b := w.theBranch(t)
 	q := presolve.Query{Branch: b, Trans: []int{w.loadAt(t, 7), w.loadAt(t, 9)}}
-	cert, ok := w.an.RefuteQuery(q)
+	cert, ok, _ := w.an.Decide(q)
 	if !ok {
 		t.Fatal("cross-arm query not refuted")
 	}
@@ -166,7 +166,7 @@ func TestWindowCertificateCheck(t *testing.T) {
 
 // TestRefutationsAgreeWithSolver is the unit-level audit: over every
 // branch and every small query shape drawn from window members, a static
-// refutation must coincide with solver UNSAT.
+// refutation must coincide with solver UNSAT and a witness with SAT.
 func TestRefutationsAgreeWithSolver(t *testing.T) {
 	srcs := map[string]string{"crossArm/f": crossArm, "deps/g": `
 int A[16];
@@ -195,10 +195,13 @@ int g(int y, int z) {
 			for _, n1 := range win {
 				for _, n2 := range win {
 					q := presolve.Query{Branch: b, Trans: []int{n1, n2}}
-					_, refuted := w.an.RefuteQuery(q)
+					_, refuted, witnessed := w.an.Decide(q)
 					st := w.a.Check(w.a.Misspec(b), w.a.TransUnder(b, n1), w.a.TransUnder(b, n2))
 					if refuted && st != sat.Unsat {
 						t.Fatalf("%s: branch %d trans {%d,%d}: refuted but solver says %v", name, b, n1, n2, st)
+					}
+					if witnessed && st != sat.Sat {
+						t.Fatalf("%s: branch %d trans {%d,%d}: witnessed but solver says %v", name, b, n1, n2, st)
 					}
 				}
 			}
@@ -288,7 +291,7 @@ func TestCertificateJSONRoundTrip(t *testing.T) {
 	w := build(t, crossArm, "f")
 	b := w.theBranch(t)
 	q := presolve.Query{Branch: b, Trans: []int{w.loadAt(t, 7), w.loadAt(t, 9)}}
-	cert, ok := w.an.RefuteQuery(q)
+	cert, ok, _ := w.an.Decide(q)
 	if !ok {
 		t.Fatal("query not refuted")
 	}

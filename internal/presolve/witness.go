@@ -6,7 +6,7 @@ import (
 	"lcm/internal/acfg"
 )
 
-// The witness rule is the dual of RefuteQuery: instead of proving a query
+// The witness rule is the dual of the refutation rule: instead of proving a query
 // UNSAT it constructs an explicit satisfying assignment of the S-AEG
 // encoding and lets the engine record the finding without a solver call.
 // The encoding admits a closed-form model: the take variables select a
@@ -168,15 +168,11 @@ func takeFor(g *acfg.Graph, p, q int) (bool, bool) {
 	return succ[0] == q, true
 }
 
-// WitnessQuery decides whether q is statically SAT by explicit model
-// construction. On success the certificate records the take assignment,
-// architectural path, and transient fetch set; audit mode replays the
-// query asserting the solver also answers Sat.
-func (a *Analysis) WitnessQuery(q Query) (*Certificate, bool) {
-	return a.witnessKeyed(queryKey(q), q)
-}
-
-// witnessKeyed is WitnessQuery with the key precomputed by the caller.
+// witnessKeyed decides whether window query q is statically SAT by
+// explicit model construction, with the key precomputed by the caller. On
+// success the certificate records the take assignment, architectural path,
+// and transient fetch set; audit mode replays the query asserting the
+// solver also answers Sat.
 func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 	if c, ok := a.wmemo[key]; ok {
 		return c, c != nil
@@ -210,22 +206,23 @@ func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 	return nil, false
 }
 
-// WitnessArch decides branch-free architectural queries — the STL
-// engine's Arch(s) ∧ Arch(l) ∧ Exec(t) shape — by the same model
-// construction without any transient machinery: all misspec and transin
-// variables are false, and the take variables route one path through
-// every queried node. The A-CFG is a DAG (back edges are cut during
-// construction), so the per-segment take assignments can never conflict:
-// two segments sharing an interior node would close a cycle. The
-// certificate records the node set, the path, and the take assignment.
-func (a *Analysis) WitnessArch(nodes []int) (*Certificate, bool) {
+// witnessArch decides a branch-free query — Arch(n) for every queried
+// node, the shape of the store-forwarding, prefetcher, and silent-store
+// engines — by the same model construction without any transient
+// machinery: all misspec and transin variables are false, and the take
+// variables route one path through every queried node. The A-CFG is a DAG
+// (back edges are cut during construction), so the per-segment take
+// assignments can never conflict: two segments sharing an interior node
+// would close a cycle. The certificate records the node set, the path,
+// and the take assignment; nil means no witness.
+func (a *Analysis) witnessArch(nodes []int) *Certificate {
 	key := archKey(nodes)
 	if c, ok := a.amemo[key]; ok {
-		return c, c != nil
+		return c
 	}
 	c := a.buildArchWitness(key, nodes)
 	a.amemo[key] = c
-	return c, c != nil
+	return c
 }
 
 func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
