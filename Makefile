@@ -138,11 +138,16 @@ bench-smoke:
 # profile captures CPU and allocation profiles for one benchmark
 # (default: the heaviest end-to-end workload). Inspect with
 #   go tool pprof -top cpu.out
-# The benchmark's package is located from its name prefix; detect holds
-# all current Benchmark* end-to-end targets.
+# The benchmark's package is located as the one whose tests define
+# func $(BENCH)( — e.g. BENCH=BenchmarkMinimalFencesConform profiles
+# internal/repair.
 BENCH ?= BenchmarkDetectDonna
 PROFILE_COUNT ?= 3x
 profile:
-	$(GO) test ./internal/detect -run '^$$' -bench '^$(BENCH)$$' \
+	@pkg=$$(grep -rl --include='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'func $(BENCH)(' . | head -1 | xargs -r dirname); \
+	test -n "$$pkg" || { echo "profile: no package defines func $(BENCH)(" >&2; exit 2; }; \
+	echo "$(GO) test $$pkg -bench '^$(BENCH)$$'"; \
+	$(GO) test $$pkg -run '^$$' -bench '^$(BENCH)$$' \
 		-benchtime $(PROFILE_COUNT) -cpuprofile cpu.out -memprofile mem.out
 	@echo "profiles written: cpu.out mem.out (go tool pprof -top cpu.out)"

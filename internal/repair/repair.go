@@ -72,7 +72,7 @@ func RepairCtx(ctx context.Context, m *ir.Module, fn string, cfg detect.Config, 
 				fmt.Errorf("repair: no fence position can cut remaining leakage")
 		}
 		for _, p := range points {
-			insertFenceBefore(m, p)
+			insertFenceBefore(p)
 			total++
 		}
 		cfg.Metrics.Counter("repair.fences").Add(int64(len(points)))
@@ -86,13 +86,54 @@ func RepairCtx(ctx context.Context, m *ir.Module, fn string, cfg detect.Config, 
 	return Result{Fences: total, Rounds: maxRounds, Remaining: len(res.Findings)}, nil
 }
 
+// span is a window a fence must close: every A-CFG path from a finding's
+// primitive node to its transmitter node.
+type span struct{ from, to int }
+
 // minimalFences computes a minimum set of instructions before which an
 // lfence cuts every finding.
 func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
-	g := res.Graph
+	spans := findingSpans(res)
+	if len(spans) == 0 {
+		return nil, nil
+	}
+	cands := candidates(res.Graph, spans)
+	killers, err := killLists(res.Graph, spans, cands)
+	if err != nil {
+		return nil, err
+	}
+	// Minimize the fence count: find the smallest k with a model.
+	for k := 1; k <= len(cands); k++ {
+		s := smt.NewSolver()
+		vars := make([]*smt.Expr, len(cands))
+		for j := range cands {
+			vars[j] = s.Var(fmt.Sprintf("fence!%d", j))
+		}
+		for _, ks := range killers {
+			clause := make([]*smt.Expr, len(ks))
+			for i, j := range ks {
+				clause[i] = vars[j]
+			}
+			s.AssertClause(clause...)
+		}
+		s.AtMostK(k, vars...)
+		if s.Check() == sat.Sat {
+			var out []*ir.Instr
+			for j := range cands {
+				if s.Value(vars[j]) {
+					out = append(out, cands[j])
+				}
+			}
+			return out, nil
+		}
+	}
+	return nil, fmt.Errorf("repair: hitting set infeasible")
+}
 
-	// For each finding, the primitive node and transmitter node.
-	type span struct{ from, to int }
+// findingSpans lists the spans of res's findings, in finding order.
+func findingSpans(res *detect.Result) []span {
+	g := res.Graph
+	reach := g.Reach()
 	var spans []span
 	for _, f := range res.Findings {
 		if f.Store >= 0 && f.Transmit == f.Store {
@@ -102,7 +143,7 @@ func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
 			// and every reachable return — the fence forces a verbatim
 			// commit before the elision compare could fire.
 			for _, n := range g.Nodes {
-				if n.Instr != nil && n.Instr.Op == ir.OpRet && reaches(g, f.Store, n.ID) {
+				if n.Instr != nil && n.Instr.Op == ir.OpRet && reach(f.Store, n.ID) {
 					spans = append(spans, span{f.Store, n.ID})
 				}
 			}
@@ -122,83 +163,94 @@ func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
 		}
 		spans = append(spans, span{from, f.Transmit})
 	}
-	if len(spans) == 0 {
-		return nil, nil
-	}
+	return spans
+}
 
-	// Candidate cut instructions: instructions of nodes lying on some
-	// primitive→transmit path (transmitter included — a fence immediately
-	// before it always works; primitive excluded).
-	candSet := map[*ir.Instr]bool{}
-	for _, sp := range spans {
-		for _, n := range g.Nodes {
-			if n.Instr == nil || n.Kind == acfg.NEntry || n.Kind == acfg.NExit {
-				continue
-			}
-			if n.ID == sp.from {
-				continue
-			}
-			onPath := n.ID == sp.to ||
-				(reaches(g, sp.from, n.ID) && reaches(g, n.ID, sp.to))
-			if onPath && placeable(n.Instr) {
-				candSet[n.Instr] = true
+// candidates returns the candidate cut instructions: instructions of
+// nodes lying on some span's path (transmitter included — a fence
+// immediately before it always works; primitive excluded), ordered by
+// printed form, ties broken by the lowest node ID carrying the instruction.
+func candidates(g *acfg.Graph, spans []span) []*ir.Instr {
+	reach := g.Reach()
+	onPath := func(n int) bool {
+		for _, sp := range spans {
+			if n != sp.from && (n == sp.to || reach(sp.from, n) && reach(n, sp.to)) {
+				return true
 			}
 		}
+		return false
 	}
-	cands := make([]*ir.Instr, 0, len(candSet))
-	for in := range candSet {
-		cands = append(cands, in)
+	var order []*ir.Instr // placeable instructions by lowest carrying node
+	on := map[*ir.Instr]bool{}
+	for _, n := range g.Nodes {
+		if n.Instr != nil && placeable(n.Instr) {
+			if _, seen := on[n.Instr]; !seen {
+				order = append(order, n.Instr)
+			}
+			on[n.Instr] = on[n.Instr] || onPath(n.ID)
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].String() < cands[j].String() })
+	var cands []*ir.Instr
+	key := map[*ir.Instr]string{}
+	for _, in := range order {
+		if on[in] {
+			cands = append(cands, in)
+			key[in] = in.String()
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return key[cands[i]] < key[cands[j]] })
+	return cands
+}
 
-	// kills[i][j]: fencing before cands[j] cuts spans[i] — every
-	// primitive→transmit path crosses a node carrying that instruction.
-	solver := smt.NewSolver()
-	vars := make([]*smt.Expr, len(cands))
-	for j := range cands {
-		vars[j] = solver.Var(fmt.Sprintf("fence!%d", j))
+// killLists returns, per span, the indices of the candidates whose fence
+// cuts it: each distinct span is searched once per candidate, by a DFS from
+// its primitive that never enters a node carrying the candidate nor leaves
+// the nodes that reach its transmitter.
+func killLists(g *acfg.Graph, spans []span, cands []*ir.Instr) ([][]int, error) {
+	reach := g.Reach()
+	mark := make([]int, g.Len()) // mark[n] == stamp: visited by the current DFS
+	stamp := 0
+	var stack []int
+	cuts := func(sp span, in *ir.Instr) bool {
+		stamp++
+		mark[sp.from] = stamp
+		stack = append(stack[:0], sp.from)
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, s := range g.Succs(n) {
+				switch {
+				case g.Nodes[s].Instr == in || mark[s] == stamp:
+					// Blocked here (a fence before the transmitter itself
+					// blocks it), or already explored.
+				case s == sp.to:
+					return false
+				case reach(s, sp.to):
+					mark[s] = stamp
+					stack = append(stack, s)
+				}
+			}
+		}
+		return true
 	}
+	lists := make([][]int, len(spans))
+	known := map[span][]int{}
 	for i, sp := range spans {
-		var killers []*smt.Expr
-		for j, in := range cands {
-			if cutsAllPaths(g, sp.from, sp.to, in) {
-				killers = append(killers, vars[j])
+		ks, ok := known[sp]
+		if !ok && sp.from != sp.to {
+			for j, in := range cands {
+				if cuts(sp, in) {
+					ks = append(ks, j)
+				}
 			}
+			known[sp] = ks
 		}
-		if len(killers) == 0 {
+		if len(ks) == 0 {
 			return nil, fmt.Errorf("repair: finding %d has no cutting position", i)
 		}
-		solver.AssertClause(killers...)
+		lists[i] = ks
 	}
-
-	// Minimize the fence count: find the smallest k with a model.
-	for k := 1; k <= len(cands); k++ {
-		s2 := smt.NewSolver()
-		v2 := make([]*smt.Expr, len(cands))
-		for j := range cands {
-			v2[j] = s2.Var(fmt.Sprintf("fence!%d", j))
-		}
-		for _, sp := range spans {
-			var killers []*smt.Expr
-			for j, in := range cands {
-				if cutsAllPaths(g, sp.from, sp.to, in) {
-					killers = append(killers, v2[j])
-				}
-			}
-			s2.AssertClause(killers...)
-		}
-		s2.AtMostK(k, v2...)
-		if s2.Check() == sat.Sat {
-			var out []*ir.Instr
-			for j := range cands {
-				if s2.Value(v2[j]) {
-					out = append(out, cands[j])
-				}
-			}
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("repair: hitting set infeasible")
+	return lists, nil
 }
 
 // placeable reports whether a fence may be inserted before the
@@ -212,72 +264,19 @@ func placeable(in *ir.Instr) bool {
 	return true
 }
 
-func reaches(g *acfg.Graph, from, to int) bool {
-	if from == to {
-		return true
-	}
-	seen := map[int]bool{from: true}
-	stack := []int{from}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succs(n) {
-			if s == to {
-				return true
-			}
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
-}
-
-// cutsAllPaths reports whether every from→to path in the A-CFG crosses a
-// node whose instruction is in (so a fence before it blocks the window).
-func cutsAllPaths(g *acfg.Graph, from, to int, in *ir.Instr) bool {
-	if from == to {
-		return false
-	}
-	seen := map[int]bool{from: true}
-	stack := []int{from}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succs(n) {
-			if g.Nodes[s].Instr == in {
-				if s == to {
-					// A fence before the transmitter itself blocks it.
-					continue
-				}
-				continue // path blocked here
-			}
-			if s == to {
-				return false
-			}
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return true
-}
-
 // insertFenceBefore splices an lfence immediately before the instruction
-// in its containing block.
-func insertFenceBefore(m *ir.Module, target *ir.Instr) {
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for i, in := range b.Instrs {
-				if in == target {
-					fence := &ir.Instr{Op: ir.OpFence, Sub: "lfence", Line: in.Line}
-					fence.Blk = b
-					b.Instrs = append(b.Instrs[:i], append([]*ir.Instr{fence}, b.Instrs[i:]...)...)
-					return
-				}
-			}
+// in its containing block. The A-CFG's pass-through marker for a
+// branch-only block carries an instruction of no block: nothing is spliced.
+func insertFenceBefore(target *ir.Instr) {
+	b := target.Blk
+	if b == nil {
+		return
+	}
+	for i, in := range b.Instrs {
+		if in == target {
+			fence := &ir.Instr{Op: ir.OpFence, Sub: "lfence", Line: in.Line, Blk: b}
+			b.Instrs = append(b.Instrs[:i], append([]*ir.Instr{fence}, b.Instrs[i:]...)...)
+			return
 		}
 	}
 }

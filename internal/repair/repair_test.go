@@ -1,8 +1,12 @@
 package repair
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
+	"lcm/internal/acfg"
 	"lcm/internal/detect"
 	"lcm/internal/ir"
 	"lcm/internal/lower"
@@ -281,23 +285,27 @@ func TestRepairIMP(t *testing.T) {
 	checkRepairMinimal(t, m, "victim", cfg, res.Fences)
 }
 
+// silentStoreSrc has a silent store and two returns, one per arm of a
+// diamond.
+const silentStoreSrc = `
+uint8_t sec_ary[16];
+uint32_t slot;
+uint8_t tmp;
+void victim(uint32_t idx) {
+	slot = sec_ary[idx & 15];
+	if (idx & 1) {
+		tmp = 1;
+		return;
+	}
+	tmp = 2;
+}
+`
+
 // TestRepairSS: a silent store has no downstream transmitter — the
 // repair is a serializing drain between the store and every return, and
 // one well-placed fence covers both exits of a diamond.
 func TestRepairSS(t *testing.T) {
-	m := compile(t, `
-		uint8_t sec_ary[16];
-		uint32_t slot;
-		uint8_t tmp;
-		void victim(uint32_t idx) {
-			slot = sec_ary[idx & 15];
-			if (idx & 1) {
-				tmp = 1;
-				return;
-			}
-			tmp = 2;
-		}
-	`)
+	m := compile(t, silentStoreSrc)
 	cfg := detect.DefaultSS()
 	res, err := Repair(m, "victim", cfg, 0)
 	if err != nil {
@@ -342,4 +350,190 @@ func TestRepairMinimalityTwoGadgetsSTL(t *testing.T) {
 		t.Fatalf("fences = %d, want >= 2 (one per masking store)", res.Fences)
 	}
 	checkRepairMinimal(t, m, "victim", cfg, res.Fences)
+}
+
+// refReaches is the reference reachability test: a fresh DFS per query.
+func refReaches(g *acfg.Graph, from, to int) bool {
+	if from == to {
+		return true
+	}
+	seen := map[int]bool{from: true}
+	stack := []int{from}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range g.Succs(n) {
+			if s == to {
+				return true
+			}
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return false
+}
+
+// refCutsAllPaths is the reference cut test: whether every from→to path
+// in the A-CFG crosses a node whose instruction is in.
+func refCutsAllPaths(g *acfg.Graph, from, to int, in *ir.Instr) bool {
+	if from == to {
+		return false
+	}
+	seen := map[int]bool{from: true}
+	stack := []int{from}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range g.Succs(n) {
+			if g.Nodes[s].Instr == in {
+				continue // path blocked here, the transmitter included
+			}
+			if s == to {
+				return false
+			}
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return true
+}
+
+// refSpans derives the findings' spans with refReaches.
+func refSpans(res *detect.Result) []span {
+	g := res.Graph
+	var spans []span
+	for _, f := range res.Findings {
+		if f.Store >= 0 && f.Transmit == f.Store {
+			for _, n := range g.Nodes {
+				if n.Instr != nil && n.Instr.Op == ir.OpRet && refReaches(g, f.Store, n.ID) {
+					spans = append(spans, span{f.Store, n.ID})
+				}
+			}
+			continue
+		}
+		from := f.Branch
+		if from < 0 {
+			from = f.Store
+		}
+		if from < 0 {
+			from = f.Load
+		}
+		if from >= 0 {
+			spans = append(spans, span{from, f.Transmit})
+		}
+	}
+	return spans
+}
+
+// lowestNodes maps each instruction of g to the lowest node ID carrying it.
+func lowestNodes(g *acfg.Graph) map[*ir.Instr]int {
+	low := map[*ir.Instr]int{}
+	for i := len(g.Nodes) - 1; i >= 0; i-- {
+		if in := g.Nodes[i].Instr; in != nil {
+			low[in] = i
+		}
+	}
+	return low
+}
+
+// refCandidates collects the placeable instructions on some span's path
+// with refReaches, ordered by printed form, then lowest carrying node ID.
+func refCandidates(g *acfg.Graph, spans []span) []*ir.Instr {
+	low := lowestNodes(g)
+	set := map[*ir.Instr]bool{}
+	for _, sp := range spans {
+		for _, n := range g.Nodes {
+			if n.Instr == nil || n.ID == sp.from || !placeable(n.Instr) {
+				continue
+			}
+			if n.ID == sp.to || (refReaches(g, sp.from, n.ID) && refReaches(g, n.ID, sp.to)) {
+				set[n.Instr] = true
+			}
+		}
+	}
+	var cands []*ir.Instr
+	for in := range set {
+		cands = append(cands, in)
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i].String(), cands[j].String()
+		return a < b || a == b && low[cands[i]] < low[cands[j]]
+	})
+	return cands
+}
+
+// CheckHittingSet asserts that minimalFences' inputs for res — the spans,
+// the candidate list and every span's kill list — equal the reference
+// implementations'. The external test package drives it over progen
+// programs, which this package cannot import.
+func CheckHittingSet(t *testing.T, name string, res *detect.Result) {
+	t.Helper()
+	g := res.Graph
+	spans := findingSpans(res)
+	if want := refSpans(res); !reflect.DeepEqual(spans, want) {
+		t.Fatalf("%s: spans %v, reference %v", name, spans, want)
+	}
+	if len(spans) == 0 {
+		return
+	}
+	cands := candidates(g, spans)
+	if want := refCandidates(g, spans); !reflect.DeepEqual(cands, want) {
+		t.Fatalf("%s: candidates %v, reference %v", name, cands, want)
+	}
+	want := make([][]int, len(spans))
+	wantErr := -1
+	for i, sp := range spans {
+		for j, in := range cands {
+			if refCutsAllPaths(g, sp.from, sp.to, in) {
+				want[i] = append(want[i], j)
+			}
+		}
+		if len(want[i]) == 0 && wantErr < 0 {
+			wantErr = i
+		}
+	}
+	got, err := killLists(g, spans, cands)
+	if wantErr >= 0 {
+		if msg := fmt.Sprintf("repair: finding %d has no cutting position", wantErr); err == nil || err.Error() != msg {
+			t.Fatalf("%s: kill lists error %v, reference %q", name, err, msg)
+		}
+		return
+	}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: kill lists %v (err %v), reference %v", name, got, err, want)
+	}
+}
+
+// TestCandidateOrderTwoReturns: the two returns of a function print alike
+// ("ret void") and are both Clou-ss candidates; they are ordered by the
+// lowest A-CFG node carrying each, on every call.
+func TestCandidateOrderTwoReturns(t *testing.T) {
+	m := compile(t, silentStoreSrc)
+	res, err := detect.AnalyzeFunc(m, "victim", detect.DefaultSS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := res.Graph
+	low := lowestNodes(g)
+	spans := findingSpans(res)
+	first := candidates(g, spans)
+	var rets []int
+	for _, in := range first {
+		if in.Op == ir.OpRet {
+			rets = append(rets, low[in])
+		}
+	}
+	if len(rets) != 2 || rets[0] >= rets[1] {
+		t.Fatalf("ret candidates at lowest nodes %v, want two in ascending order", rets)
+	}
+	for i := 0; i < 20; i++ {
+		if again := candidates(g, spans); !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d: candidate order %v, first call %v", i, again, first)
+		}
+	}
+	CheckHittingSet(t, "two-returns", res)
 }
