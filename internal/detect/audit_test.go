@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"testing"
 
 	"lcm/internal/core"
@@ -45,36 +46,52 @@ func TestAuditPresolveWindowRefutations(t *testing.T) {
 }
 
 // TestAuditPresolveArchWitnesses replays the pre-solver's arch witnesses
-// on the crypto corpus's heaviest subject: donna's Montgomery ladder
-// under Clou-stl with universal classes, where every candidate query is
-// arch-witnessed. Each witness must be one the solver also answers Sat.
+// on the crypto corpus's heaviest Clou-stl subjects, with universal
+// classes, where every candidate query is arch-witnessed: donna's
+// Montgomery ladder and secretbox's open. Each witness must be one the
+// solver also answers Sat. The witnesses share their replayed paths:
+// certificates of one take assignment alias one path slice, so there are
+// fewer slices than witnesses.
 func TestAuditPresolveArchWitnesses(t *testing.T) {
-	lib, ok := cryptolib.Lookup("donna")
-	if !ok {
-		t.Fatal("donna corpus entry missing")
+	for _, subj := range []struct{ lib, fn string }{
+		{"donna", "crypto_scalarmult"},
+		{"secretbox", "crypto_secretbox_open"},
+	} {
+		t.Run(subj.lib, func(t *testing.T) {
+			lib, ok := cryptolib.Lookup(subj.lib)
+			if !ok {
+				t.Fatalf("%s corpus entry missing", subj.lib)
+			}
+			cfg := DefaultSTL()
+			cfg.Transmitters = []core.Class{core.UDT, core.UCT}
+			cfg.AuditPresolve = true
+			r := analyze(t, lib.Source, subj.fn, cfg)
+			arch := 0
+			paths, pathSlices := map[string]bool{}, map[*int]bool{}
+			for _, c := range r.Certificates {
+				if c.Kind != presolve.KindArchWitness {
+					continue
+				}
+				arch++
+				if err := c.Check(); err != nil {
+					t.Errorf("%s: %v", c.Key, err)
+				}
+				paths[fmt.Sprint(c.Arch.Path)] = true
+				pathSlices[&c.Arch.Path[0]] = true
+			}
+			if arch == 0 {
+				t.Fatal("no arch-witness certificates: the audit replayed no witness")
+			}
+			if r.PresolveAudited < arch {
+				t.Fatalf("audit replayed %d decisions, fewer than the %d arch witnesses", r.PresolveAudited, arch)
+			}
+			if r.PresolveDisagreements != 0 {
+				t.Errorf("%d of %d audited decisions disagree with the solver", r.PresolveDisagreements, r.PresolveAudited)
+			}
+			if len(pathSlices) >= arch {
+				t.Errorf("%d arch witnesses in %d path slices: no replay is shared", arch, len(pathSlices))
+			}
+			t.Logf("arch-witness certificates=%d paths=%d path slices=%d audited=%d", arch, len(paths), len(pathSlices), r.PresolveAudited)
+		})
 	}
-	cfg := DefaultSTL()
-	cfg.Transmitters = []core.Class{core.UDT, core.UCT}
-	cfg.AuditPresolve = true
-	r := analyze(t, lib.Source, "crypto_scalarmult", cfg)
-	arch := 0
-	for _, c := range r.Certificates {
-		if c.Kind != presolve.KindArchWitness {
-			continue
-		}
-		arch++
-		if err := c.Check(); err != nil {
-			t.Errorf("%s: %v", c.Key, err)
-		}
-	}
-	if arch == 0 {
-		t.Fatal("no arch-witness certificates: the audit replayed no witness")
-	}
-	if r.PresolveAudited < arch {
-		t.Fatalf("audit replayed %d decisions, fewer than the %d arch witnesses", r.PresolveAudited, arch)
-	}
-	if r.PresolveDisagreements != 0 {
-		t.Errorf("%d of %d audited decisions disagree with the solver", r.PresolveDisagreements, r.PresolveAudited)
-	}
-	t.Logf("arch-witness certificates=%d audited=%d", arch, r.PresolveAudited)
 }

@@ -105,8 +105,15 @@ type Analysis struct {
 		ord    []int32 // topological positions, for search pruning
 	}
 	// entry is the entry-rooted BFS tree's parent links (-1 where the
-	// entry does not reach), built by entryPath on first use.
+	// entry does not reach), built by entryTree on first use.
 	entry []int32
+	// take is the witness builders' take-assignment scratch: 0 unset, 1
+	// false, 2 true, with the set nodes listed in taken. replays memoises
+	// arch-witness replays by assignment, keyed in keyBuf.
+	take    []int8
+	taken   []int
+	replays map[string]*replayed
+	keyBuf  []byte
 }
 
 // NewAnalysis binds facts to an engine run's window source.
@@ -116,6 +123,7 @@ func NewAnalysis(f *Facts, win WindowSource) *Analysis {
 		arms: map[takeKey]*armSet{}, memo: map[string]*Certificate{},
 		wit: map[takeKey]*satWitness{}, wmemo: map[string]*Certificate{},
 		amemo: map[string]*Certificate{},
+		take:  make([]int8, f.G.Len()), replays: map[string]*replayed{},
 	}
 }
 

@@ -111,6 +111,34 @@ func TestBypassMatchesCutReachCryptolib(t *testing.T) {
 	}
 }
 
+// bfsPath returns the shortest path bfsTree leaves from src to dst (nil
+// when unreachable), and entryPath the entry tree's path to dst.
+func (a *Analysis) bfsPath(src, dst int) []int {
+	if !a.bfsTree(src, dst) {
+		return nil
+	}
+	return treePath(a.bfs.parent, src, dst)
+}
+
+func (a *Analysis) entryPath(dst int) []int {
+	if a.entryTree()[dst] < 0 {
+		return nil
+	}
+	return treePath(a.entry, a.f.G.Entry, dst)
+}
+
+// treePath follows parent links from dst back to src and returns the path
+// in src-to-dst order.
+func treePath(parent []int32, src, dst int) []int {
+	var path []int
+	for n := dst; n != src; n = int(parent[n]) {
+		path = append(path, n)
+	}
+	path = append(path, src)
+	slices.Reverse(path)
+	return path
+}
+
 // checkEntryTree compares entryPath, served from the one entry-rooted BFS
 // tree, with a fresh bfsPath(Entry, n) search for every node n.
 func checkEntryTree(t *testing.T, g *acfg.Graph) {

@@ -1,9 +1,11 @@
 package presolve
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"lcm/internal/acfg"
+	"lcm/internal/dataflow"
 )
 
 // The witness rule is the dual of the refutation rule: instead of proving a query
@@ -34,12 +36,10 @@ type BranchTake struct {
 }
 
 // satWitness is the canonical model fragment for one (branch, take) pair:
-// the take-selected architectural path and the transient-fetch fixpoint.
+// the take-selected architectural path (nil when the entry cannot reach
+// the branch) and the transient-fetch fixpoint.
 type satWitness struct {
-	ok        bool
-	path      []int // in path order, entry first
-	onPath    []bool
-	takes     []BranchTake // sorted by branch
+	*replayed
 	fetch     []bool
 	fetchList []int // indices of fetch, ascending (certificate form)
 }
@@ -58,59 +58,23 @@ func (a *Analysis) witnessFor(b int, v bool) *satWitness {
 
 func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	g := a.f.G
-	// Entry-to-b prefix: any BFS path is take-realizable, because each hop
-	// is a successor edge and a simple path resolves every branch on it at
-	// most once.
-	path := a.entryPath(b)
-	if path == nil {
+	// The entry tree's path to b is take-realizable, because each hop is
+	// a successor edge and a simple path resolves every branch on it at
+	// most once: the replay follows it to b, then continues under
+	// take(b)=v.
+	if !a.segmentTakes(g.Entry, b) {
+		a.clearTakes()
 		return &satWitness{} // entry cannot reach b: refutation territory
 	}
-
-	onPath := make([]bool, g.Len())
-	takes := map[int]bool{}
-	for i, n := range path {
-		onPath[n] = true
-		if i+1 < len(path) {
-			if t, ok := takeFor(g, n, path[i+1]); ok {
-				takes[n] = t
-			}
-		}
-	}
-	takes[b] = v
-
-	// Continue past b along the take-selected successors until the path
-	// closes on itself or exits: the Iff semantics of encodeArch force the
-	// architectural set to be exactly such a maximal path, so stopping
-	// early would leave a node whose selected successor is un-executed.
-	for cur := b; ; {
-		succ := a.f.G.Succs(cur)
-		if len(succ) == 0 {
-			break
-		}
-		next := succ[0]
-		if g.Nodes[cur].IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
-			t, ok := takes[cur]
-			if !ok {
-				t = true
-				takes[cur] = t
-			}
-			if !t {
-				next = succ[1]
-			}
-		}
-		if onPath[next] {
-			break
-		}
-		onPath[next] = true
-		path = append(path, next)
-		cur = next
-	}
+	a.setTake(b, v)
+	r := a.replay()
 
 	// Transient fetch set: least fixpoint of the data-feasibility clause
 	// over the arm eligibility of (b, v). The least fixpoint is
 	// order-independent; the ascending sweep keeps the round count
 	// reproducible.
 	fetch := make([]bool, g.Len())
+	var fl []int
 	elig := a.armsFor(b, v).ids
 	for changed := true; changed; {
 		changed = false
@@ -125,7 +89,7 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 				}
 				grpFed := false
 				for _, d := range grp {
-					if onPath[d] || fetch[d] {
+					if r.on.Has(d) || fetch[d] {
 						grpFed = true
 						break
 					}
@@ -137,23 +101,13 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 			}
 			if fed {
 				fetch[id] = true
+				fl = append(fl, id)
 				changed = true
 			}
 		}
 	}
-
-	tl := make([]BranchTake, 0, len(takes))
-	for br, t := range takes {
-		tl = append(tl, BranchTake{Branch: br, Take: t})
-	}
-	slices.SortFunc(tl, func(x, y BranchTake) int { return x.Branch - y.Branch })
-	var fl []int
-	for n, f := range fetch {
-		if f {
-			fl = append(fl, n)
-		}
-	}
-	return &satWitness{ok: true, path: path, onPath: onPath, takes: tl, fetch: fetch, fetchList: fl}
+	slices.Sort(fl)
+	return &satWitness{replayed: r, fetch: fetch, fetchList: fl}
 }
 
 // takeFor reports the take value that routes branch p to successor q,
@@ -179,7 +133,7 @@ func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 	}
 	for _, v := range []bool{false, true} {
 		w := a.witnessFor(q.Branch, v)
-		if !w.ok || !a.covers(w, q) {
+		if w.replayed == nil || !a.covers(w, q) {
 			continue
 		}
 		// Path/Takes/Fetch alias the memoized witness: it is immutable once
@@ -246,81 +200,138 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 
 	// Take assignments along entry → ord[0] → … → ord[k]; conflicts fail
 	// the witness (impossible on a DAG, but checked rather than trusted).
-	takes := map[int]bool{}
 	cur := g.Entry
 	for _, w := range ord {
-		if w == cur {
-			continue
-		}
-		var seg []int
-		if cur == g.Entry {
-			seg = a.entryPath(w)
-		} else {
-			seg = a.bfsPath(cur, w)
-		}
-		if seg == nil {
+		if w != cur && !a.segmentTakes(cur, w) {
+			a.clearTakes()
 			return nil
-		}
-		for i := 0; i+1 < len(seg); i++ {
-			if t, ok := takeFor(g, seg[i], seg[i+1]); ok {
-				if prev, dup := takes[seg[i]]; dup && prev != t {
-					return nil
-				}
-				takes[seg[i]] = t
-			}
 		}
 		cur = w
 	}
 
-	// Replay the take assignment from entry: the selected path must visit
-	// every waypoint, and extends maximally so the arch Iff closes. The
-	// path is marked on the search scratch, under an epoch of its own.
-	var path []int
-	sc, ep := &a.bfs, a.nextEpoch()
-	for n := g.Entry; ; {
-		path = append(path, n)
-		sc.stamp[n] = ep
-		succ := g.Succs(n)
-		if len(succ) == 0 {
-			break
-		}
-		next := succ[0]
-		if g.Nodes[n].IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
-			t, ok := takes[n]
-			if !ok {
-				t = true
-				takes[n] = t
-			}
-			if !t {
-				next = succ[1]
-			}
-		}
-		if sc.stamp[next] == ep {
-			break
-		}
-		n = next
+	// The replay depends only on the takes set, since an unset branch
+	// takes its default, so the sorted takes key the memo: a DAG's arch
+	// witnesses share a few dozen paths across thousands of queries.
+	slices.Sort(a.taken)
+	buf := a.keyBuf[:0]
+	for _, n := range a.taken {
+		buf = binary.AppendUvarint(buf, uint64(n)<<2|uint64(a.take[n]))
 	}
+	a.keyBuf = buf
+	r, hit := a.replays[string(buf)]
+	if hit {
+		a.clearTakes()
+	} else {
+		r = a.replay()
+		a.replays[string(buf)] = r
+	}
+	// The selected path must visit every waypoint.
 	for _, w := range ord {
-		if sc.stamp[w] != ep {
+		if !r.on.Has(w) {
 			return nil
 		}
 	}
-
-	tl := make([]BranchTake, 0, len(takes))
-	for br, t := range takes {
-		tl = append(tl, BranchTake{Branch: br, Take: t})
-	}
-	slices.SortFunc(tl, func(x, y BranchTake) int { return x.Branch - y.Branch })
+	// Path and Takes alias the shared replay, as witnessKeyed's do.
 	return &Certificate{
 		Kind: KindArchWitness,
 		Fn:   g.Fn,
 		Key:  key,
 		Arch: &ArchFact{
 			Nodes: dedupSorted(nodes),
-			Path:  path,
-			Takes: tl,
+			Path:  r.path,
+			Takes: r.takes,
 		},
 	}
+}
+
+// segmentTakes records the takes along a shortest path from src to dst,
+// walking its parent links back from dst: the entry tree's for the entry
+// segment, a fresh search's otherwise. It reports false when dst is
+// unreachable or a take conflicts.
+func (a *Analysis) segmentTakes(src, dst int) bool {
+	parent := a.entryTree()
+	if src != a.f.G.Entry {
+		if !a.bfsTree(src, dst) {
+			return false
+		}
+		parent = a.bfs.parent
+	} else if parent[dst] < 0 {
+		return false
+	}
+	for n := dst; n != src; n = int(parent[n]) {
+		p := int(parent[n])
+		if t, ok := takeFor(a.f.G, p, n); ok && !a.setTake(p, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// replayed is the maximal take-selected path from entry under one take
+// assignment, shared by every witness that sets those takes.
+type replayed struct {
+	path  []int // in path order, entry first
+	on    dataflow.BitSet
+	takes []BranchTake // the full assignment, sorted by branch
+}
+
+// replay follows the take-selected successors from entry until the path
+// closes on itself or exits: the Iff semantics of encodeArch force the
+// architectural set to be exactly such a maximal path, so stopping early
+// would leave a node whose selected successor is un-executed. A branch
+// with no take set takes its default, true. The take scratch becomes the
+// replay's full assignment and is cleared.
+func (a *Analysis) replay() *replayed {
+	g := a.f.G
+	r := &replayed{path: []int{g.Entry}, on: dataflow.NewBitSet(g.Len())}
+	r.on.Set(g.Entry)
+	for cur := g.Entry; ; {
+		succ := g.Succs(cur)
+		if len(succ) == 0 {
+			break
+		}
+		next := succ[0]
+		if g.Nodes[cur].IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
+			if !a.setTake(cur, true) { // set false before
+				next = succ[1]
+			}
+		}
+		if r.on.Has(next) {
+			break
+		}
+		r.on.Set(next)
+		r.path = append(r.path, next)
+		cur = next
+	}
+	slices.Sort(a.taken)
+	r.takes = make([]BranchTake, len(a.taken))
+	for i, n := range a.taken {
+		r.takes[i] = BranchTake{Branch: n, Take: a.take[n] == 2}
+	}
+	a.clearTakes()
+	return r
+}
+
+// setTake records take(n)=t in the take scratch, reporting false when n
+// was set the other way before.
+func (a *Analysis) setTake(n int, t bool) bool {
+	v := int8(1)
+	if t {
+		v = 2
+	}
+	if a.take[n] == 0 {
+		a.take[n] = v
+		a.taken = append(a.taken, n)
+	}
+	return a.take[n] == v
+}
+
+// clearTakes empties the take scratch.
+func (a *Analysis) clearTakes() {
+	for _, n := range a.taken {
+		a.take[n] = 0
+	}
+	a.taken = a.taken[:0]
 }
 
 // nextEpoch allocates the search scratch on first use and starts a pass
@@ -349,9 +360,10 @@ func (a *Analysis) nextEpoch() uint32 {
 	return sc.epoch
 }
 
-// bfsPath returns a shortest path from src to dst over successor edges
-// (nil when unreachable), deterministic in queue order.
-func (a *Analysis) bfsPath(src, dst int) []int {
+// bfsTree searches from src for dst over successor edges, deterministic
+// in queue order, and reports whether dst is reachable. A shortest path
+// is left in the parent links of the search scratch.
+func (a *Analysis) bfsTree(src, dst int) bool {
 	g := a.f.G
 	sc, ep := &a.bfs, a.nextEpoch()
 	bound := sc.ord[dst]
@@ -367,17 +379,15 @@ func (a *Analysis) bfsPath(src, dst int) []int {
 		}
 	}
 	sc.queue = queue
-	if sc.stamp[dst] != ep {
-		return nil
-	}
-	return treePath(sc.parent, src, dst)
+	return sc.stamp[dst] == ep
 }
 
-// entryPath is bfsPath(Entry, dst) served from one entry-rooted BFS tree,
-// built on first use. Neither bfsPath's topological pruning nor its early
-// exit changes the parent of a node that reaches dst, so the tree's parent
-// chains are exactly the paths bfsPath would return.
-func (a *Analysis) entryPath(dst int) []int {
+// entryTree returns the parent links of one entry-rooted BFS tree (-1
+// where the entry does not reach), built on first use. Neither bfsTree's
+// topological pruning nor its early exit changes the parent of a node
+// that reaches dst, so the tree's parent chains are exactly the paths
+// bfsTree(Entry, dst) leaves.
+func (a *Analysis) entryTree() []int32 {
 	g := a.f.G
 	if a.entry == nil {
 		a.entry = make([]int32, g.Len())
@@ -396,25 +406,7 @@ func (a *Analysis) entryPath(dst int) []int {
 			}
 		}
 	}
-	if a.entry[dst] < 0 {
-		return nil
-	}
-	return treePath(a.entry, g.Entry, dst)
-}
-
-// treePath follows parent links from dst back to src and returns the path
-// in src-to-dst order: one pass counts the hops, a second fills the path
-// back to front.
-func treePath(parent []int32, src, dst int) []int {
-	hops := 0
-	for n := dst; n != src; n = int(parent[n]) {
-		hops++
-	}
-	path := make([]int, hops+1)
-	for i, n := hops, dst; i >= 0; i, n = i-1, int(parent[n]) {
-		path[i] = n
-	}
-	return path
+	return a.entry
 }
 
 // dedupSorted sorts and deduplicates a node list.
@@ -437,7 +429,7 @@ func (a *Analysis) covers(w *satWitness, q Query) bool {
 		}
 	}
 	for _, e := range q.Exec {
-		if !w.fetch[e] && !w.onPath[e] {
+		if !w.fetch[e] && !w.on.Has(e) {
 			return false
 		}
 	}

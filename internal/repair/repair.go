@@ -255,8 +255,13 @@ func killLists(g *acfg.Graph, spans []span, cands []*ir.Instr) ([][]int, error) 
 
 // placeable reports whether a fence may be inserted before the
 // instruction (terminators and allocas are poor anchors; memory and
-// arithmetic instructions are fine).
+// arithmetic instructions are fine). The A-CFG's markers for a
+// branch-only block and for an inlined call belong to no block, so
+// nothing can be spliced before them.
 func placeable(in *ir.Instr) bool {
+	if in.Blk == nil {
+		return false
+	}
 	switch in.Op {
 	case ir.OpAlloca, ir.OpBr:
 		return false
@@ -265,13 +270,9 @@ func placeable(in *ir.Instr) bool {
 }
 
 // insertFenceBefore splices an lfence immediately before the instruction
-// in its containing block. The A-CFG's pass-through marker for a
-// branch-only block carries an instruction of no block: nothing is spliced.
+// in its containing block.
 func insertFenceBefore(target *ir.Instr) {
 	b := target.Blk
-	if b == nil {
-		return
-	}
 	for i, in := range b.Instrs {
 		if in == target {
 			fence := &ir.Instr{Op: ir.OpFence, Sub: "lfence", Line: in.Line, Blk: b}

@@ -9,6 +9,7 @@ import (
 	"lcm/internal/acfg"
 	"lcm/internal/detect"
 	"lcm/internal/ir"
+	"lcm/internal/litmus"
 	"lcm/internal/lower"
 	"lcm/internal/minic"
 )
@@ -318,6 +319,22 @@ func TestRepairSS(t *testing.T) {
 		t.Fatalf("fences = %d, want >= 1", res.Fences)
 	}
 	checkRepairMinimal(t, m, "victim", cfg, res.Fences)
+}
+
+// TestRepairLitmusClean repairs every litmus case under every engine, and
+// each must end clean. The A-CFG's markers (a branch-only block's
+// pass-through, an inlined call's anchor) belong to no block, so a fence
+// picked before one is never spliced: a repair that could pick them
+// looped to the round limit with findings left, yet reported no error.
+func TestRepairLitmusClean(t *testing.T) {
+	for _, e := range detect.Engines() {
+		for _, c := range litmus.All() {
+			res, err := Repair(compile(t, c.Source), c.Fn, detect.DefaultConfig(e), 0)
+			if err != nil || res.Remaining != 0 {
+				t.Errorf("%s/%s: %+v, err %v", c.Name, e, res, err)
+			}
+		}
+	}
 }
 
 // TestRepairMinimalityTwoGadgetsSTL: same claim under the store-bypass
