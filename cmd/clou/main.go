@@ -238,9 +238,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "   frontend=%v encode=%v solve=%v cached=%v\n",
 				res.FrontendTime.Round(time.Microsecond), res.EncodeTime.Round(time.Microsecond),
 				res.SolveTime.Round(time.Microsecond), res.CacheHit)
-			fmt.Fprintf(stdout, "   frontend: alias=%v flowgraph=%v presolve-facts=%v\n",
-				res.AliasTime.Round(time.Microsecond), res.FlowTime.Round(time.Microsecond),
-				res.PresolveFactsTime.Round(time.Microsecond))
+			fmt.Fprintf(stdout, "   frontend: acfg=%v alias=%v taint=%v reach=%v flowgraph=%v presolve-facts=%v\n",
+				res.ACFGTime.Round(time.Microsecond), res.AliasTime.Round(time.Microsecond),
+				res.TaintTime.Round(time.Microsecond), res.ReachTime.Round(time.Microsecond),
+				res.FlowTime.Round(time.Microsecond), res.PresolveFactsTime.Round(time.Microsecond))
 		}
 		for _, f := range res.Findings {
 			fmt.Fprintf(stdout, "   %s\n", f)

@@ -9,6 +9,8 @@ package acfg
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"lcm/internal/ir"
@@ -123,7 +125,7 @@ func Build(m *ir.Module, fn string, opts Options) (*Graph, error) {
 	if f == nil || f.IsDecl() {
 		return nil, fmt.Errorf("acfg: no definition for %q", fn)
 	}
-	b := &builder{m: m, opts: opts, g: &Graph{Fn: fn}}
+	b := &builder{m: m, opts: opts, g: &Graph{Fn: fn}, rets: map[int][]int{}, fanned: map[int][]int{}}
 	entry := b.newNode(&Node{Kind: NEntry, Ctx: fn})
 	b.g.Entry = entry.ID
 	chain := map[string]int{}
@@ -146,6 +148,13 @@ type builder struct {
 	opts  Options
 	g     *Graph
 	edges [][2]int
+	// rets maps each spliced call node to its callee's return defs, which
+	// replace the call wherever an ArgDefs list names it.
+	rets map[int][]int
+	// fanned maps the index of an edge that left a spliced call with other
+	// than one return to the callee's ret nodes, which replace the edge's
+	// source in place when finish materializes the edge list.
+	fanned map[int][]int
 }
 
 func (b *builder) newNode(n *Node) *Node {
@@ -156,18 +165,53 @@ func (b *builder) newNode(n *Node) *Node {
 
 func (b *builder) edge(from, to int) { b.edges = append(b.edges, [2]int{from, to}) }
 
+// resolve returns defs with every spliced call replaced, in order, by the
+// callee's return defs. It returns defs itself when nothing is spliced.
+func (b *builder) resolve(defs []int) []int {
+	for i, d := range defs {
+		if _, ok := b.rets[d]; !ok {
+			continue
+		}
+		out := append([]int(nil), defs[:i]...)
+		for _, d := range defs[i:] {
+			if r, ok := b.rets[d]; ok {
+				out = append(out, r...)
+			} else {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	return defs
+}
+
+// finish resolves spliced calls out of every def list and materializes
+// the edge list into deduplicated successor and predecessor lists, each in
+// first-occurrence order.
 func (b *builder) finish() {
+	for _, n := range b.g.Nodes {
+		for i, ds := range n.ArgDefs {
+			n.ArgDefs[i] = b.resolve(ds)
+		}
+	}
 	n := len(b.g.Nodes)
 	b.g.succs = make([][]int, n)
 	b.g.preds = make([][]int, n)
-	seen := map[[2]int]bool{}
-	for _, e := range b.edges {
-		if seen[e] {
+	add := func(from, to int) {
+		if slices.Contains(b.g.succs[from], to) {
+			return
+		}
+		b.g.succs[from] = append(b.g.succs[from], to)
+		b.g.preds[to] = append(b.g.preds[to], from)
+	}
+	for i, e := range b.edges {
+		if froms, ok := b.fanned[i]; ok {
+			for _, from := range froms {
+				add(from, e[1])
+			}
 			continue
 		}
-		seen[e] = true
-		b.g.succs[e[0]] = append(b.g.succs[e[0]], e[1])
-		b.g.preds[e[1]] = append(b.g.preds[e[1]], e[0])
+		add(e[0], e[1])
 	}
 }
 
@@ -224,6 +268,11 @@ func unrollBlocks(f *ir.Func, unroll int) []*blockInstance {
 // parameter, the defining nodes of the actual arguments (nil for the
 // top-level function). It returns the first node ID, the set of final node
 // IDs (rets), and the def sets of returned values.
+//
+// A spliced call touches only what names it: its own out-edges, recorded
+// as they are made, are re-routed from the callee's rets, and its uses are
+// left naming the call until resolve substitutes the callee's return defs
+// (here for the frame's own return defs, in finish for every ArgDefs list).
 func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx string) (int, []int, []int, error) {
 	if len(b.g.Nodes) > b.opts.MaxNodes {
 		return 0, nil, nil, fmt.Errorf("acfg: node budget exceeded (%d)", b.opts.MaxNodes)
@@ -236,24 +285,30 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 		return 0, nil, nil, fmt.Errorf("acfg: empty function %q", f.Nm)
 	}
 
-	// Per block-instance, the nodes created for its instructions and the
-	// def map from (instr, instance) to node.
-	type instrKey struct {
-		in   *ir.Instr
-		inst *blockInstance
+	ninstrs := 0
+	for _, blk := range f.Blocks {
+		ninstrs += len(blk.Instrs)
 	}
-	defs := map[*ir.Instr][]int{} // instruction → all instances' node IDs
-	firstNode := map[*blockInstance]int{}
-	lastNode := map[*blockInstance]int{}
+	defs := make(map[*ir.Instr][]int, ninstrs) // instruction → all instances' node IDs
+	firstNode := make(map[*blockInstance]int, len(insts))
+	lastNode := make(map[*blockInstance]int, len(insts))
 	var retNodes []int
 	var retDefs []int
-	// callSplices records call nodes to splice after wiring.
+	// splice is a call node to inline after wiring, with the indices in
+	// b.edges of the edges leaving it.
 	type splice struct {
 		node   *Node
 		callee *ir.Func
+		outs   []int
 	}
-	var splices []splice
-	_ = instrKey{}
+	var splices []*splice
+	spliceOf := map[int]*splice{}
+	link := func(from, to int) {
+		if sp := spliceOf[from]; sp != nil {
+			sp.outs = append(sp.outs, len(b.edges))
+		}
+		b.edge(from, to)
+	}
 
 	resolveArg := func(v ir.Value) []int {
 		switch v := v.(type) {
@@ -295,13 +350,15 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 			}
 			defs[in] = append(defs[in], n.ID)
 			if prev >= 0 {
-				b.edge(prev, n.ID)
+				link(prev, n.ID)
 			} else {
 				firstNode[inst] = n.ID
 			}
 			prev = n.ID
 			if in.Op == ir.OpCall && kind == NInstr {
-				splices = append(splices, splice{node: n, callee: callee})
+				sp := &splice{node: n, callee: callee}
+				splices = append(splices, sp)
+				spliceOf[n.ID] = sp
 			}
 			if in.Op == ir.OpRet {
 				retNodes = append(retNodes, n.ID)
@@ -323,7 +380,7 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 	// Second pass: wire block instances.
 	for _, inst := range insts {
 		for _, s := range inst.succs {
-			b.edge(lastNode[inst], firstNode[s])
+			link(lastNode[inst], firstNode[s])
 		}
 	}
 
@@ -334,42 +391,18 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		// The call node becomes a pass-through anchor holding the return
-		// defs: rewrite users lazily — users referenced the call node ID
-		// in their ArgDefs; replace with subRets.
+		// Wire: call node → callee entry; the call's out-edges now leave
+		// the callee's rets, each in the position of the edge it replaces.
 		callID := sp.node.ID
-		for _, n := range b.g.Nodes {
-			for i, ds := range n.ArgDefs {
-				var out []int
-				changed := false
-				for _, d := range ds {
-					if d == callID {
-						out = append(out, subRets...)
-						changed = true
-					} else {
-						out = append(out, d)
-					}
-				}
-				if changed {
-					n.ArgDefs[i] = out
-				}
+		for _, i := range sp.outs {
+			if len(subLasts) == 1 {
+				b.edges[i][0] = subLasts[0]
+			} else {
+				b.fanned[i] = subLasts
 			}
 		}
-		// Wire: call node → callee entry; callee rets → a continuation
-		// marker that inherits the call node's outgoing edges. We re-route
-		// edges whose source is the call node to originate at ret nodes.
-		var newEdges [][2]int
-		for _, e := range b.edges {
-			if e[0] == callID {
-				for _, l := range subLasts {
-					newEdges = append(newEdges, [2]int{l, e[1]})
-				}
-				continue
-			}
-			newEdges = append(newEdges, e)
-		}
-		b.edges = newEdges
 		b.edge(callID, subFirst)
+		b.rets[callID] = subRets
 		// Mark the call node as spliced: downstream passes see it as a
 		// no-op marker.
 		sp.node.Kind = NInstr
@@ -379,9 +412,10 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 
 	// Entry point and final nodes. Rets within inlined calls terminate the
 	// *callee*; for the instance set built here, function-level lasts are
-	// ret nodes.
+	// ret nodes. The return defs are resolved now, so the caller's
+	// substitution for this call is final.
 	first := firstNode[insts[0]]
-	return first, retNodes, retDefs, nil
+	return first, retNodes, b.resolve(retDefs), nil
 }
 
 // Topo returns the nodes in topological order (the graph is a DAG by
@@ -478,6 +512,11 @@ func (g *Graph) FenceFreeReach() func(from, to int) bool {
 	return func(from, to int) bool { return hasBit(rows[from], to) }
 }
 
+// ReachRow returns n's reflexive transitive-closure row: bit m is set when
+// m == n or a successor path leads from n to m. The row is shared with
+// Reach and must not be modified.
+func (g *Graph) ReachRow(n int) []uint64 { return g.reachRows()[n] }
+
 func hasBit(row []uint64, n int) bool { return row[n/64]&(1<<(uint(n)%64)) != 0 }
 
 // Reachable returns the set of nodes reachable from start within maxDepth
@@ -503,4 +542,54 @@ func (g *Graph) Reachable(start int, maxDepth int) map[int]bool {
 		depth++
 	}
 	return out
+}
+
+// isMarker reports whether n is a synthetic node: the `fence nop`
+// pass-through of a branch-only block, or the `inlined:` marker a spliced
+// call leaves behind.
+func isMarker(n *Node) bool {
+	return n.Kind == NInstr && n.Instr.Op == ir.OpFence &&
+		(n.Instr.Sub == "nop" || strings.HasPrefix(n.Instr.Sub, "inlined:"))
+}
+
+// Verify checks the shape contract the downstream passes rely on and
+// returns the first violation: node IDs are positions, the graph is a DAG
+// whose entry reaches every node, every node with two distinct successors
+// is a conditional branch (and none has more), and an instruction has no
+// parent block exactly when its node is a synthetic marker.
+func (g *Graph) Verify() error {
+	for i, n := range g.Nodes {
+		if n.ID != i {
+			return fmt.Errorf("node at %d has ID %d", i, n.ID)
+		}
+	}
+	if order := g.Topo(); len(order) != g.Len() {
+		return fmt.Errorf("cycle: topological order covers %d of %d nodes", len(order), g.Len())
+	}
+	seen := make([]bool, g.Len())
+	seen[g.Entry] = true
+	queue := []int{g.Entry}
+	for head := 0; head < len(queue); head++ {
+		for _, s := range g.succs[queue[head]] {
+			if !seen[s] {
+				seen[s] = true
+				queue = append(queue, s)
+			}
+		}
+	}
+	for i, n := range g.Nodes {
+		if !seen[i] {
+			return fmt.Errorf("%v is unreachable from the entry", n)
+		}
+		if k := len(g.succs[i]); k > 2 || k == 2 && !n.IsBranch() {
+			return fmt.Errorf("%v has %d successors but is not a two-way branch", n, k)
+		}
+		if (n.Instr == nil) != (n.Kind == NEntry || n.Kind == NExit) {
+			return fmt.Errorf("%v: instruction presence does not match its kind", n)
+		}
+		if n.Instr != nil && (n.Instr.Blk == nil) != isMarker(n) {
+			return fmt.Errorf("%v: parent block is nil=%v, marker=%v", n, n.Instr.Blk == nil, isMarker(n))
+		}
+	}
+	return nil
 }

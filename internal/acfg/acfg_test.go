@@ -259,3 +259,100 @@ func TestNestedLoops(t *testing.T) {
 		t.Fatal("nested loops not acyclic")
 	}
 }
+
+// TestReturnOfInlinedCall pins value flow through `return g(x)` in an
+// inlined callee: the caller's use of f(y) must name g's add, not the
+// marker g's splice leaves in f, which defines no value.
+func TestReturnOfInlinedCall(t *testing.T) {
+	g := build(t, `
+		int g(int x) { return x + 1; }
+		int f(int x) { return g(x); }
+		int A[16];
+		int top(int y) { int v = f(y); return A[v]; }
+	`, "top", Options{})
+	for _, n := range g.Nodes {
+		for _, ds := range n.ArgDefs {
+			for _, d := range ds {
+				if g.Nodes[d].IsFence() {
+					t.Errorf("%v names marker %v as an operand def", n, g.Nodes[d])
+				}
+			}
+		}
+	}
+	var stored []int
+	for _, n := range g.Nodes {
+		if n.IsStore() && n.Ctx == "top" && n.Instr.Args[1].ValueName() == "%v.addr" {
+			stored = n.ArgDefs[0]
+		}
+	}
+	if len(stored) != 1 {
+		t.Fatalf("store of v has value defs %v, want one", stored)
+	}
+	if def := g.Nodes[stored[0]]; def.Instr.Op != ir.OpBin || def.Ctx != "top/f#1/g#1" {
+		t.Errorf("store of v takes its value from %v, want g's add", def)
+	}
+}
+
+// TestVerifyRejectsBrokenShapes breaks one invariant at a time on a built
+// graph and requires Verify to name it.
+func TestVerifyRejectsBrokenShapes(t *testing.T) {
+	const src = `
+		int g;
+		int leaf(int x) { while (x > 0) { x--; } return x + g; }
+		int f(int x) { if (x) return leaf(x); return 2; }
+	`
+	var branch, plain int
+	breakers := map[string]func(g *Graph){
+		"position": func(g *Graph) { g.Nodes[plain].ID++ },
+		"cycle": func(g *Graph) {
+			g.succs[g.Exit] = append(g.succs[g.Exit], g.Entry)
+			g.preds[g.Entry] = append(g.preds[g.Entry], g.Exit)
+		},
+		"unreachable": func(g *Graph) {
+			g.succs[g.Entry] = nil
+		},
+		"two successors": func(g *Graph) {
+			g.succs[plain] = append(g.succs[plain], g.Exit)
+		},
+		"three successors": func(g *Graph) {
+			g.succs[branch] = append(g.succs[branch], g.Exit)
+		},
+		"marker with a block": func(g *Graph) {
+			for _, n := range g.Nodes {
+				if isMarker(n) {
+					n.Instr = &ir.Instr{Op: n.Instr.Op, Sub: n.Instr.Sub, Blk: g.Nodes[plain].Instr.Blk}
+					return
+				}
+			}
+		},
+		"instruction without a block": func(g *Graph) {
+			detached := *g.Nodes[plain].Instr
+			detached.Blk = nil
+			g.Nodes[plain].Instr = &detached
+		},
+		"entry with an instruction": func(g *Graph) {
+			g.Nodes[g.Entry].Instr = g.Nodes[plain].Instr
+		},
+	}
+	for name, breakIt := range breakers {
+		g := build(t, src, "f", Options{})
+		if err := g.Verify(); err != nil {
+			t.Fatalf("intact graph: %v", err)
+		}
+		branch, plain = -1, -1
+		for _, n := range g.Nodes {
+			if n.IsBranch() && branch < 0 {
+				branch = n.ID
+			}
+			if n.Kind == NInstr && n.Instr.Op == ir.OpBin && plain < 0 {
+				plain = n.ID
+			}
+		}
+		breakIt(g)
+		if err := g.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted the broken graph", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}

@@ -204,7 +204,7 @@ func (a *Analysis) solve() {
 			if nd.IsStore() && ir.IsPtr(nd.Instr.Args[0].Type()) {
 				a.valuePts(nd, 0, a.scratch)
 				a.valuePts(nd, 1, a.addrScratch)
-				a.forEachLoc(a.addrScratch, func(l int) {
+				a.addrScratch.ForEach(func(l int) {
 					if a.mergeContents(l, a.scratch) {
 						for _, ld := range a.loadersOf[l] {
 							mark(int(ld))
@@ -254,7 +254,7 @@ func (a *Analysis) eval(n *acfg.Node, out dataflow.BitSet) bool {
 		}
 		a.valuePts(n, 0, a.addrScratch)
 		out.Reset()
-		a.forEachLoc(a.addrScratch, func(l int) {
+		a.addrScratch.ForEach(func(l int) {
 			if l == extLoc || a.locs[l].Kind == LGlobal {
 				// Pointers loaded from globals or external memory have
 				// unknown targets (the attacker does not control base
@@ -329,17 +329,6 @@ func (a *Analysis) mergeContents(l int, vals dataflow.BitSet) bool {
 	return c.UnionInto(vals)
 }
 
-// forEachLoc calls f with every location id set in s.
-func (a *Analysis) forEachLoc(s dataflow.BitSet, f func(l int)) {
-	for w, word := range s {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			f(w*64 + b)
-			word &^= 1 << uint(b)
-		}
-	}
-}
-
 // summarize resolves every memory node's address points-to set once and
 // precomputes the masks the alias queries need.
 func (a *Analysis) summarize() {
@@ -394,7 +383,7 @@ func (a *Analysis) PointsTo(n *acfg.Node, i int) []Loc {
 	out := make(dataflow.BitSet, a.words)
 	a.valuePts(n, i, out)
 	var ls []Loc
-	a.forEachLoc(out, func(l int) { ls = append(ls, a.locs[l]) })
+	out.ForEach(func(l int) { ls = append(ls, a.locs[l]) })
 	return ls
 }
 
@@ -419,6 +408,15 @@ func (a *Analysis) MayAlias(m, n *acfg.Node) bool {
 		return false
 	}
 	return p.aliasMask.Intersects(q.addr)
+}
+
+// Summary returns memory node n's address location set and its alias
+// mask, the locations it may collide with architecturally: MayAlias(m, n)
+// holds exactly when m's mask meets n's address set. Both are nil when n
+// is not a load or store; they are shared and must not be modified.
+func (a *Analysis) Summary(n *acfg.Node) (addr, mask dataflow.BitSet) {
+	s := &a.sums[n.ID]
+	return s.addr, s.aliasMask
 }
 
 // MayAliasTransient is MayAlias without trusting resolution across

@@ -136,35 +136,6 @@ func (d *DomTree) StrictlyDominates(a, b int) bool {
 // Children returns n's children in the dominator tree.
 func (d *DomTree) Children(n int) []int { return d.kids[n] }
 
-// Frontier computes the dominance frontier of every node (the classic SSA
-// phi-placement relation): DF(n) contains each join point j such that n
-// dominates a predecessor of j but not j itself.
-func (d *DomTree) Frontier(g Graph) [][]int {
-	df := make([][]int, g.Len())
-	seen := make([]map[int]bool, g.Len())
-	for _, b := range d.rpo {
-		preds := g.Preds(b)
-		if len(preds) < 2 {
-			continue
-		}
-		for _, p := range preds {
-			if !d.reach[p] {
-				continue
-			}
-			for r := p; r != -1 && r != d.idom[b]; r = d.idom[r] {
-				if seen[r] == nil {
-					seen[r] = map[int]bool{}
-				}
-				if !seen[r][b] {
-					seen[r][b] = true
-					df[r] = append(df[r], b)
-				}
-			}
-		}
-	}
-	return df
-}
-
 // BackEdges returns the edges u→v with v dominating u — the loop back
 // edges of a reducible graph. Their targets are the loop heads where
 // range analysis widens.

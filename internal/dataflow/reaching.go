@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"lcm/internal/ir"
 )
 
@@ -64,6 +66,16 @@ func (s BitSet) Equal(o BitSet) bool {
 		}
 	}
 	return true
+}
+
+// ForEach calls f with the index of every set bit, in ascending order.
+func (s BitSet) ForEach(f func(i int)) {
+	for w, word := range s {
+		for word != 0 {
+			f(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
 }
 
 // Intersects reports whether s and o share any set bit.

@@ -1,8 +1,8 @@
 package detect
 
 // Frontend and end-to-end benchmarks over the two heaviest cryptolib
-// subjects. The frontend pair isolates the dense rewrite's stages —
-// points-to solving and value-flow construction plus a full reach sweep —
+// subjects. The frontend benchmarks isolate its stages — the A-CFG build,
+// points-to solving, and value-flow construction plus a full reach sweep —
 // while BenchmarkDetectDonna runs both engines over donna's Montgomery
 // ladder, the workload the BENCH_parallel.json acceptance numbers track.
 // `make profile BENCH=BenchmarkDetectDonna` captures a CPU profile.
@@ -39,6 +39,26 @@ func benchGraph(b *testing.B, libName, fn string) *acfg.Graph {
 	return g
 }
 
+func BenchmarkFrontendACFG(b *testing.B) {
+	for _, s := range benchSubjects {
+		s := s
+		b.Run(s.lib, func(b *testing.B) {
+			lib, ok := cryptolib.Lookup(s.lib)
+			if !ok {
+				b.Fatalf("corpus entry %q missing", s.lib)
+			}
+			m := compile(b, lib.Source)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := acfg.Build(m, s.fn, acfg.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFrontendAlias(b *testing.B) {
 	for _, s := range benchSubjects {
 		s := s
@@ -53,26 +73,34 @@ func BenchmarkFrontendAlias(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontendFlow times value-flow construction alone (build) and
+// construction plus the full per-source reach sweep the engines amortize
+// through the memo (sweep).
 func BenchmarkFrontendFlow(b *testing.B) {
 	for _, s := range benchSubjects {
-		s := s
-		b.Run(s.lib, func(b *testing.B) {
-			g := benchGraph(b, s.lib, s.fn)
-			al := alias.Analyze(g)
-			reach := g.Reach()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Construction plus the full per-source reach sweep the
-				// engines amortize through the memo.
-				fg := buildFlowGraph(g, al, reach)
-				for _, n := range g.Nodes {
-					if n.IsLoad() || n.IsStore() {
-						fg.from(n.ID)
+		g := benchGraph(b, s.lib, s.fn)
+		al := alias.Analyze(g)
+		g.Reach()
+		for _, sweep := range []bool{false, true} {
+			name := s.lib + "/build"
+			if sweep {
+				name = s.lib + "/sweep"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					fg := buildFlowGraph(g, al)
+					if !sweep {
+						continue
+					}
+					for _, n := range g.Nodes {
+						if n.IsLoad() || n.IsStore() {
+							fg.from(n.ID)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

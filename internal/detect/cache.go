@@ -29,7 +29,10 @@ type frontend struct {
 
 	// Construction sub-stage wall times, attributed to the building run's
 	// report (cache hits see zeros — they paid nothing).
+	acfgTime  time.Duration
 	aliasTime time.Duration
+	taintTime time.Duration
+	reachTime time.Duration
 	flowTime  time.Duration
 
 	// psOnce/ps hold the pre-solver's engine-independent fact base (the
@@ -51,25 +54,28 @@ func (fe *frontend) presolveFacts(mr *dataflow.ModuleRanges) *presolve.Facts {
 	return fe.ps
 }
 
-// buildFrontend computes the artifacts from scratch.
+// buildFrontend computes the artifacts from scratch, timing each stage.
 func buildFrontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, error) {
+	mark := time.Now()
+	lap := func() time.Duration {
+		now := time.Now()
+		d := now.Sub(mark)
+		mark = now
+		return d
+	}
 	g, err := acfg.Build(m, fn, opts)
 	if err != nil {
 		return nil, err
 	}
-	aliasStart := time.Now()
-	al := alias.Analyze(g)
-	aliasTime := time.Since(aliasStart)
-	fe := &frontend{
-		g:         g,
-		al:        al,
-		ta:        taint.Analyze(g, al),
-		cfgReach:  g.Reach(),
-		aliasTime: aliasTime,
-	}
-	flowStart := time.Now()
-	fe.flow = buildFlowGraph(g, al, fe.cfgReach)
-	fe.flowTime = time.Since(flowStart)
+	fe := &frontend{g: g, acfgTime: lap()}
+	fe.al = alias.Analyze(g)
+	fe.aliasTime = lap()
+	fe.ta = taint.Analyze(g, fe.al)
+	fe.taintTime = lap()
+	fe.cfgReach = g.Reach()
+	fe.reachTime = lap()
+	fe.flow = buildFlowGraph(g, fe.al)
+	fe.flowTime = lap()
 	return fe, nil
 }
 

@@ -116,3 +116,41 @@ func TestTimeoutBindsMidQuery(t *testing.T) {
 		t.Fatalf("timed out but only after %v; budget was 50ms", elapsed)
 	}
 }
+
+// TestFrontendStageTimesAddUp checks the frontend breakdown on a cold
+// build: every stage is timed, the stages fit inside the frontend total,
+// and a cache hit reports none of them.
+func TestFrontendStageTimesAddUp(t *testing.T) {
+	lib, ok := cryptolib.Lookup("secretbox")
+	if !ok {
+		t.Fatal("secretbox library missing from corpus")
+	}
+	m := compile(t, lib.Source)
+	cfg := DefaultSTL()
+	cfg.Cache = NewCache()
+	r, err := AnalyzeFunc(m, lib.PublicFuncs[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]time.Duration{
+		"acfg": r.ACFGTime, "alias": r.AliasTime, "taint": r.TaintTime,
+		"reach": r.ReachTime, "flow": r.FlowTime,
+	}
+	var sum time.Duration
+	for name, d := range stages {
+		if d <= 0 {
+			t.Errorf("%s stage time = %v on a cold build, want > 0", name, d)
+		}
+		sum += d
+	}
+	if sum > r.FrontendTime {
+		t.Errorf("frontend stages sum to %v, more than the frontend's %v", sum, r.FrontendTime)
+	}
+	hit, err := AnalyzeFunc(m, lib.PublicFuncs[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.CacheHit || hit.ACFGTime+hit.AliasTime+hit.TaintTime+hit.ReachTime+hit.FlowTime != 0 {
+		t.Errorf("cache hit (%v) reports stage times", hit.CacheHit)
+	}
+}

@@ -289,11 +289,16 @@ type Result struct {
 	EncodeTime   time.Duration
 	SolveTime    time.Duration
 	// Frontend sub-stage wall times, for attributing a frontend
-	// regression without re-profiling: AliasTime and FlowTime cover the
-	// points-to fixpoint and value-flow CSR construction (zero on a cache
-	// hit — the builder paid them), PresolveFactsTime the pre-solver's
-	// shared fact base (zero when a sibling engine already built it).
+	// regression without re-profiling: ACFGTime, AliasTime, TaintTime,
+	// ReachTime and FlowTime cover the A-CFG build, the points-to
+	// fixpoint, taint, the transitive closure and the value-flow CSR, in
+	// that order (zero on a cache hit — the builder paid them);
+	// PresolveFactsTime the pre-solver's shared fact base (zero when a
+	// sibling engine already built it).
+	ACFGTime          time.Duration
 	AliasTime         time.Duration
+	TaintTime         time.Duration
+	ReachTime         time.Duration
 	FlowTime          time.Duration
 	PresolveFactsTime time.Duration
 	// CacheHit reports whether the front end came from Config.Cache.
@@ -427,17 +432,18 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 		psFactsTime = time.Since(psStart)
 		ps = presolve.NewAnalysis(facts, a)
 	}
-	var aliasTime, flowTime time.Duration
+	res := &Result{
+		Fn: fn, NodeCount: fe.g.Len(), Graph: fe.g, AEG: a,
+		FrontendTime: frontendTime, EncodeTime: encodeTime, CacheHit: hit,
+		PresolveFactsTime: psFactsTime,
+	}
 	if !hit {
-		aliasTime, flowTime = fe.aliasTime, fe.flowTime
+		res.ACFGTime, res.AliasTime, res.TaintTime = fe.acfgTime, fe.aliasTime, fe.taintTime
+		res.ReachTime, res.FlowTime = fe.reachTime, fe.flowTime
 	}
 	d := &detector{
 		ctx: ctx, cfg: cfg, key: key, g: fe.g, al: fe.al, ta: fe.ta, a: a,
-		res: &Result{
-			Fn: fn, NodeCount: fe.g.Len(), Graph: fe.g, AEG: a,
-			FrontendTime: frontendTime, EncodeTime: encodeTime, CacheHit: hit,
-			AliasTime: aliasTime, FlowTime: flowTime, PresolveFactsTime: psFactsTime,
-		},
+		res:      res,
 		cfgReach: fe.cfgReach,
 		flow:     fe.flow,
 		pruner:   pruner,

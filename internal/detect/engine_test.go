@@ -370,3 +370,28 @@ func TestQueryConservationAcrossPresolveModes(t *testing.T) {
 	}
 	t.Logf("queries: on %d + skipped %d, off %d, audit %d", onQ, onSkipped, offQ, auditQ)
 }
+
+// TestLeakThroughReturnOfInlinedCall pins value flow through `return g(x)`:
+// the transiently loaded A[y] reaches B's index only through scale's
+// return of its inlined callee's result, so losing that link hides the
+// Spectre v1 UDT.
+func TestLeakThroughReturnOfInlinedCall(t *testing.T) {
+	const src = `
+uint8_t A[16];
+uint8_t B[131072];
+uint32_t size_A = 16;
+uint8_t tmp;
+uint32_t times512(uint32_t x) { return x * 512; }
+uint32_t scale(uint32_t x) { return times512(x); }
+void victim(uint32_t y) {
+	if (y < size_A) {
+		uint32_t i = scale(A[y]);
+		tmp &= B[i];
+	}
+}
+`
+	r := analyze(t, src, "victim", DefaultPHT())
+	if !hasClass(r, core.UDT) {
+		t.Fatalf("UDT through return of an inlined call not found; findings: %v", r.Findings)
+	}
+}

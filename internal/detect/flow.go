@@ -40,7 +40,7 @@ type flowGraph struct {
 	memo map[int]reachInfo
 }
 
-func buildFlowGraph(g *acfg.Graph, al *alias.Analysis, cfgReach func(from, to int) bool) *flowGraph {
+func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) *flowGraph {
 	f := &flowGraph{g: g, memo: map[int]reachInfo{}}
 	type rawEdge struct{ src, packed int32 }
 	var raw []rawEdge
@@ -82,20 +82,42 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis, cfgReach func(from, to in
 		}
 	}
 	// data.rf hops: store s → load l when they may address the same
-	// location and s can reach l.
-	var stores, loads []*acfg.Node
+	// location and s can reach l. Index the loads by address location
+	// once; a store's targets are then the loads its alias mask selects,
+	// cut to its reach row and emitted in ascending order.
+	var loadsAt [][]int32 // location → loads whose address may name it
+	var stores []*acfg.Node
 	for _, n := range g.Nodes {
 		if n.IsStore() {
 			stores = append(stores, n)
 		}
-		if n.IsLoad() {
-			loads = append(loads, n)
+		if !n.IsLoad() {
+			continue
 		}
+		addr, _ := al.Summary(n)
+		addr.ForEach(func(loc int) {
+			if loc >= len(loadsAt) {
+				loadsAt = append(loadsAt, make([][]int32, loc+1-len(loadsAt))...)
+			}
+			loadsAt[loc] = append(loadsAt[loc], int32(n.ID))
+		})
 	}
+	targets := dataflow.NewBitSet(g.Len())
 	for _, s := range stores {
-		for _, l := range loads {
-			if al.MayAlias(s, l) && cfgReach(s.ID, l.ID) {
-				add(s.ID, l.ID, false)
+		_, mask := al.Summary(s)
+		mask.ForEach(func(loc int) {
+			if loc < len(loadsAt) {
+				for _, l := range loadsAt[loc] {
+					targets.Set(int(l))
+				}
+			}
+		})
+		for w, row := range g.ReachRow(s.ID) {
+			word := targets[w] & row
+			targets[w] = 0
+			for word != 0 {
+				add(s.ID, w*64+bits.TrailingZeros64(word), false)
+				word &= word - 1
 			}
 		}
 	}

@@ -9,6 +9,7 @@ package detect
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"lcm/internal/acfg"
@@ -109,9 +110,8 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		t.Fatalf("%s/%s: acfg: %v", label, fn, err)
 	}
 	al := alias.Analyze(g)
-	cfgReach := g.Reach()
-	fg := buildFlowGraph(g, al, cfgReach)
-	adj := refFlowEdges(g, al, cfgReach)
+	fg := buildFlowGraph(g, al)
+	adj := refFlowEdges(g, al, g.Reach())
 	for _, src := range g.Nodes {
 		if !src.IsLoad() && !src.IsStore() {
 			continue
@@ -128,6 +128,50 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		if r.popcount() != len(wantReach) {
 			t.Fatalf("%s/%s: from(%d) reaches %d nodes, reference %d",
 				label, fn, src.ID, r.popcount(), len(wantReach))
+		}
+	}
+}
+
+// refCSR packs the reference adjacency into CSR arrays. refFlowEdges adds
+// edges in the order the pairwise scan found them (value edges by node,
+// then data.rf hops store by store, loads ascending), so per source this is
+// the exact edge order buildFlowGraph must produce.
+func refCSR(n int, adj map[int][]refEdge) (start, edges []int32) {
+	start = make([]int32, n+1)
+	for src := 0; src < n; src++ {
+		for _, e := range adj[src] {
+			p := int32(e.to) << 1
+			if e.gep {
+				p |= 1
+			}
+			edges = append(edges, p)
+		}
+		start[src+1] = int32(len(edges))
+	}
+	return start, edges
+}
+
+// checkFlowCSR requires, for every defined function of m, that the
+// indexed data.rf build yields exactly the pairwise scan's CSR arrays.
+func checkFlowCSR(t testing.TB, label string, m *ir.Module) {
+	t.Helper()
+	for _, f := range m.Funcs {
+		if f.IsDecl() {
+			continue
+		}
+		g, err := acfg.Build(m, f.Nm, acfg.Options{})
+		if err != nil {
+			t.Fatalf("%s/%s: acfg: %v", label, f.Nm, err)
+		}
+		al := alias.Analyze(g)
+		fg := buildFlowGraph(g, al)
+		start, edges := refCSR(g.Len(), refFlowEdges(g, al, g.Reach()))
+		if !slices.Equal(fg.start, start) {
+			t.Fatalf("%s/%s: CSR start differs from the pairwise scan", label, f.Nm)
+		}
+		if !slices.Equal(fg.edges, edges) {
+			t.Fatalf("%s/%s: CSR edges differ from the pairwise scan (%d vs %d edges)",
+				label, f.Nm, len(fg.edges), len(edges))
 		}
 	}
 }

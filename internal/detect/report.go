@@ -67,7 +67,10 @@ func (r *Result) Report() obsv.FuncReport {
 		FrontendNs:      r.FrontendTime.Nanoseconds(),
 		EncodeNs:        r.EncodeTime.Nanoseconds(),
 		SolveNs:         r.SolveTime.Nanoseconds(),
+		ACFGNs:          r.ACFGTime.Nanoseconds(),
 		AliasNs:         r.AliasTime.Nanoseconds(),
+		TaintNs:         r.TaintTime.Nanoseconds(),
+		ReachNs:         r.ReachTime.Nanoseconds(),
 		FlowNs:          r.FlowTime.Nanoseconds(),
 		PresolveFactsNs: r.PresolveFactsTime.Nanoseconds(),
 	}
