@@ -50,8 +50,8 @@ func TestAuditPresolveWindowRefutations(t *testing.T) {
 // classes, where every candidate query is arch-witnessed: donna's
 // Montgomery ladder and secretbox's open. Each witness must be one the
 // solver also answers Sat. The witnesses share their replayed paths:
-// certificates of one take assignment alias one path slice, so there are
-// fewer slices than witnesses.
+// certificates of one path alias one path slice, so there are as many
+// slices as distinct paths, and fewer than witnesses.
 func TestAuditPresolveArchWitnesses(t *testing.T) {
 	for _, subj := range []struct{ lib, fn string }{
 		{"donna", "crypto_scalarmult"},
@@ -90,6 +90,9 @@ func TestAuditPresolveArchWitnesses(t *testing.T) {
 			}
 			if len(pathSlices) >= arch {
 				t.Errorf("%d arch witnesses in %d path slices: no replay is shared", arch, len(pathSlices))
+			}
+			if len(pathSlices) != len(paths) {
+				t.Errorf("%d distinct paths replayed into %d path slices: want one replay per path", len(paths), len(pathSlices))
 			}
 			t.Logf("arch-witness certificates=%d paths=%d path slices=%d audited=%d", arch, len(paths), len(pathSlices), r.PresolveAudited)
 		})

@@ -4,7 +4,8 @@ package detect
 // subjects. The frontend benchmarks isolate its stages — the A-CFG build,
 // points-to solving, and value-flow construction plus a full reach sweep —
 // while BenchmarkDetectDonna runs both engines over donna's Montgomery
-// ladder, the workload the BENCH_parallel.json acceptance numbers track.
+// ladder, the workload the BENCH_parallel.json acceptance numbers track,
+// and BenchmarkEngineCensus the taxonomy engines over the crypto corpus.
 // `make profile BENCH=BenchmarkDetectDonna` captures a CPU profile.
 
 import (
@@ -13,6 +14,7 @@ import (
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
 	"lcm/internal/cryptolib"
+	"lcm/internal/ir"
 )
 
 // benchSubjects are the corpus entries the frontend benchmarks sweep.
@@ -122,6 +124,36 @@ func BenchmarkDetectDonna(b *testing.B) {
 				cfg.ShardWorkers = 8
 				if _, err := AnalyzeFunc(m, "crypto_scalarmult", cfg); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineCensus runs Clou-imp and Clou-ss, each with its
+// DefaultConfig, serially over every crypto public function: the
+// taxonomy engines' cost on real-shaped code, which the pht/stl
+// benchmarks do not cover.
+func BenchmarkEngineCensus(b *testing.B) {
+	type subject struct {
+		m  *ir.Module
+		fn string
+	}
+	var subjects []subject
+	for _, lib := range cryptolib.All() {
+		m := compile(b, lib.Source)
+		for _, fn := range lib.PublicFuncs {
+			subjects = append(subjects, subject{m, fn})
+		}
+	}
+	for _, e := range []Engine{IMP, SS} {
+		b.Run(e.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range subjects {
+					if _, err := AnalyzeFunc(s.m, s.fn, DefaultConfig(e)); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

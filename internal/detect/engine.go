@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 	"time"
 
@@ -463,21 +462,18 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 }
 
 type detector struct {
-	ctx        context.Context
-	cfg        Config
-	key        string // fault-injection identity
-	g          *acfg.Graph
-	al         *alias.Analysis
-	ta         *taint.Analysis
-	a          *aeg.AEG
-	flow       *flowGraph
-	res        *Result
-	cfgReach   func(from, to int) bool
-	flows      map[int]reachInfo       // detector-local view of flow.memo (no mutex)
-	condFeed   [][]int                 // condFeeders, per branch node; nil until swept
-	dists      map[int]*nearSets       // bounded-distance bitsets, per source
-	fenceFree  func(from, to int) bool // the graph's FenceFreeReach, on first use
-	feedsCache map[int][]indexEdge
+	ctx       context.Context
+	cfg       Config
+	key       string // fault-injection identity
+	g         *acfg.Graph
+	al        *alias.Analysis
+	ta        *taint.Analysis
+	a         *aeg.AEG
+	flow      *flowGraph
+	res       *Result
+	cfgReach  func(from, to int) bool
+	dists     map[int]*nearSets       // bounded-distance bitsets, per source
+	fenceFree func(from, to int) bool // the graph's FenceFreeReach, on first use
 	// The graph's memory nodes (loads, stores, havocs), loads, and
 	// stores, in node order; listed once per detector by indexNodes.
 	mems, loads, stores []*acfg.Node
@@ -601,22 +597,6 @@ func (d *detector) candStatFor(key candKey) *candStat {
 		d.cands[key] = cs
 	}
 	return cs
-}
-
-// flowFrom returns the value-flow reach info of one source node. The
-// authoritative memo lives on the shared flowGraph — warm across both
-// engines of a cached frontend and across the prewarm shards — and the
-// detector keeps a mutex-free local view for the hot serial loops.
-func (d *detector) flowFrom(n int) reachInfo {
-	if r, ok := d.flows[n]; ok {
-		return r
-	}
-	if d.flows == nil {
-		d.flows = map[int]reachInfo{}
-	}
-	r := d.flow.from(n)
-	d.flows[n] = r
-	return r
 }
 
 func (d *detector) wantClass(c core.Class) bool {
@@ -870,103 +850,80 @@ func (d *detector) prewarm() {
 	}
 }
 
-// steering precomputes, per access load, the memory nodes whose address it
-// steers (the addr edges of Table 1). The reverse direction — the index
-// loads steering an access's address — is computed lazily by feedsOf.
-type steering struct {
-	// steers[acc] = transmitters whose address acc's value reaches
-	steers map[int][]int
-}
-
-// accs returns the steered access IDs in ascending order: candidate
-// enumeration (and therefore finding order, and which candidate a budget
-// cut lands on) must not depend on map iteration order.
-func (s steering) accs() []int {
-	out := make([]int, 0, len(s.steers))
-	for a := range s.steers {
-		out = append(out, a)
-	}
-	sort.Ints(out)
-	return out
-}
-
-type indexEdge struct {
-	idx int
+// feed is one edge of a feeder relation: load src's value reaches one of
+// the target's defs, crossing a gep index hop (the addr_gep signal of
+// §5.2) on some reaching path when gep is set.
+type feed struct {
+	src int32
 	gep bool
 }
 
-// feedsOf returns the index loads steering node acc's address (with the
-// addr_gep flag), cached per access.
-func (d *detector) feedsOf(accID int) []indexEdge {
-	if d.feedsCache == nil {
-		d.feedsCache = map[int][]indexEdge{}
-	}
-	if es, ok := d.feedsCache[accID]; ok {
-		return es
-	}
-	acc := d.g.Nodes[accID]
-	var out []indexEdge
-	for _, idx := range d.loads {
-		if idx.ID == accID {
-			continue
-		}
-		r := d.flowFrom(idx.ID)
-		if ok, gep := flowsToAddr(r, acc); ok {
-			out = append(out, indexEdge{idx: idx.ID, gep: gep})
-		}
-	}
-	d.feedsCache[accID] = out
-	return out
-}
-
-func (d *detector) computeSteering(loads []*acfg.Node) steering {
-	s := steering{steers: map[int][]int{}}
-	// Inverted sweep: instead of probing every memory node's address defs
-	// against each source's reach set (|loads| × |mems| probes), index
-	// defs → mems once and walk each source's reached ∩ defs words. The
-	// per-source hit list is re-sorted into mems order so downstream
-	// iteration (and therefore findings and budget boundaries) is
-	// unchanged.
+// feeders is the (data.rf)* relation every engine classifies by: per
+// target node ID, the sources whose value reaches one of the target's
+// defs, in srcs order, never the target itself. One inverted sweep builds
+// it: the targets' defs are indexed once into a mask and a def → targets
+// table, then each source's reached ∧ mask words are walked, so a source's
+// reach set is read once however many targets it feeds. The budget is
+// honored between sources; a relation cut short is partial, so callers
+// check outOfBudget before reading it.
+func (d *detector) feeders(srcs, targets []*acfg.Node, defs func(*acfg.Node) []int) [][]feed {
 	mask := dataflow.NewBitSet(d.g.Len())
 	byDef := make([][]int32, d.g.Len())
-	for pos, t := range d.mems {
-		for _, def := range addrDefs(t) {
+	for _, t := range targets {
+		for _, def := range defs(t) {
 			mask.Set(def)
-			byDef[def] = append(byDef[def], int32(pos))
+			byDef[def] = append(byDef[def], int32(t.ID))
 		}
 	}
-	hit := make([]bool, len(d.mems))
-	var hits []int32
-	for _, acc := range loads {
-		// flowFrom is the expensive step of this precomputation; honor the
-		// budget between accesses so a timeout binds before the first query.
+	rel := make([][]feed, d.g.Len())
+	for _, s := range srcs {
 		if d.outOfBudget() {
-			return s
+			break
 		}
-		r := d.flowFrom(acc.ID)
-		hits = hits[:0]
+		r := d.flow.from(s.ID)
 		for w, word := range r.reached {
 			word &= mask[w]
 			for word != 0 {
 				def := w*64 + bits.TrailingZeros64(word)
 				word &= word - 1
-				for _, pos := range byDef[def] {
-					if !hit[pos] {
-						hit[pos] = true
-						hits = append(hits, pos)
+				gep := r.viaGep.Has(def)
+				for _, t := range byDef[def] {
+					switch fs := rel[t]; {
+					case int(t) == s.ID: // never the target itself
+					case len(fs) > 0 && int(fs[len(fs)-1].src) == s.ID:
+						// A source reaching several of t's defs feeds it
+						// once, through a gep hop if any reaching path has one.
+						fs[len(fs)-1].gep = fs[len(fs)-1].gep || gep
+					default:
+						rel[t] = append(fs, feed{src: int32(s.ID), gep: gep})
 					}
 				}
 			}
 		}
-		slices.Sort(hits)
-		for _, pos := range hits {
-			hit[pos] = false
-			if t := d.mems[pos]; t.ID != acc.ID {
-				s.steers[acc.ID] = append(s.steers[acc.ID], t.ID)
-			}
+	}
+	return rel
+}
+
+// steered transposes a feeder relation: per source node ID, the targets
+// it feeds, in targets order — for an access load, the transmitters whose
+// address it steers (the addr edges of Table 1).
+func steered(rel [][]feed, targets []*acfg.Node) [][]int {
+	out := make([][]int, len(rel))
+	for _, t := range targets {
+		for _, f := range rel[t.ID] {
+			out[f.src] = append(out[f.src], t.ID)
 		}
 	}
-	return s
+	return out
+}
+
+// valueDefs returns the defining nodes of a node's first operand: a
+// branch's condition, a store's data.
+func valueDefs(n *acfg.Node) []int {
+	if len(n.ArgDefs) == 0 {
+		return nil
+	}
+	return n.ArgDefs[0]
 }
 
 // runPHT searches for transmitters steered through control-flow
@@ -974,7 +931,10 @@ func (d *detector) computeSteering(loads []*acfg.Node) steering {
 // the transmitter execute transiently, leaking its data-dependent address
 // into xstate an observer probes.
 func (d *detector) runPHT() {
-	st := d.computeSteering(d.loads)
+	// One relation read two ways: by access, its index feeders; by index
+	// source, the transmitters it steers.
+	feeds := d.feeders(d.loads, d.mems, addrDefs)
+	steers := steered(feeds, d.mems)
 	branches := d.a.Branches()
 	// Query slices share these scratch arrays across the candidate loops:
 	// the pre-solver copies anything it retains, so a fresh slice literal
@@ -983,8 +943,11 @@ func (d *detector) runPHT() {
 
 	// Universal data transmitters.
 	if d.wantClass(core.UDT) {
-		for _, accID := range st.accs() {
-			ts := st.steers[accID]
+		for _, acc := range d.loads {
+			accID, ts := acc.ID, steers[acc.ID]
+			if len(ts) == 0 {
+				continue
+			}
 			if d.outOfBudget() {
 				return
 			}
@@ -994,7 +957,7 @@ func (d *detector) runPHT() {
 			if d.cfg.RequireTaint && !d.ta.AddressControlled(d.g.Nodes[accID]) {
 				continue
 			}
-			for _, e := range d.feedsOf(accID) {
+			for _, e := range feeds[accID] {
 				if d.cfg.RequireGEP && !e.gep {
 					continue
 				}
@@ -1007,12 +970,12 @@ func (d *detector) runPHT() {
 						if !d.a.InWindow(b, tID) || !d.a.InWindow(b, accID) {
 							continue
 						}
-						qt[0], qt[1], qe[0] = tID, accID, e.idx
+						qt[0], qt[1], qe[0] = tID, accID, int(e.src)
 						q := presolve.Query{Branch: b, Trans: qt[:2], Exec: qe[:1]}
 						if d.ask(key, q) {
 							d.report(key, Finding{
 								Class:    core.UDT,
-								Transmit: tID, Access: accID, Index: e.idx,
+								Transmit: tID, Access: accID, Index: int(e.src),
 								Branch: b, Store: -1, Load: -1,
 								TransientTransmit: true, TransientAccess: true,
 							})
@@ -1026,8 +989,11 @@ func (d *detector) runPHT() {
 
 	// Data transmitters (non-universal or committed-access patterns).
 	if d.wantClass(core.DT) {
-		for _, accID := range st.accs() {
-			ts := st.steers[accID]
+		for _, acc := range d.loads {
+			accID, ts := acc.ID, steers[acc.ID]
+			if len(ts) == 0 {
+				continue
+			}
 			if d.outOfBudget() {
 				return
 			}
@@ -1063,51 +1029,19 @@ func (d *detector) runPHT() {
 	// Control patterns: the branch condition reads an access load; any
 	// memory node transient under the branch transmits its outcome.
 	if d.wantClass(core.CT) || d.wantClass(core.UCT) {
-		d.controlPatterns(branches)
+		d.controlPatterns(branches, feeds)
 	}
 }
 
-// condFeeders returns the loads whose values feed branch c's condition,
-// in node order. The first call answers every branch at once with the
-// inverted sweep of computeSteering: index condition defs to branches,
-// then walk each load's reached ∩ defs words, so each load is visited
-// once rather than once per branch asked about.
-func (d *detector) condFeeders(c int) []int {
-	if d.condFeed != nil {
-		return d.condFeed[c]
+// controlPatterns searches the control transmitters of Clou-pht, given
+// the engine's access feeder relation: the loads feeding each branch's
+// condition come from one more feeder sweep.
+func (d *detector) controlPatterns(branches []int, feeds [][]feed) {
+	bn := make([]*acfg.Node, len(branches))
+	for i, b := range branches {
+		bn[i] = d.g.Nodes[b]
 	}
-	mask := dataflow.NewBitSet(d.g.Len())
-	byDef := make([][]int32, d.g.Len())
-	for _, n := range d.g.Nodes {
-		if !n.IsBranch() || len(n.ArgDefs) == 0 {
-			continue
-		}
-		for _, def := range n.ArgDefs[0] {
-			mask.Set(def)
-			byDef[def] = append(byDef[def], int32(n.ID))
-		}
-	}
-	d.condFeed = make([][]int, d.g.Len())
-	for _, acc := range d.loads {
-		r := d.flowFrom(acc.ID)
-		for w, word := range r.reached {
-			word &= mask[w]
-			for word != 0 {
-				def := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				for _, b := range byDef[def] {
-					// A load reaching several of b's defs feeds it once.
-					if fs := d.condFeed[b]; len(fs) == 0 || fs[len(fs)-1] != acc.ID {
-						d.condFeed[b] = append(fs, acc.ID)
-					}
-				}
-			}
-		}
-	}
-	return d.condFeed[c]
-}
-
-func (d *detector) controlPatterns(branches []int) {
+	conds := d.feeders(d.loads, bn, valueDefs)
 	// Query slices share these scratch arrays (see runPHT): the
 	// pre-solver copies anything it retains.
 	var qt [3]int
@@ -1126,7 +1060,8 @@ func (d *detector) controlPatterns(branches []int) {
 				if c == b || !d.a.InWindow(b, c) {
 					continue
 				}
-				for _, accID := range d.condFeeders(c) {
+				for _, f := range conds[c] {
+					accID := int(f.src)
 					if !d.a.InWindow(b, accID) {
 						continue
 					}
@@ -1136,7 +1071,7 @@ func (d *detector) controlPatterns(branches []int) {
 					if d.cfg.RequireTaint && !d.ta.AddressControlled(d.g.Nodes[accID]) {
 						continue
 					}
-					for _, e := range d.feedsOf(accID) {
+					for _, e := range feeds[accID] {
 						if d.cfg.RequireGEP && !e.gep {
 							continue
 						}
@@ -1148,12 +1083,12 @@ func (d *detector) controlPatterns(branches []int) {
 							if d.found[key] {
 								continue
 							}
-							qt[0], qt[1], qt[2], qe[0] = t.ID, accID, c, e.idx
+							qt[0], qt[1], qt[2], qe[0] = t.ID, accID, c, int(e.src)
 							q := presolve.Query{Branch: b, Trans: qt[:3], Exec: qe[:1]}
 							if d.ask(key, q) {
 								d.report(key, Finding{
 									Class:    core.UCT,
-									Transmit: t.ID, Access: accID, Index: e.idx,
+									Transmit: t.ID, Access: accID, Index: int(e.src),
 									Branch: b, Store: -1, Load: -1,
 									TransientTransmit: true, TransientAccess: true,
 								})
@@ -1171,15 +1106,15 @@ func (d *detector) controlPatterns(branches []int) {
 		if d.outOfBudget() {
 			return
 		}
-		accs := d.condFeeders(b)
-		if len(accs) == 0 {
+		if len(conds[b]) == 0 {
 			continue
 		}
 		for _, t := range d.mems {
 			if !d.a.InWindow(b, t.ID) {
 				continue
 			}
-			for _, accID := range accs {
+			for _, f := range conds[b] {
+				accID := int(f.src)
 				if d.found[candKey{kind: candUCT, a: t.ID, b: accID}] {
 					continue
 				}
@@ -1232,12 +1167,8 @@ func (d *detector) runForwarding() {
 		}
 	}
 
-	// One inverted value-flow sweep per distinct stale (or mispredicted)
-	// load replaces the per-pair probe over every memory node: the steered
-	// lists come back in mems order, so per-pair iteration (and every
-	// downstream decision) is unchanged. flowsToAddr was the most
-	// selective filter in this loop; the surviving checks run only on its
-	// few hits.
+	// The transmitters each stale (or mispredicted) load steers, in mems
+	// order: one feeder sweep over the pairs' distinct loads.
 	var fwd []*acfg.Node
 	fwdSeen := map[int]bool{}
 	for _, p := range pairs {
@@ -1246,7 +1177,7 @@ func (d *detector) runForwarding() {
 			fwd = append(fwd, d.g.Nodes[p.l])
 		}
 	}
-	st := d.computeSteering(fwd)
+	steers := steered(d.feeders(fwd, d.mems, addrDefs), d.mems)
 
 	// Scratch for the queries' node sets: the pre-solver copies anything
 	// it retains, so a fresh slice literal per probe is pure churn.
@@ -1256,7 +1187,7 @@ func (d *detector) runForwarding() {
 			return
 		}
 		near := d.nearFrom(p.l)
-		for _, tID := range st.steers[p.l] {
+		for _, tID := range steers[p.l] {
 			if !d.cfgReach(p.l, tID) {
 				continue
 			}

@@ -1,5 +1,8 @@
 package detect
 
-// CheckFlowCSR exposes the CSR reference check to the external test
-// package, which can import the corpora that import detect.
-var CheckFlowCSR = checkFlowCSR
+// CheckFlowCSR and CheckFeeders expose the reference checks to the
+// external test package, which can import the corpora that import detect.
+var (
+	CheckFlowCSR = checkFlowCSR
+	CheckFeeders = checkFeeders
+)

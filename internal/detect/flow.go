@@ -169,13 +169,6 @@ func (f *flowGraph) from(src int) reachInfo {
 	return r
 }
 
-// memoSize reports how many sources have been computed so far.
-func (f *flowGraph) memoSize() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.memo)
-}
-
 // compute runs the DFS over (node, crossed-gep) states. A state is
 // packed node<<1|gep — the same packing as a CSR edge, so following an
 // edge is a single OR of the gep flags.
@@ -207,24 +200,6 @@ func (f *flowGraph) compute(src int) reachInfo {
 	return info
 }
 
-// reaches reports whether the source's value reaches node dst, and whether
-// some reaching path crosses a gep index.
-func (r reachInfo) reaches(dst int) (ok, viaGEPIndex bool) {
-	if r.reached == nil {
-		return false, false
-	}
-	return r.reached.Has(dst), r.viaGep.Has(dst)
-}
-
-// popcount returns the number of reached nodes (test support).
-func (r reachInfo) popcount() int {
-	total := 0
-	for _, w := range r.reached {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 // addrDefs returns the defining nodes of a memory node's address operand
 // (all pointer operands for havoc calls).
 func addrDefs(n *acfg.Node) []int {
@@ -247,18 +222,4 @@ func addrDefs(n *acfg.Node) []int {
 		return out
 	}
 	return nil
-}
-
-// flowsToAddr reports whether the source value (summarized by r) steers
-// dst's address, and whether the chain crosses a gep index hop.
-func flowsToAddr(r reachInfo, dst *acfg.Node) (ok, viaGEP bool) {
-	for _, d := range addrDefs(dst) {
-		if hit, gep := r.reaches(d); hit {
-			if gep {
-				return true, true
-			}
-			ok = true
-		}
-	}
-	return ok, false
 }

@@ -8,6 +8,7 @@ package detect
 // disagrees.
 
 import (
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -269,4 +270,22 @@ func TestShardDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reaches reports whether the source's value reaches node dst, and whether
+// some reaching path crosses a gep index.
+func (r reachInfo) reaches(dst int) (ok, viaGEPIndex bool) {
+	if r.reached == nil {
+		return false, false
+	}
+	return r.reached.Has(dst), r.viaGep.Has(dst)
+}
+
+// popcount returns the number of reached nodes.
+func (r reachInfo) popcount() int {
+	total := 0
+	for _, w := range r.reached {
+		total += bits.OnesCount64(w)
+	}
+	return total
 }

@@ -63,6 +63,7 @@ func (d *detector) runIMP() {
 	groups := map[[2]*ir.Instr][]inst{}
 	var order [][2]*ir.Instr
 	nearest := map[*ir.Instr]int{}
+	feeds := d.feeders(d.loads, d.loads, addrDefs)
 	for _, dn := range d.loads {
 		if d.outOfBudget() {
 			return
@@ -71,30 +72,32 @@ func (d *detector) runIMP() {
 			continue
 		}
 		clear(nearest)
-		for _, e := range d.feedsOf(dn.ID) {
+		for _, e := range feeds[dn.ID] {
 			if d.cfg.RequireGEP && !e.gep {
 				continue
 			}
-			in := d.g.Nodes[e.idx]
+			idx := int(e.src)
+			in := d.g.Nodes[idx]
 			if in.Instr == nil || !walkAddressed(in.Instr) {
 				continue
 			}
-			if prev, ok := nearest[in.Instr]; !ok || e.idx > prev {
-				nearest[in.Instr] = e.idx
+			if prev, ok := nearest[in.Instr]; !ok || idx > prev {
+				nearest[in.Instr] = idx
 			}
 		}
-		// feedsOf returns edges in load-ID order, so the first sighting
-		// of each static index instr fixes a deterministic group order.
-		for _, e := range d.feedsOf(dn.ID) {
-			in := d.g.Nodes[e.idx]
-			if in.Instr == nil || nearest[in.Instr] != e.idx {
+		// Feeders come in load-ID order, so the first sighting of each
+		// static index instr fixes a deterministic group order.
+		for _, e := range feeds[dn.ID] {
+			idx := int(e.src)
+			in := d.g.Nodes[idx]
+			if in.Instr == nil || nearest[in.Instr] != idx {
 				continue
 			}
 			gk := [2]*ir.Instr{in.Instr, dn.Instr}
 			if _, ok := groups[gk]; !ok {
 				order = append(order, gk)
 			}
-			groups[gk] = append(groups[gk], inst{i: e.idx, dnode: dn.ID})
+			groups[gk] = append(groups[gk], inst{i: idx, dnode: dn.ID})
 		}
 	}
 
@@ -156,19 +159,32 @@ func walkAddressed(in *ir.Instr) bool {
 // allocation transmits the comparison outcome (Fig. 5a). The channel is
 // control-shaped — one bit per store — so findings are CT, or UCT when
 // the attacker also steers which address is compared.
+//
+// A store's feeders are the loads whose values flow into its data operand
+// — the secret sources a silent commit would compare against memory — in
+// load-ID order. Scalar alloca reloads are not feeders: a -O0 spill slot
+// only ever holds values the function computed itself (arguments,
+// locals), so a store sourced exclusively from them compares
+// attacker-known data against memory and leaks nothing.
 func (d *detector) runSS() {
 	exit := d.exitNode()
+	var srcs []*acfg.Node
+	for _, l := range d.loads {
+		if !allocaReload(l) {
+			srcs = append(srcs, l)
+		}
+	}
+	feeds := d.feeders(srcs, d.stores, valueDefs)
 
 	var qn [2]int
-	for _, s := range d.g.Nodes {
-		if !s.IsStore() || s.Instr == nil {
+	for _, s := range d.stores {
+		if s.Instr == nil {
 			continue
 		}
 		if d.outOfBudget() {
 			return
 		}
-		feeders := d.valueFeeders(s)
-		if len(feeders) == 0 {
+		if len(feeds[s.ID]) == 0 {
 			continue
 		}
 		d.res.Candidates++
@@ -192,7 +208,8 @@ func (d *detector) runSS() {
 		if !d.wantClass(class) {
 			continue
 		}
-		for _, aID := range feeders {
+		for _, f := range feeds[s.ID] {
+			aID := int(f.src)
 			key := candKey{kind: candSS, a: s.ID, b: aID}
 			if d.found[key] {
 				continue
@@ -209,32 +226,6 @@ func (d *detector) runSS() {
 			}
 		}
 	}
-}
-
-// valueFeeders returns the loads whose values flow into the store's data
-// operand — the secret sources a silent commit would compare against
-// memory — in load-ID order. Scalar alloca reloads are not feeders: a
-// -O0 spill slot only ever holds values the function computed itself
-// (arguments, locals), so a store sourced exclusively from them compares
-// attacker-known data against memory and leaks nothing.
-func (d *detector) valueFeeders(s *acfg.Node) []int {
-	if len(s.ArgDefs) == 0 || len(s.ArgDefs[0]) == 0 {
-		return nil
-	}
-	var out []int
-	for _, acc := range d.loads {
-		if acc.ID == s.ID || allocaReload(acc) {
-			continue
-		}
-		r := d.flowFrom(acc.ID)
-		for _, def := range s.ArgDefs[0] {
-			if ok, _ := r.reaches(def); ok {
-				out = append(out, acc.ID)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // allocaReload reports whether the load reads a scalar stack slot

@@ -109,7 +109,7 @@ type Analysis struct {
 	entry []int32
 	// take is the witness builders' take-assignment scratch: 0 unset, 1
 	// false, 2 true, with the set nodes listed in taken. replays memoises
-	// arch-witness replays by assignment, keyed in keyBuf.
+	// arch-witness replays by the branches set false, keyed in keyBuf.
 	take    []int8
 	taken   []int
 	replays map[string]*replayed

@@ -209,13 +209,18 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 		cur = w
 	}
 
-	// The replay depends only on the takes set, since an unset branch
-	// takes its default, so the sorted takes key the memo: a DAG's arch
-	// witnesses share a few dozen paths across thousands of queries.
+	// An unset branch takes its default, true, so the replayed path
+	// depends only on the branches set false: their sorted IDs key the
+	// memo, one replay per distinct path. (Graph.Verify pins that only a
+	// conditional branch has two successors, so no other node's take
+	// could steer the path.) A DAG's arch witnesses share a few dozen
+	// paths across thousands of queries.
 	slices.Sort(a.taken)
 	buf := a.keyBuf[:0]
 	for _, n := range a.taken {
-		buf = binary.AppendUvarint(buf, uint64(n)<<2|uint64(a.take[n]))
+		if a.take[n] == 1 {
+			buf = binary.AppendUvarint(buf, uint64(n))
+		}
 	}
 	a.keyBuf = buf
 	r, hit := a.replays[string(buf)]
@@ -268,7 +273,7 @@ func (a *Analysis) segmentTakes(src, dst int) bool {
 }
 
 // replayed is the maximal take-selected path from entry under one take
-// assignment, shared by every witness that sets those takes.
+// assignment, shared by every witness that sets the same branches false.
 type replayed struct {
 	path  []int // in path order, entry first
 	on    dataflow.BitSet
