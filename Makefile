@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMinicParse -fuzztime=10s ./internal/minic
 	$(GO) test -fuzz=FuzzLower -fuzztime=10s ./internal/lower
 	$(GO) test -fuzz=FuzzACFGBuild -fuzztime=10s ./internal/acfg
+	$(GO) test -fuzz=FuzzForwardPairs -fuzztime=10s ./internal/detect
 	$(GO) test -fuzz=FuzzIncrementalSolve -fuzztime=10s ./internal/sat
 
 # conform runs the seeded conformance campaign (internal/progen): generate

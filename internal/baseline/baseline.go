@@ -66,6 +66,11 @@ func AnalyzeFunc(m *ir.Module, fn string, cfg Config) (*Result, error) {
 		res:   &Result{Fn: fn},
 		leaks: map[int]bool{},
 	}
+	for _, n := range g.Nodes {
+		if n.IsStore() {
+			e.stores = append(e.stores, n)
+		}
+	}
 	e.explore(g.Entry, nil)
 	e.res.Paths = e.paths
 	e.res.Leaks = len(e.leaks)
@@ -82,6 +87,9 @@ type explorer struct {
 	res   *Result
 	paths int
 	leaks map[int]bool // leaky instruction nodes (deduplicated)
+	// stores lists the graph's stores in node order, once, for the
+	// spill-chain walk in dependsOn.
+	stores []*acfg.Node
 }
 
 func (e *explorer) budget() bool {
@@ -251,8 +259,8 @@ func (e *explorer) dependsOn(t *acfg.Node, src int) bool {
 		if dn.IsLoad() {
 			// approximate spill chains: a load depends on stores to its
 			// slot; walk the store's value operand.
-			for _, st := range e.g.Nodes {
-				if st.IsStore() && e.al.MayAlias(st, dn) {
+			for _, st := range e.stores {
+				if e.al.MayAlias(st, dn) {
 					if len(st.ArgDefs) > 0 {
 						stack = append(stack, st.ArgDefs[0]...)
 					}

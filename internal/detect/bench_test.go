@@ -3,8 +3,8 @@ package detect
 // Frontend and end-to-end benchmarks over the two heaviest cryptolib
 // subjects. The frontend benchmarks isolate its stages — the A-CFG build,
 // points-to solving, and value-flow construction plus a full reach sweep —
-// while BenchmarkDetectDonna runs both engines over donna's Montgomery
-// ladder, the workload the BENCH_parallel.json acceptance numbers track,
+// while BenchmarkDetectDonna runs Clou-pht and Clou-stl over both
+// subjects, the two functions on the crypto benchmark's critical path,
 // and BenchmarkEngineCensus the taxonomy engines over the crypto corpus.
 // `make profile BENCH=BenchmarkDetectDonna` captures a CPU profile.
 
@@ -107,26 +107,27 @@ func BenchmarkFrontendFlow(b *testing.B) {
 }
 
 func BenchmarkDetectDonna(b *testing.B) {
-	lib, ok := cryptolib.Lookup("donna")
-	if !ok {
-		b.Fatal("donna corpus entry missing")
-	}
-	m := compile(b, lib.Source)
-	for _, eng := range []struct {
-		name string
-		mk   func() Config
-	}{{"pht", DefaultPHT}, {"stl", DefaultSTL}} {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := eng.mk()
-				cfg.ShardWorkers = 8
-				if _, err := AnalyzeFunc(m, "crypto_scalarmult", cfg); err != nil {
-					b.Fatal(err)
+	for _, s := range benchSubjects {
+		lib, ok := cryptolib.Lookup(s.lib)
+		if !ok {
+			b.Fatalf("corpus entry %q missing", s.lib)
+		}
+		m := compile(b, lib.Source)
+		for _, eng := range []struct {
+			name string
+			mk   func() Config
+		}{{"pht", DefaultPHT}, {"stl", DefaultSTL}} {
+			b.Run(s.lib+"/"+eng.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg := eng.mk()
+					cfg.ShardWorkers = 8
+					if _, err := AnalyzeFunc(m, s.fn, cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package detect_test
 
 // The indexed data.rf build against the pairwise store × load scan, over
 // every corpus: the CSR arrays must be identical, not just equivalent.
-// The progen leg of the feeder-relation check lives here too: progen
-// imports detect.
+// The progen legs of the feeder-relation and forwarding-pair checks live
+// here too: progen imports detect.
 
 import (
 	"fmt"
@@ -65,6 +65,19 @@ func TestFeedersMatchReferenceProgen(t *testing.T) {
 		}
 		for _, p := range progs {
 			detect.CheckFeeders(t, fmt.Sprintf("progen/%d/%d", seed, p.Index), lowerSrc(t, p.Fn, p.Src), p.Fn)
+		}
+	}
+}
+
+func TestForwardPairsMatchReferenceProgen(t *testing.T) {
+	const n = 200
+	for _, seed := range []int64{22, 1} {
+		progs, err := progen.GenerateN(seed, n)
+		if err != nil {
+			t.Fatalf("progen seed %d: %v", seed, err)
+		}
+		for _, p := range progs {
+			detect.CheckForwardPairs(t, fmt.Sprintf("progen/%d/%d", seed, p.Index), lowerSrc(t, p.Fn, p.Src), p.Fn)
 		}
 	}
 }

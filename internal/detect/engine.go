@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -472,7 +473,7 @@ type detector struct {
 	flow      *flowGraph
 	res       *Result
 	cfgReach  func(from, to int) bool
-	dists     map[int]*nearSets       // bounded-distance bitsets, per source
+	rows      []dataflow.BitSet       // bounded-distance rows by node ID, on first use
 	fenceFree func(from, to int) bool // the graph's FenceFreeReach, on first use
 	// The graph's memory nodes (loads, stores, havocs), loads, and
 	// stores, in node order; listed once per detector by indexNodes.
@@ -802,14 +803,14 @@ func (d *detector) run() {
 // prewarm is the intra-function sharding stage: with ShardWorkers > 1 it
 // computes, in parallel, exactly the pure per-candidate summaries the
 // serial candidate loops would compute lazily — value-flow reach per load,
-// and for STL and PSF the per-source bounded-distance sets — and installs
-// them in the detector's memo caches. The loops then replay serially and
-// find every cache warm, so findings, counters, budget cuts, and
-// certificates are identical to the single-threaded run byte for byte: no
-// solver query, probe, or decision happens off the replay goroutine.
-// Prewarm fires no fault-injection probes (workpool.Prewarm's contract) —
-// an injected fault must hit the replay's deterministic probe sequence,
-// not a racy warm-up.
+// and for STL and PSF each store's and load's bounded-distance row — and
+// installs them in the detector's memo caches. The loops then replay
+// serially and find every cache warm, so findings, counters, budget cuts,
+// and certificates are identical to the single-threaded run byte for
+// byte: no solver query, probe, or decision happens off the replay
+// goroutine. Prewarm fires no fault-injection probes (workpool.Prewarm's
+// contract) — an injected fault must hit the replay's deterministic probe
+// sequence, not a racy warm-up.
 func (d *detector) prewarm() {
 	w := d.cfg.ShardWorkers
 	if w <= 1 || d.ctx.Err() != nil {
@@ -824,30 +825,18 @@ func (d *detector) prewarm() {
 	if d.cfg.Engine != STL && d.cfg.Engine != PSF {
 		return
 	}
-	// STL and PSF pair enumeration asks withinLSQ/withinWsize from every
-	// store and load. Warm those into index-addressed slots and merge
-	// serially (the memo map itself is not concurrency-safe).
-	var srcs []int
-	for _, n := range d.g.Nodes {
-		if n.IsStore() || n.IsLoad() {
-			srcs = append(srcs, n.ID)
-		}
-	}
-	dists := make([]*nearSets, len(srcs))
+	// The pair walk reads every store's row, the transmitter search the
+	// rows of the loads it pairs; which loads those are is known only
+	// after the walk, so every load's row is warmed. Each worker fills
+	// distinct slots of the row table, so no merge step is needed.
+	srcs := slices.Concat(d.stores, d.loads)
+	d.rows = make([]dataflow.BitSet, d.g.Len())
 	workpool.Prewarm(w, len(srcs), func(i int) {
 		if d.ctx.Err() != nil {
 			return
 		}
-		dists[i] = d.bfsDist(srcs[i])
+		d.rows[srcs[i].ID] = d.bfsRow(srcs[i])
 	})
-	if d.dists == nil {
-		d.dists = map[int]*nearSets{}
-	}
-	for i, src := range srcs {
-		if dists[i] != nil {
-			d.dists[src] = dists[i]
-		}
-	}
 }
 
 // feed is one edge of a feeder relation: load src's value reaches one of
@@ -862,8 +851,10 @@ type feed struct {
 // target node ID, the sources whose value reaches one of the target's
 // defs, in srcs order, never the target itself. One inverted sweep builds
 // it: the targets' defs are indexed once into a mask and a def → targets
-// table, then each source's reached ∧ mask words are walked, so a source's
-// reach set is read once however many targets it feeds. The budget is
+// table, then each source's reach list is walked against the mask, so a
+// source's reach is read once however many targets it feeds. The order of
+// a list does not matter: a source's feeds into one target merge into one
+// entry, and sources are taken in srcs order. The budget is
 // honored between sources; a relation cut short is partial, so callers
 // check outOfBudget before reading it.
 func (d *detector) feeders(srcs, targets []*acfg.Node, defs func(*acfg.Node) []int) [][]feed {
@@ -880,23 +871,21 @@ func (d *detector) feeders(srcs, targets []*acfg.Node, defs func(*acfg.Node) []i
 		if d.outOfBudget() {
 			break
 		}
-		r := d.flow.from(s.ID)
-		for w, word := range r.reached {
-			word &= mask[w]
-			for word != 0 {
-				def := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				gep := r.viaGep.Has(def)
-				for _, t := range byDef[def] {
-					switch fs := rel[t]; {
-					case int(t) == s.ID: // never the target itself
-					case len(fs) > 0 && int(fs[len(fs)-1].src) == s.ID:
-						// A source reaching several of t's defs feeds it
-						// once, through a gep hop if any reaching path has one.
-						fs[len(fs)-1].gep = fs[len(fs)-1].gep || gep
-					default:
-						rel[t] = append(fs, feed{src: int32(s.ID), gep: gep})
-					}
+		for _, e := range d.flow.from(s.ID) {
+			def := int(e >> 1)
+			if !mask.Has(def) {
+				continue
+			}
+			gep := e&1 != 0
+			for _, t := range byDef[def] {
+				switch fs := rel[t]; {
+				case int(t) == s.ID: // never the target itself
+				case len(fs) > 0 && int(fs[len(fs)-1].src) == s.ID:
+					// A source reaching several of t's defs feeds it
+					// once, through a gep hop if any reaching path has one.
+					fs[len(fs)-1].gep = fs[len(fs)-1].gep || gep
+				default:
+					rel[t] = append(fs, feed{src: int32(s.ID), gep: gep})
 				}
 			}
 		}
@@ -1154,17 +1143,9 @@ func (d *detector) runForwarding() {
 	if psf {
 		kind, controlled = candPSF, func(s, l *acfg.Node) bool { return forwardControlled(s) }
 	}
-	type pair struct{ s, l int }
-	var pairs []pair
-	for _, s := range d.stores {
-		if d.outOfBudget() {
-			return
-		}
-		for _, l := range d.loads {
-			if d.cfgReach(s.ID, l.ID) && d.forwardPair(psf, s, l) {
-				pairs = append(pairs, pair{s.ID, l.ID})
-			}
-		}
+	pairs, ok := d.forwardPairs(psf)
+	if !ok {
+		return
 	}
 
 	// The transmitters each stale (or mispredicted) load steers, in mems
@@ -1186,12 +1167,12 @@ func (d *detector) runForwarding() {
 		if d.outOfBudget() {
 			return
 		}
-		near := d.nearFrom(p.l)
+		// A transmitter is never its own load (steered lists no
+		// self-feeds), so the load's row holds exactly the transmitters
+		// reachable from it within the Wsize bound.
+		row := d.near(d.g.Nodes[p.l])
 		for _, tID := range steers[p.l] {
-			if !d.cfgReach(p.l, tID) {
-				continue
-			}
-			if !near.win.Has(tID) {
+			if !row.Has(tID) {
 				continue
 			}
 			// An lfence drains the store buffer: nothing is left to bypass
@@ -1223,22 +1204,53 @@ func (d *detector) runForwarding() {
 	}
 }
 
+// fwdPair is one (store, load) candidate pair of the forwarding engines.
+type fwdPair struct{ s, l int }
+
+// forwardPairs lists the pairs forwardPair admits, store by store and,
+// per store, in ascending load order — the order a stores × loads scan
+// visits them. A store's candidate loads are the loads in its row: a load
+// is po-later than the store and within the LSQ bound exactly when some
+// path of at most LSQ hops leads there. ok is false when the budget ran
+// out between stores.
+func (d *detector) forwardPairs(psf bool) (pairs []fwdPair, ok bool) {
+	loadMask := dataflow.NewBitSet(d.g.Len())
+	for _, l := range d.loads {
+		loadMask.Set(l.ID)
+	}
+	for _, s := range d.stores {
+		if d.outOfBudget() {
+			return pairs, false
+		}
+		for w, word := range d.near(s) {
+			word &= loadMask[w]
+			for word != 0 {
+				l := d.g.Nodes[w*64+bits.TrailingZeros64(word)]
+				word &= word - 1
+				if d.forwardPair(psf, s, l) {
+					pairs = append(pairs, fwdPair{s.ID, l.ID})
+				}
+			}
+		}
+	}
+	return pairs, true
+}
+
 // forwardPair is the store-forwarding engines' pair filter over a
-// po-ordered (store, load), counting the candidates it admits. Clou-stl
-// keeps may-aliasing pairs within the LSQ bound and prunes provably
-// disjoint ones. Clou-psf keeps every pair within the LSQ bound except
-// must-alias-exact ones (the forward would be architecturally correct),
-// and does NOT prune disjoint pairs (misprediction is exactly what makes
-// them dangerous).
+// po-ordered (store, load) within the LSQ bound, counting the candidates
+// it admits. Clou-stl keeps may-aliasing pairs and prunes provably
+// disjoint ones. Clou-psf keeps every pair except must-alias-exact ones
+// (the forward would be architecturally correct), and does NOT prune
+// disjoint pairs (misprediction is exactly what makes them dangerous).
 func (d *detector) forwardPair(psf bool, s, l *acfg.Node) bool {
 	if psf {
-		if !d.withinLSQ(s.ID, l.ID) || mustAliasExact(s, l) {
+		if mustAliasExact(s, l) {
 			return false
 		}
 		d.res.Candidates++
 		return true
 	}
-	if !d.al.MayAliasTransient(s, l) || !d.withinLSQ(s.ID, l.ID) {
+	if !d.al.MayAliasTransient(s, l) {
 		return false
 	}
 	d.res.Candidates++
@@ -1256,74 +1268,45 @@ func staleControlled(l *acfg.Node) bool {
 	return ir.IsInt(l.Instr.Ty) || ir.IsPtr(l.Instr.Ty)
 }
 
-// nearSets are one source's bounded-distance verdicts: the engines never
-// ask for an exact BFS distance, only whether a node lies within the LSQ
-// bound (store→load bypass range) or the Wsize bound (load→transmitter
-// window), so two bitsets replace the full distance map — slice-speed
-// lookups in the pair loops at a fraction of the memory.
-type nearSets struct {
-	lsq dataflow.BitSet // nodes within Opts.LSQ hops of the source
-	win dataflow.BitSet // nodes within Opts.Wsize hops of the source
-}
-
-// bfsDist computes one source's nearSets by a level-synchronous BFS out to
-// the larger bound; farther nodes stay unset, which callers treat like
-// unreachable ones. The set of the larger bound doubles as the visited
-// set. Pure: reads only the immutable graph and options, so prewarm shards
-// may run it concurrently.
-func (d *detector) bfsDist(from int) *nearSets {
-	lsqB, winB := d.a.Opts.LSQ, d.a.Opts.Wsize
-	ns := &nearSets{lsq: dataflow.NewBitSet(d.g.Len()), win: dataflow.NewBitSet(d.g.Len())}
-	seen, bound := ns.lsq, lsqB
-	if winB > lsqB {
-		seen, bound = ns.win, winB
+// bfsRow computes a store's or a load's bounded-distance row by a
+// level-synchronous BFS: the nodes within Opts.LSQ hops of a store (its
+// bypass range) or Opts.Wsize hops of a load (its transmitter window),
+// the source included. The engines never ask for an exact distance, and
+// never for a store's window or a load's bypass range, so one bitset per
+// source is the whole answer. Pure: reads only the immutable graph and
+// options, so prewarm shards may run it concurrently.
+func (d *detector) bfsRow(n *acfg.Node) dataflow.BitSet {
+	bound := d.a.Opts.Wsize
+	if n.IsStore() {
+		bound = d.a.Opts.LSQ
 	}
-	ns.lsq.Set(from)
-	ns.win.Set(from)
-	frontier, next := []int{from}, []int(nil)
+	row := dataflow.NewBitSet(d.g.Len())
+	row.Set(n.ID)
+	frontier, next := []int{n.ID}, []int(nil)
 	for depth := 1; depth <= bound && len(frontier) > 0; depth++ {
 		next = next[:0]
-		for _, n := range frontier {
-			for _, s := range d.g.Succs(n) {
-				if seen.Has(s) {
-					continue
+		for _, u := range frontier {
+			for _, s := range d.g.Succs(u) {
+				if !row.Has(s) {
+					row.Set(s)
+					next = append(next, s)
 				}
-				if depth <= lsqB {
-					ns.lsq.Set(s)
-				}
-				if depth <= winB {
-					ns.win.Set(s)
-				}
-				next = append(next, s)
 			}
 		}
 		frontier, next = next, frontier
 	}
-	return ns
+	return row
 }
 
-// nearFrom returns (building on first use) the source's bounded-distance
-// sets.
-func (d *detector) nearFrom(from int) *nearSets {
-	if d.dists == nil {
-		d.dists = map[int]*nearSets{}
+// near returns (building on first use) a store's or a load's row.
+func (d *detector) near(n *acfg.Node) dataflow.BitSet {
+	if d.rows == nil {
+		d.rows = make([]dataflow.BitSet, d.g.Len())
 	}
-	ns, ok := d.dists[from]
-	if !ok {
-		ns = d.bfsDist(from)
-		d.dists[from] = ns
+	if d.rows[n.ID] == nil {
+		d.rows[n.ID] = d.bfsRow(n)
 	}
-	return ns
-}
-
-// withinLSQ reports a path from→to of length ≤ Opts.LSQ.
-func (d *detector) withinLSQ(from, to int) bool {
-	return from == to || d.nearFrom(from).lsq.Has(to)
-}
-
-// withinWsize reports a path from→to of length ≤ Opts.Wsize.
-func (d *detector) withinWsize(from, to int) bool {
-	return from == to || d.nearFrom(from).win.Has(to)
+	return d.rows[n.ID]
 }
 
 // fenceBetween reports whether every path from a to b crosses an lfence:

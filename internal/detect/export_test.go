@@ -1,8 +1,10 @@
 package detect
 
-// CheckFlowCSR and CheckFeeders expose the reference checks to the
-// external test package, which can import the corpora that import detect.
+// CheckFlowCSR, CheckFeeders and CheckForwardPairs expose the reference
+// checks to the external test package, which can import the corpora that
+// import detect.
 var (
-	CheckFlowCSR = checkFlowCSR
-	CheckFeeders = checkFeeders
+	CheckFlowCSR      = checkFlowCSR
+	CheckFeeders      = checkFeeders
+	CheckForwardPairs = checkForwardPairs
 )

@@ -20,7 +20,7 @@ import (
 
 // flowsToAddr reports whether the source value (summarized by r) steers
 // dst's address, and whether the chain crosses a gep index hop.
-func flowsToAddr(r reachInfo, dst *acfg.Node) (ok, viaGEP bool) {
+func flowsToAddr(r denseReach, dst *acfg.Node) (ok, viaGEP bool) {
 	for _, d := range addrDefs(dst) {
 		if hit, gep := r.reaches(d); hit {
 			if gep {
@@ -33,7 +33,7 @@ func flowsToAddr(r reachInfo, dst *acfg.Node) (ok, viaGEP bool) {
 }
 
 // refFeedsOf probes every load other than acc against acc's address defs.
-func refFeedsOf(fl *flowGraph, loads []*acfg.Node, acc *acfg.Node) []feed {
+func refFeedsOf(fl *denseFlow, loads []*acfg.Node, acc *acfg.Node) []feed {
 	var out []feed
 	for _, idx := range loads {
 		if idx.ID == acc.ID {
@@ -48,7 +48,7 @@ func refFeedsOf(fl *flowGraph, loads []*acfg.Node, acc *acfg.Node) []feed {
 
 // refSteers probes every memory node other than acc for an address acc's
 // value reaches.
-func refSteers(fl *flowGraph, mems []*acfg.Node, acc *acfg.Node) []int {
+func refSteers(fl *denseFlow, mems []*acfg.Node, acc *acfg.Node) []int {
 	var out []int
 	r := fl.from(acc.ID)
 	for _, t := range mems {
@@ -60,7 +60,7 @@ func refSteers(fl *flowGraph, mems []*acfg.Node, acc *acfg.Node) []int {
 }
 
 // refCondFeeders scans every load, per branch.
-func refCondFeeders(fl *flowGraph, cn *acfg.Node, loads []*acfg.Node) []int {
+func refCondFeeders(fl *denseFlow, cn *acfg.Node, loads []*acfg.Node) []int {
 	if len(cn.ArgDefs) == 0 {
 		return nil
 	}
@@ -78,7 +78,7 @@ func refCondFeeders(fl *flowGraph, cn *acfg.Node, loads []*acfg.Node) []int {
 }
 
 // refValueFeeders scans every non-spill load, per store.
-func refValueFeeders(fl *flowGraph, s *acfg.Node, loads []*acfg.Node) []int {
+func refValueFeeders(fl *denseFlow, s *acfg.Node, loads []*acfg.Node) []int {
 	if len(s.ArgDefs) == 0 || len(s.ArgDefs[0]) == 0 {
 		return nil
 	}
@@ -116,21 +116,22 @@ func checkFeeders(t testing.TB, label string, m *ir.Module, fn string) {
 	}
 	d := &detector{ctx: context.Background(), cfg: DefaultPHT(), g: fe.g, flow: fe.flow, res: &Result{}}
 	d.indexNodes()
+	df := newDenseFlow(fe.flow)
 
 	// Clou-pht's relation, read by access and transposed; Clou-imp's.
 	pht := d.feeders(d.loads, d.mems, addrDefs)
 	steers := steered(pht, d.mems)
 	imp := d.feeders(d.loads, d.loads, addrDefs)
 	for _, t0 := range d.mems {
-		if got, want := pht[t0.ID], refFeedsOf(fe.flow, d.loads, t0); !slices.Equal(got, want) {
+		if got, want := pht[t0.ID], refFeedsOf(df, d.loads, t0); !slices.Equal(got, want) {
 			t.Fatalf("%s: feeders of %d = %v, feedsOf %v", label, t0.ID, got, want)
 		}
 	}
 	for _, l := range d.loads {
-		if got, want := imp[l.ID], refFeedsOf(fe.flow, d.loads, l); !slices.Equal(got, want) {
+		if got, want := imp[l.ID], refFeedsOf(df, d.loads, l); !slices.Equal(got, want) {
 			t.Fatalf("%s: load feeders of %d = %v, feedsOf %v", label, l.ID, got, want)
 		}
-		if got, want := steers[l.ID], refSteers(fe.flow, d.mems, l); !slices.Equal(got, want) {
+		if got, want := steers[l.ID], refSteers(df, d.mems, l); !slices.Equal(got, want) {
 			t.Fatalf("%s: steered by %d = %v, computeSteering %v", label, l.ID, got, want)
 		}
 	}
@@ -144,7 +145,7 @@ func checkFeeders(t testing.TB, label string, m *ir.Module, fn string) {
 	}
 	cond := d.feeders(d.loads, branches, valueDefs)
 	for _, b := range branches {
-		if got, want := srcsOf(cond[b.ID]), refCondFeeders(fe.flow, b, d.loads); !slices.Equal(got, want) {
+		if got, want := srcsOf(cond[b.ID]), refCondFeeders(df, b, d.loads); !slices.Equal(got, want) {
 			t.Fatalf("%s: condition feeders of %d = %v, per-branch scan %v", label, b.ID, got, want)
 		}
 	}
@@ -156,7 +157,7 @@ func checkFeeders(t testing.TB, label string, m *ir.Module, fn string) {
 	}
 	ss := d.feeders(spill, d.stores, valueDefs)
 	for _, s := range d.stores {
-		if got, want := srcsOf(ss[s.ID]), refValueFeeders(fe.flow, s, d.loads); !slices.Equal(got, want) {
+		if got, want := srcsOf(ss[s.ID]), refValueFeeders(df, s, d.loads); !slices.Equal(got, want) {
 			t.Fatalf("%s: data feeders of %d = %v, valueFeeders %v", label, s.ID, got, want)
 		}
 	}
@@ -174,7 +175,7 @@ func checkFeeders(t testing.TB, label string, m *ir.Module, fn string) {
 	entry := fe.g.Nodes[fe.g.Entry]
 	var want []feed
 	for _, l := range d.loads {
-		r, gep := fe.flow.from(l.ID), false
+		r, gep := df.from(l.ID), false
 		for n := range every {
 			_, via := r.reaches(n)
 			gep = gep || via

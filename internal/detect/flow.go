@@ -28,20 +28,19 @@ import (
 // The adjacency is a CSR array: edges[start[n]:start[n+1]] are node n's
 // out-edges, each packed to<<1|gep, where gep marks a hop entering a GEP
 // through its index operand (the addr_gep signal of §5.2). Per-source
-// reach info is memoized on the graph itself, so it is shared across the
-// candidates of one engine run, across the PHT and STL engines of a
-// cached frontend, and across concurrent detector runs.
+// reach lists are memoized on the graph itself, so they are shared across
+// the candidates of one engine run, across the engines of a cached
+// frontend, and across concurrent detector runs.
 type flowGraph struct {
-	g     *acfg.Graph
 	start []int32
 	edges []int32
 
 	mu   sync.Mutex
-	memo map[int]reachInfo
+	memo []reachInfo // per source node ID, nil until computed
 }
 
 func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) *flowGraph {
-	f := &flowGraph{g: g, memo: map[int]reachInfo{}}
+	f := &flowGraph{memo: make([]reachInfo, g.Len())}
 	type rawEdge struct{ src, packed int32 }
 	var raw []rawEdge
 	add := func(src, to int, gep bool) {
@@ -140,27 +139,43 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) *flowGraph {
 	return f
 }
 
-// reachInfo records value-flow reachability from one source as two
-// bitsets over node IDs: reached nodes, and nodes some reaching path
-// crosses a gep index hop to arrive at.
-type reachInfo struct {
-	reached dataflow.BitSet
-	viaGep  dataflow.BitSet
+// reachInfo lists the nodes one source's value reaches, once each, in
+// discovery order: entries are packed node<<1|gep, the CSR edge packing,
+// with gep set when some reaching path crosses a gep index hop. The
+// source itself is always the first entry. A list, not n-bit sets: a load
+// reaches about a hundred of donna's ten thousand nodes.
+type reachInfo []int32
+
+// reachScratch is one traversal's reusable working memory: a node is
+// listed in the current traversal when its stamp equals epoch, and at
+// holds its entry's index in list. Epochs only grow, so stamps left by
+// an earlier traversal, over any graph, never match.
+type reachScratch struct {
+	stamp []uint32
+	at    []int32
+	epoch uint32
+	list  []int32
+	stack []int32
 }
 
-// from returns (computing and memoizing on first use) the reach info of
+// reachScratchPool hands each concurrent traversal its own scratch. It is
+// shared by every graph: a pool per graph would keep each graph reachable
+// from the runtime's pool list until two collections after its last use.
+var reachScratchPool = sync.Pool{New: func() any { return new(reachScratch) }}
+
+// from returns (computing and memoizing on first use) the reach list of
 // one source node. Safe for concurrent use; the traversal is pure, so two
 // racing computations produce identical results and either may be kept.
 func (f *flowGraph) from(src int) reachInfo {
 	f.mu.Lock()
-	if r, ok := f.memo[src]; ok {
-		f.mu.Unlock()
+	r := f.memo[src]
+	f.mu.Unlock()
+	if r != nil {
 		return r
 	}
-	f.mu.Unlock()
-	r := f.compute(src)
+	r = f.compute(src)
 	f.mu.Lock()
-	if prev, ok := f.memo[src]; ok {
+	if prev := f.memo[src]; prev != nil {
 		r = prev
 	} else {
 		f.memo[src] = r
@@ -169,35 +184,47 @@ func (f *flowGraph) from(src int) reachInfo {
 	return r
 }
 
-// compute runs the DFS over (node, crossed-gep) states. A state is
-// packed node<<1|gep — the same packing as a CSR edge, so following an
-// edge is a single OR of the gep flags.
+// compute runs the DFS over (node, crossed-gep) states, packed
+// node<<1|gep like a CSR edge, so following an edge is a single OR of the
+// gep flags. A state adds nothing once its node is listed with at least
+// its gep flag: whatever (n, 0) reaches, (n, 1) reaches with the flag set.
+// Concurrent callers each take their own scratch from the pool.
 func (f *flowGraph) compute(src int) reachInfo {
-	n := f.g.Len()
-	info := reachInfo{reached: dataflow.NewBitSet(n), viaGep: dataflow.NewBitSet(n)}
-	visited := dataflow.NewBitSet(2 * n)
-	stack := make([]int32, 1, 64)
-	stack[0] = int32(src) << 1
+	sc := reachScratchPool.Get().(*reachScratch)
+	defer reachScratchPool.Put(sc)
+	if n := len(f.start) - 1; len(sc.stamp) < n {
+		sc.stamp, sc.at = make([]uint32, n), make([]int32, n)
+	}
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	list, stack := sc.list[:0], append(sc.stack[:0], int32(src)<<1)
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited.Has(int(st)) {
-			continue
-		}
-		visited.Set(int(st))
-		node, gep := int(st>>1), st&1
-		info.reached.Set(node)
-		if gep != 0 {
-			info.viaGep.Set(node)
+		node, gep := st>>1, st&1
+		if sc.stamp[node] == sc.epoch {
+			i := sc.at[node]
+			if list[i]&1 >= gep {
+				continue
+			}
+			list[i] |= 1
+		} else {
+			sc.stamp[node] = sc.epoch
+			sc.at[node] = int32(len(list))
+			list = append(list, st)
 		}
 		for _, e := range f.edges[f.start[node]:f.start[node+1]] {
 			next := e | gep
-			if !visited.Has(int(next)) {
-				stack = append(stack, next)
+			if to := next >> 1; sc.stamp[to] == sc.epoch && list[sc.at[to]]&1 >= next&1 {
+				continue
 			}
+			stack = append(stack, next)
 		}
 	}
-	return info
+	sc.list, sc.stack = list, stack
+	return append(reachInfo(nil), list...)
 }
 
 // addrDefs returns the defining nodes of a memory node's address operand

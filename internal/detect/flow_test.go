@@ -1,21 +1,25 @@
 package detect
 
 // Differential oracle for the CSR value-flow graph: a naive map-adjacency
-// DFS, written independently here, must agree with flowGraph.from on the
-// (reached, viaGep) verdict of every (source, destination) pair. The edge
+// DFS, written independently here, must agree with flowGraph.from's
+// sparse reach list on the (reached, viaGep) verdict of every (source,
+// destination) pair, and the list must name each reached node once. The edge
 // enumeration is intentionally duplicated — if buildFlowGraph's CSR
 // packing or counting sort drops or misroutes an edge, the reference
 // disagrees.
 
 import (
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
 	"lcm/internal/cryptolib"
+	"lcm/internal/dataflow"
 	"lcm/internal/ir"
 	"lcm/internal/litmus"
 )
@@ -117,8 +121,13 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		if !src.IsLoad() && !src.IsStore() {
 			continue
 		}
-		r := fg.from(src.ID)
+		list := fg.from(src.ID)
+		r := list.dense(g.Len())
 		wantReach, wantGep := refReach(adj, src.ID)
+		if len(list) != len(wantReach) || int(list[0]>>1) != src.ID {
+			t.Fatalf("%s/%s: from(%d) lists %d entries starting at node %d, reference reaches %d nodes",
+				label, fn, src.ID, len(list), list[0]>>1, len(wantReach))
+		}
 		for dst := 0; dst < g.Len(); dst++ {
 			gotOK, gotGep := r.reaches(dst)
 			if gotOK != wantReach[dst] || gotGep != wantGep[dst] {
@@ -175,6 +184,85 @@ func checkFlowCSR(t testing.TB, label string, m *ir.Module) {
 				label, f.Nm, len(fg.edges), len(edges))
 		}
 	}
+}
+
+// TestReachListMatchesReferenceRandom runs the sparse traversal over
+// random small graphs, cycles included, with gep hops on random edges.
+// Corpus graphs rarely reach a node first without a gep hop and later
+// through one, which is where the traversal must set the listed entry's
+// flag and explore again; random edge orders exercise both orders.
+func TestReachListMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 3000; iter++ {
+		n := 2 + rng.Intn(11)
+		adj := map[int][]refEdge{}
+		f := &flowGraph{start: make([]int32, n+1), memo: make([]reachInfo, n)}
+		for src := 0; src < n; src++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				e := refEdge{to: rng.Intn(n), gep: rng.Intn(3) == 0}
+				adj[src] = append(adj[src], e)
+				p := int32(e.to) << 1
+				if e.gep {
+					p |= 1
+				}
+				f.edges = append(f.edges, p)
+			}
+			f.start[src+1] = int32(len(f.edges))
+		}
+		for src := 0; src < n; src++ {
+			list := f.from(src)
+			r := list.dense(n)
+			wantReach, wantGep := refReach(adj, src)
+			if len(list) != len(wantReach) || int(list[0]>>1) != src {
+				t.Fatalf("iter %d: from(%d) = %v, reference reaches %d nodes", iter, src, list, len(wantReach))
+			}
+			for dst := 0; dst < n; dst++ {
+				if ok, gep := r.reaches(dst); ok != wantReach[dst] || gep != wantGep[dst] {
+					t.Fatalf("iter %d: from(%d).reaches(%d) = (%v,%v), reference (%v,%v); graph %v",
+						iter, src, dst, ok, gep, wantReach[dst], wantGep[dst], adj)
+				}
+			}
+		}
+	}
+}
+
+// TestFlowFromConcurrent has several goroutines ask one graph for every
+// source's reach list at once, as prewarm's workers do, each in its own
+// order; each list must equal a serial computation on a fresh graph. Run
+// with -race: the memo and the pooled scratch are shared state.
+func TestFlowFromConcurrent(t *testing.T) {
+	lib, ok := cryptolib.Lookup("secretbox")
+	if !ok {
+		t.Fatal("secretbox corpus entry missing")
+	}
+	g, err := acfg.Build(compile(t, lib.Source), "crypto_secretbox_open", acfg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	al := alias.Analyze(g)
+	serial := buildFlowGraph(g, al)
+	shared := buildFlowGraph(g, al)
+	var srcs []int
+	for _, n := range g.Nodes {
+		if n.IsLoad() || n.IsStore() {
+			srcs = append(srcs, n.ID)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range srcs {
+				src := srcs[(i*(2*w+1)+w)%len(srcs)]
+				if got := shared.from(src); !slices.Equal(got, serial.compute(src)) {
+					t.Errorf("worker %d: from(%d) differs from a serial traversal", w, src)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestFlowGraphMatchesReferenceLitmus(t *testing.T) {
@@ -272,20 +360,52 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// denseReach is a sparse reach list expanded into the two bitsets the
+// references probe: reached nodes, and nodes some reaching path crosses a
+// gep index hop to arrive at.
+type denseReach struct{ reached, viaGep dataflow.BitSet }
+
+func (r reachInfo) dense(n int) denseReach {
+	out := denseReach{reached: dataflow.NewBitSet(n), viaGep: dataflow.NewBitSet(n)}
+	for _, e := range r {
+		out.reached.Set(int(e >> 1))
+		if e&1 != 0 {
+			out.viaGep.Set(int(e >> 1))
+		}
+	}
+	return out
+}
+
 // reaches reports whether the source's value reaches node dst, and whether
 // some reaching path crosses a gep index.
-func (r reachInfo) reaches(dst int) (ok, viaGEPIndex bool) {
-	if r.reached == nil {
-		return false, false
-	}
+func (r denseReach) reaches(dst int) (ok, viaGEPIndex bool) {
 	return r.reached.Has(dst), r.viaGep.Has(dst)
 }
 
 // popcount returns the number of reached nodes.
-func (r reachInfo) popcount() int {
+func (r denseReach) popcount() int {
 	total := 0
 	for _, w := range r.reached {
 		total += bits.OnesCount64(w)
 	}
 	return total
+}
+
+// denseFlow memoizes each source's expanded reach for the references.
+type denseFlow struct {
+	fl   *flowGraph
+	memo map[int]denseReach
+}
+
+func newDenseFlow(fl *flowGraph) *denseFlow {
+	return &denseFlow{fl: fl, memo: map[int]denseReach{}}
+}
+
+func (df *denseFlow) from(src int) denseReach {
+	r, ok := df.memo[src]
+	if !ok {
+		r = df.fl.from(src).dense(len(df.fl.start) - 1)
+		df.memo[src] = r
+	}
+	return r
 }
