@@ -120,24 +120,31 @@ cover:
 		echo "$$p: $$($(GO) tool cover -func=cover.$$(basename $$p).out | tail -1 | awk '{print $$3}')"; \
 	done
 
-# bench regenerates the evaluation sweeps in parallel and leaves a
-# machine-readable artifact (workload → ns/op, workers, queries, cache
-# hits). bench-all runs the full Go benchmark suite instead.
+# bench runs every workload of the repository benchmark (bench/, see
+# bench/README.md) once and writes the runs file that
+# `bash bench/run.sh -compare` reads, machine fingerprint included.
+# bench-all runs the full Go benchmark suite instead.
 bench:
-	$(GO) run ./cmd/benchjson -o BENCH_parallel.json
+	bash bench/run.sh -o BENCH_runs.json
 
 bench-all:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-smoke is the CI-scale sweep: litmus suites only, so it finishes in
-# seconds while still exercising the frontend, both engines, the pre-solver,
-# and the {1,8}-worker sweep. The artifact has the same shape as
-# BENCH_parallel.json and is uploaded from CI for trend inspection.
-# -assert-ablation gates the incremental residual path: a -nopresolve run
-# more than 3x slower than its presolve counterpart on any measurable
-# workload fails the job.
+# bench-smoke is CI's pre-solver ablation gate: a short crypto run and a
+# short crypto-nopresolve run, where every candidate query reaches the
+# incremental solver. Each run's result line goes to BENCH_smoke.json
+# (one JSON object a line), and the job fails unless both runs are
+# correct with no failed analysis and the -nopresolve pass_s is at most
+# 3x the presolve one. Absolute times from shared runners are too noisy
+# to gate on; the ratio of two runs on the same machine is not.
 bench-smoke:
-	$(GO) run ./cmd/benchjson -litmus-only -assert-ablation 3 -o BENCH_smoke.json
+	@rm -f BENCH_smoke.json
+	@for w in crypto crypto-nopresolve; do \
+		out="$$(bash bench/run.sh --workload $$w --seconds 3)" || exit 1; \
+		printf '%s\n' "$$out"; \
+		printf '%s\n' "$$out" | tail -n 1 >> BENCH_smoke.json; \
+	done
+	@jq -e -r -s '(.[1].metrics.pass_s.value / .[0].metrics.pass_s.value) as $$r | "correct=\(map(.correct)) failed=\(map(.failed)) ablation ratio \($$r) (bound 3)", (length == 2 and all(.[]; .correct == true and .failed == 0) and $$r <= 3)' BENCH_smoke.json
 
 # profile captures CPU and allocation profiles for one benchmark
 # (default: the heaviest end-to-end workload). Inspect with

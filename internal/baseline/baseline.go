@@ -139,16 +139,13 @@ func (e *explorer) explore(n int, path []int) {
 }
 
 // checkTransient scans the wrong-arm window for tainted-address accesses —
-// the leak condition, without transmitter classification.
+// the leak condition, without transmitter classification. The window is
+// every node within ROB steps of the arm; an lfence in it does not
+// truncate it, so accesses reachable only through a fence still count.
 func (e *explorer) checkTransient(arm int) {
 	window := e.g.Reachable(arm, e.cfg.ROB)
 	for n := range window {
 		node := e.g.Nodes[n]
-		if node.IsFence() && node.Instr.Sub == "lfence" {
-			// A fence in the window truncates it; conservatively skip
-			// nodes only reachable through it.
-			continue
-		}
 		if !(node.IsLoad() || node.IsStore()) {
 			continue
 		}

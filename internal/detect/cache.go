@@ -16,7 +16,7 @@ import (
 // frontend bundles the engine-independent per-function artifacts: the
 // A-CFG (with its transitive closure), alias and taint analyses, and the
 // value-flow graph. All of them are immutable after construction, so one
-// frontend may back the PHT and STL detectors of the same function — and
+// frontend may back every engine's detector of the same function — and
 // many concurrent detectors — at once. The mutable S-AEG (its solver
 // accumulates learnt clauses and lazily encoded windows) is deliberately
 // excluded: each detector builds its own.
@@ -37,8 +37,8 @@ type frontend struct {
 
 	// psOnce/ps hold the pre-solver's engine-independent fact base (the
 	// must-alias partition and range facts). Like the rest of the
-	// frontend it is immutable once built and shared between the PHT and
-	// STL runs.
+	// frontend it is immutable once built and shared between every
+	// engine's runs.
 	psOnce sync.Once
 	ps     *presolve.Facts
 }

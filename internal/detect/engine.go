@@ -127,8 +127,9 @@ type Config struct {
 	// exactly the no-presolve findings.
 	AuditPresolve bool
 	// ShardWorkers bounds the intra-function workers that precompute the
-	// per-candidate value-flow and distance summaries (the pure, dominant
-	// cost of the candidate loop) before the serial decision replay; 0 or
+	// pure per-candidate summaries — each load's value-flow reach list and,
+	// for STL and PSF, each store's and load's role-bounded row — before
+	// the serial decision replay; 0 or
 	// 1 keeps the whole search single-threaded. Findings, counters, and
 	// certificates are byte-identical at any width: the parallel stage
 	// only warms memo caches with pure results, and every decision —
@@ -137,7 +138,7 @@ type Config struct {
 	ShardWorkers int
 	// Cache, when non-nil, memoizes the engine-independent front end
 	// (A-CFG, alias, taint, reachability, value flow) per (module,
-	// function), sharing it between the PHT and STL engines and across
+	// function), sharing it between all five engines and across
 	// concurrent workers. The module must not be mutated while the cache
 	// is live; repair therefore always runs uncached.
 	Cache *Cache

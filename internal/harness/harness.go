@@ -9,8 +9,8 @@
 // and rows are reassembled in input order — so the output is byte-for-byte
 // identical at any worker count. Library sources are parsed and lowered
 // once per process, and the engine-independent front end (A-CFG, alias,
-// taint, reachability, value flow) is shared between the PHT and STL
-// engines through a process-wide detect.Cache.
+// taint, reachability, value flow) is shared between the engines through
+// a process-wide detect.Cache.
 package harness
 
 import (

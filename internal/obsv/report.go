@@ -12,8 +12,8 @@ import (
 // when the JSON shape changes; the golden tests pin the serialized form.
 const Version = "0.9.0"
 
-// Report is the machine-readable run manifest shared by clou -report,
-// lcmlint -report, and cmd/benchjson. All timing-valued fields end in
+// Report is the machine-readable run manifest shared by clou -report and
+// lcmlint -report. All timing-valued fields end in
 // "_ns" (or live in HistStat's ns fields) so Normalize can zero exactly
 // the volatile parts, leaving a byte-stable document for goldens and
 // cross--j comparison.

@@ -1,8 +1,9 @@
 // Package obsv is the stdlib-only observability layer for the analysis
 // pipeline: hierarchical wall-clock spans (Tracer, Span), a typed metrics
 // registry (Registry: counters, gauges, duration histograms), and the
-// stable JSON run-report schema (Report) that clou -report, lcmlint
-// -report, and cmd/benchjson share.
+// stable JSON run-report schema (Report) that clou -report and lcmlint
+// -report share. The repository benchmark (bench/) reads its per-layer
+// metrics from the same spans and registry.
 //
 // Everything is nil-safe by design: a nil *Tracer, *Span, *Registry,
 // *Counter, *Gauge, or *Histogram accepts every method as a no-op, so
