@@ -156,7 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.AEG.LSQ = *lsq
 	cfg.AEG.Wsize = *wsize
 	cfg.Timeout = *timeout
-	cfg.ShardWorkers = *par
 	cfg.NoPrune = *noPrune
 	cfg.NoPresolve = *noPresolve
 	cfg.AuditPresolve = *auditPresolve

@@ -517,32 +517,30 @@ func (g *Graph) FenceFreeReach() func(from, to int) bool {
 // Reach and must not be modified.
 func (g *Graph) ReachRow(n int) []uint64 { return g.reachRows()[n] }
 
-func hasBit(row []uint64, n int) bool { return row[n/64]&(1<<(uint(n)%64)) != 0 }
-
-// Reachable returns the set of nodes reachable from start within maxDepth
-// instruction steps (maxDepth < 0 means unbounded).
-func (g *Graph) Reachable(start int, maxDepth int) map[int]bool {
-	out := map[int]bool{start: true}
-	frontier := []int{start}
-	depth := 0
-	for len(frontier) > 0 {
-		if maxDepth >= 0 && depth >= maxDepth {
-			break
-		}
-		var next []int
-		for _, n := range frontier {
-			for _, s := range g.succs[n] {
-				if !out[s] {
-					out[s] = true
+// BoundedRow returns the nodes within bound successor hops of n, n
+// included, in ReachRow's word layout, computed by a level-synchronous
+// BFS into a fresh row the caller owns; a bound below 1 yields n alone.
+// Pure: it reads only the immutable graph, so concurrent callers are safe.
+func (g *Graph) BoundedRow(n, bound int) []uint64 {
+	row := make([]uint64, (g.Len()+63)/64)
+	row[n/64] |= 1 << (uint(n) % 64)
+	frontier, next := []int{n}, []int(nil)
+	for depth := 1; depth <= bound && len(frontier) > 0; depth++ {
+		next = next[:0]
+		for _, u := range frontier {
+			for _, s := range g.succs[u] {
+				if !hasBit(row, s) {
+					row[s/64] |= 1 << (uint(s) % 64)
 					next = append(next, s)
 				}
 			}
 		}
-		frontier = next
-		depth++
+		frontier, next = next, frontier
 	}
-	return out
+	return row
 }
+
+func hasBit(row []uint64, n int) bool { return row[n/64]&(1<<(uint(n)%64)) != 0 }
 
 // isMarker reports whether n is a synthetic node: the `fence nop`
 // pass-through of a branch-only block, or the `inlined:` marker a spliced

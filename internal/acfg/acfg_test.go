@@ -1,6 +1,7 @@
 package acfg
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -47,8 +48,7 @@ func TestIsDAGAndConnected(t *testing.T) {
 	if order := g.Topo(); len(order) != len(g.Nodes) {
 		t.Fatalf("not a DAG: topo covers %d of %d", len(order), len(g.Nodes))
 	}
-	reach := g.Reachable(g.Entry, -1)
-	if !reach[g.Exit] {
+	if !hasBit(g.ReachRow(g.Entry), g.Exit) {
 		t.Fatal("exit unreachable from entry")
 	}
 }
@@ -222,10 +222,20 @@ func TestNodeBudget(t *testing.T) {
 
 func TestReachableDepthBound(t *testing.T) {
 	g := build(t, `int f(int a, int b) { return a + b + a * b; }`, "f", Options{})
-	r1 := g.Reachable(g.Entry, 2)
-	rAll := g.Reachable(g.Entry, -1)
-	if len(r1) >= len(rAll) {
-		t.Errorf("depth bound ineffective: %d vs %d", len(r1), len(rAll))
+	count := func(row []uint64) (n int) {
+		for _, w := range row {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	r1, rAll := g.BoundedRow(g.Entry, 2), g.ReachRow(g.Entry)
+	if n1, nAll := count(r1), count(rAll); n1 != 3 || n1 >= nAll {
+		t.Errorf("depth bound ineffective: %d vs %d, want 3 within 2 hops", n1, nAll)
+	}
+	for n := range g.Nodes {
+		if hasBit(r1, n) && !hasBit(rAll, n) {
+			t.Errorf("bounded row holds %d, which the entry does not reach", n)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
+	"lcm/internal/dataflow"
 	"lcm/internal/ir"
 	"lcm/internal/taint"
 )
@@ -143,16 +144,15 @@ func (e *explorer) explore(n int, path []int) {
 // every node within ROB steps of the arm; an lfence in it does not
 // truncate it, so accesses reachable only through a fence still count.
 func (e *explorer) checkTransient(arm int) {
-	window := e.g.Reachable(arm, e.cfg.ROB)
-	for n := range window {
+	dataflow.BitSet(e.g.BoundedRow(arm, e.cfg.ROB)).ForEach(func(n int) {
 		node := e.g.Nodes[n]
 		if !(node.IsLoad() || node.IsStore()) {
-			continue
+			return
 		}
 		if e.ta.AddressControlled(node) || e.secretDependentAddress(node) {
 			e.leaks[n] = true
 		}
-	}
+	})
 }
 
 // checkBypass scans one architectural path for store→load bypass leaks.

@@ -16,21 +16,6 @@ type Finding struct {
 	Transmitters []Transmitter
 }
 
-// MaxClass returns the most severe transmitter class in the finding, or
-// AT-1 semantics (-1 rank) via ok=false when there are no transmitters.
-func (f Finding) MaxClass() (Class, bool) {
-	if len(f.Transmitters) == 0 {
-		return AT, false
-	}
-	best := f.Transmitters[0].Class
-	for _, t := range f.Transmitters[1:] {
-		if t.Class.Rank() > best.Rank() {
-			best = t.Class
-		}
-	}
-	return best, true
-}
-
 // FindOptions configures end-to-end leakage detection.
 type FindOptions struct {
 	// Model is the consistency predicate for the architectural semantics

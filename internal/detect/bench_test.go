@@ -120,9 +120,7 @@ func BenchmarkDetectDonna(b *testing.B) {
 			b.Run(s.lib+"/"+eng.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					cfg := eng.mk()
-					cfg.ShardWorkers = 8
-					if _, err := AnalyzeFunc(m, s.fn, cfg); err != nil {
+					if _, err := AnalyzeFunc(m, s.fn, eng.mk()); err != nil {
 						b.Fatal(err)
 					}
 				}

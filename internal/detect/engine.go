@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"lcm/internal/sat"
 	"lcm/internal/smt"
 	"lcm/internal/taint"
-	"lcm/internal/workpool"
 )
 
 // Engine selects the speculation primitive searched for (§5.3).
@@ -126,21 +124,12 @@ type Config struct {
 	// certificate is rechecked by arithmetic. Findings under audit are
 	// exactly the no-presolve findings.
 	AuditPresolve bool
-	// ShardWorkers bounds the intra-function workers that precompute the
-	// pure per-candidate summaries — each load's value-flow reach list and,
-	// for STL and PSF, each store's and load's role-bounded row — before
-	// the serial decision replay; 0 or
-	// 1 keeps the whole search single-threaded. Findings, counters, and
-	// certificates are byte-identical at any width: the parallel stage
-	// only warms memo caches with pure results, and every decision —
-	// solver queries, budgets, fault probes, certificate dedup — replays
-	// in input order on one goroutine.
-	ShardWorkers int
 	// Cache, when non-nil, memoizes the engine-independent front end
 	// (A-CFG, alias, taint, reachability, value flow) per (module,
-	// function), sharing it between all five engines and across
-	// concurrent workers. The module must not be mutated while the cache
-	// is live; repair therefore always runs uncached.
+	// function), sharing it between all five engines and across the
+	// harness pool's concurrent per-function workers. The module must not
+	// be mutated while the cache is live; repair therefore always runs
+	// uncached.
 	Cache *Cache
 	// Span, when non-nil, is the parent observability span: each analyzed
 	// function records a "fn:<name>" child with frontend/encode/search
@@ -773,7 +762,6 @@ func (d *detector) fireProbe(probe string) error {
 func (d *detector) run() {
 	d.indexNodes()
 	d.found = map[candKey]bool{}
-	d.prewarm()
 	switch d.cfg.Engine {
 	case PHT:
 		d.runPHT()
@@ -798,45 +786,6 @@ func (d *detector) run() {
 			return a.Class.Rank() > b.Class.Rank()
 		}
 		return a.Transmit < b.Transmit
-	})
-}
-
-// prewarm is the intra-function sharding stage: with ShardWorkers > 1 it
-// computes, in parallel, exactly the pure per-candidate summaries the
-// serial candidate loops would compute lazily — value-flow reach per load,
-// and for STL and PSF each store's and load's bounded-distance row — and
-// installs them in the detector's memo caches. The loops then replay
-// serially and find every cache warm, so findings, counters, budget cuts,
-// and certificates are identical to the single-threaded run byte for
-// byte: no solver query, probe, or decision happens off the replay
-// goroutine. Prewarm fires no fault-injection probes (workpool.Prewarm's
-// contract) — an injected fault must hit the replay's deterministic probe
-// sequence, not a racy warm-up.
-func (d *detector) prewarm() {
-	w := d.cfg.ShardWorkers
-	if w <= 1 || d.ctx.Err() != nil {
-		return
-	}
-	workpool.Prewarm(w, len(d.loads), func(i int) {
-		if d.ctx.Err() != nil {
-			return
-		}
-		d.flow.from(d.loads[i].ID)
-	})
-	if d.cfg.Engine != STL && d.cfg.Engine != PSF {
-		return
-	}
-	// The pair walk reads every store's row, the transmitter search the
-	// rows of the loads it pairs; which loads those are is known only
-	// after the walk, so every load's row is warmed. Each worker fills
-	// distinct slots of the row table, so no merge step is needed.
-	srcs := slices.Concat(d.stores, d.loads)
-	d.rows = make([]dataflow.BitSet, d.g.Len())
-	workpool.Prewarm(w, len(srcs), func(i int) {
-		if d.ctx.Err() != nil {
-			return
-		}
-		d.rows[srcs[i].ID] = d.bfsRow(srcs[i])
 	})
 }
 
@@ -1269,43 +1218,21 @@ func staleControlled(l *acfg.Node) bool {
 	return ir.IsInt(l.Instr.Ty) || ir.IsPtr(l.Instr.Ty)
 }
 
-// bfsRow computes a store's or a load's bounded-distance row by a
-// level-synchronous BFS: the nodes within Opts.LSQ hops of a store (its
-// bypass range) or Opts.Wsize hops of a load (its transmitter window),
-// the source included. The engines never ask for an exact distance, and
-// never for a store's window or a load's bypass range, so one bitset per
-// source is the whole answer. Pure: reads only the immutable graph and
-// options, so prewarm shards may run it concurrently.
-func (d *detector) bfsRow(n *acfg.Node) dataflow.BitSet {
-	bound := d.a.Opts.Wsize
-	if n.IsStore() {
-		bound = d.a.Opts.LSQ
-	}
-	row := dataflow.NewBitSet(d.g.Len())
-	row.Set(n.ID)
-	frontier, next := []int{n.ID}, []int(nil)
-	for depth := 1; depth <= bound && len(frontier) > 0; depth++ {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, s := range d.g.Succs(u) {
-				if !row.Has(s) {
-					row.Set(s)
-					next = append(next, s)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return row
-}
-
-// near returns (building on first use) a store's or a load's row.
+// near returns (building on first use) a store's or a load's row: the
+// nodes within Opts.LSQ hops of a store (its bypass range) or Opts.Wsize
+// hops of a load (its transmitter window), the source included. The
+// engines never ask for an exact distance, and never for a store's window
+// or a load's bypass range, so one bitset per source is the whole answer.
 func (d *detector) near(n *acfg.Node) dataflow.BitSet {
 	if d.rows == nil {
 		d.rows = make([]dataflow.BitSet, d.g.Len())
 	}
 	if d.rows[n.ID] == nil {
-		d.rows[n.ID] = d.bfsRow(n)
+		bound := d.a.Opts.Wsize
+		if n.IsStore() {
+			bound = d.a.Opts.LSQ
+		}
+		d.rows[n.ID] = d.g.BoundedRow(n.ID, bound)
 	}
 	return d.rows[n.ID]
 }

@@ -11,7 +11,6 @@ package detect
 import (
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -227,9 +226,10 @@ func TestReachListMatchesReferenceRandom(t *testing.T) {
 }
 
 // TestFlowFromConcurrent has several goroutines ask one graph for every
-// source's reach list at once, as prewarm's workers do, each in its own
-// order; each list must equal a serial computation on a fresh graph. Run
-// with -race: the memo and the pooled scratch are shared state.
+// source's reach list at once, as harness workers do when their analyses
+// share one cached frontend, each in its own order; each list must equal a
+// serial computation on a fresh graph. Run with -race: the memo and the
+// pooled scratch are shared state.
 func TestFlowFromConcurrent(t *testing.T) {
 	lib, ok := cryptolib.Lookup("secretbox")
 	if !ok {
@@ -295,67 +295,6 @@ func TestFlowGraphMatchesReferenceCryptolib(t *testing.T) {
 				continue
 			}
 			diffFlowFunc(t, "cryptolib/"+lib.Name, m, f.Nm)
-		}
-	}
-}
-
-// TestShardDeterminism pins the sharded candidate search to the serial
-// one: on donna's Montgomery ladder — the heaviest real subject — both
-// engines must produce identical findings, counters, and certificates at
-// ShardWorkers 1 and 8, including where the MaxQueries budget cut lands.
-func TestShardDeterminism(t *testing.T) {
-	lib, ok := cryptolib.Lookup("donna")
-	if !ok {
-		t.Fatal("donna corpus entry missing")
-	}
-	m := compile(t, lib.Source)
-	const fn = "crypto_scalarmult"
-	// Both budgets cut the search mid-candidate-loop: where the cut lands
-	// is the most order-sensitive output, so equality here subsumes the
-	// easy unbudgeted case (which the harness-level golden tests cover).
-	for _, mk := range []func() Config{DefaultPHT, DefaultSTL, DefaultPSF, DefaultIMP, DefaultSS} {
-		for _, budget := range []int{200, 1000} {
-			cfg1 := mk()
-			cfg1.ShardWorkers = 1
-			cfg1.MaxQueries = budget
-			r1, err := AnalyzeFunc(m, fn, cfg1)
-			if err != nil {
-				t.Fatalf("%s j=1: %v", cfg1.Engine, err)
-			}
-			cfg8 := mk()
-			cfg8.ShardWorkers = 8
-			cfg8.MaxQueries = budget
-			r8, err := AnalyzeFunc(m, fn, cfg8)
-			if err != nil {
-				t.Fatalf("%s j=8: %v", cfg8.Engine, err)
-			}
-			if !reflect.DeepEqual(r1.Findings, r8.Findings) {
-				t.Errorf("%s budget=%d: findings differ between j=1 (%d) and j=8 (%d)",
-					cfg1.Engine, budget, len(r1.Findings), len(r8.Findings))
-			}
-			if !reflect.DeepEqual(r1.Counts(), r8.Counts()) {
-				t.Errorf("%s budget=%d: counts differ: %v vs %v", cfg1.Engine, budget, r1.Counts(), r8.Counts())
-			}
-			type counters struct {
-				queries, candidates, pruned, discharged, skipped int
-				budgetHit                                        bool
-			}
-			c1 := counters{r1.Queries, r1.Candidates, r1.Pruned, r1.Discharged, r1.SkippedQueries, r1.BudgetHit}
-			c8 := counters{r8.Queries, r8.Candidates, r8.Pruned, r8.Discharged, r8.SkippedQueries, r8.BudgetHit}
-			if c1 != c8 {
-				t.Errorf("%s budget=%d: counters differ: %+v vs %+v", cfg1.Engine, budget, c1, c8)
-			}
-			if len(r1.Certificates) != len(r8.Certificates) {
-				t.Errorf("%s budget=%d: certificate count differs: %d vs %d",
-					cfg1.Engine, budget, len(r1.Certificates), len(r8.Certificates))
-			} else {
-				for i := range r1.Certificates {
-					if r1.Certificates[i].Key != r8.Certificates[i].Key {
-						t.Errorf("%s budget=%d: certificate %d key differs: %s vs %s",
-							cfg1.Engine, budget, i, r1.Certificates[i].Key, r8.Certificates[i].Key)
-					}
-				}
-			}
 		}
 	}
 }

@@ -44,16 +44,6 @@ func (r Rung) String() string {
 	return fmt.Sprintf("rung(%d)", int(r))
 }
 
-// ParseRung inverts Rung.String (used by degradation-regression replay).
-func ParseRung(s string) (Rung, error) {
-	for _, r := range []Rung{RungFull, RungTriage, RungUnknown} {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown rung %q", s)
-}
-
 // triageCfg derives the RungTriage configuration: the caller's engine,
 // filters and A-CFG/S-AEG bounds with no solver search at all. Keeping
 // the caller's Unroll and windows is what makes triage cover the full

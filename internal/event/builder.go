@@ -146,9 +146,6 @@ func (b *Builder) DataDep(r, w *Event) { b.g.Data.Add(r.ID, w.ID) }
 // CtrlDep records a control dependency from read r to event m.
 func (b *Builder) CtrlDep(r, m *Event) { b.g.Ctrl.Add(r.ID, m.ID) }
 
-// FenceOrder records that a is ordered before b by an explicit fence.
-func (b *Builder) FenceOrder(a, e *Event) { b.g.Fence.Add(a.ID, e.ID) }
-
 // RF adds an architectural reads-from pair.
 func (b *Builder) RF(w, r *Event) { b.g.RF.Add(w.ID, r.ID) }
 

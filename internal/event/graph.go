@@ -2,7 +2,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 
 	"lcm/internal/relation"
 )
@@ -402,12 +401,4 @@ func (g *Graph) String() string {
 		sortedJoin += l
 	}
 	return sortedJoin
-}
-
-// EventsSorted returns events sorted by ID (they already are, by
-// construction; this is a defensive accessor used by renderers).
-func (g *Graph) EventsSorted() []*Event {
-	es := append([]*Event(nil), g.Events...)
-	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
-	return es
 }

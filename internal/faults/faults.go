@@ -93,14 +93,8 @@ func IsOperational(err error) bool {
 	return k == "io" || k == "corrupt"
 }
 
-// Kinds lists every kind name in fixed order, for exhaustive metrics
-// accounting.
-func Kinds() []string {
-	return []string{"deadline", "budget", "panic", "canceled", "io", "corrupt"}
-}
-
-// Deadlinef, Budgetf, Panicf, and Canceledf build classified errors with
-// context. The sentinel is wrapped, so errors.Is(err, ErrX) holds.
+// Deadlinef, Budgetf, and Panicf build classified errors with context.
+// The sentinel is wrapped, so errors.Is(err, ErrX) holds.
 
 // Deadlinef returns a classified deadline error.
 func Deadlinef(format string, args ...interface{}) error {
@@ -115,11 +109,6 @@ func Budgetf(format string, args ...interface{}) error {
 // Panicf returns a classified panic error.
 func Panicf(format string, args ...interface{}) error {
 	return wrap(ErrPanic, format, args...)
-}
-
-// Canceledf returns a classified cancellation error.
-func Canceledf(format string, args ...interface{}) error {
-	return wrap(ErrCanceled, format, args...)
 }
 
 // IOf returns a classified storage-I/O error.

@@ -151,10 +151,6 @@ func compileSrc(src string) (*ir.Module, error) {
 // those pointers are stable per source for the life of the process.
 var analysisCache = detect.NewCache()
 
-// CacheStats reports the process-wide analysis-cache hit/miss counters
-// (clou -v and the bench tooling surface these).
-func CacheStats() (hits, misses int64) { return analysisCache.Stats() }
-
 // ResetFrontendCache discards the process-wide front-end cache, forcing the
 // next analysis to rebuild every frontend from scratch. Benchmarks use it
 // to measure cold frontends; concurrent analyses simply miss into the fresh
@@ -165,7 +161,6 @@ func clouConfig(engine detect.Engine, opts Options, universalOnly bool, span *ob
 	cfg := detect.DefaultConfig(engine)
 	cfg.Timeout = opts.FuncTimeout
 	cfg.MaxQueries = opts.MaxQueries
-	cfg.ShardWorkers = opts.Parallelism
 	cfg.Cache = analysisCache
 	cfg.Span = span
 	cfg.Metrics = opts.Metrics

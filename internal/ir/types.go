@@ -6,10 +6,7 @@
 // and an explicit CFG.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Type is an IR type.
 type Type interface {
@@ -131,7 +128,6 @@ func (VoidType) String() string { return "void" }
 // Common types.
 var (
 	I8   = IntType{Bits: 8}
-	I16  = IntType{Bits: 16}
 	I32  = IntType{Bits: 32}
 	I64  = IntType{Bits: 64}
 	U8   = IntType{Bits: 8, Unsigned: true}
@@ -157,8 +153,3 @@ func IsInt(t Type) bool { _, ok := t.(IntType); return ok }
 
 // IsPtr reports whether t is a pointer type.
 func IsPtr(t Type) bool { _, ok := t.(PtrType); return ok }
-
-// TypesEqual reports structural type equality.
-func TypesEqual(a, b Type) bool {
-	return a != nil && b != nil && a.String() == b.String() && !strings.Contains("", a.String())
-}

@@ -2,7 +2,6 @@ package progen
 
 import (
 	"fmt"
-	"sort"
 
 	"lcm/internal/dataflow"
 	"lcm/internal/ir"
@@ -426,14 +425,4 @@ func walkFuncExprs(fd *minic.FuncDecl, visit func(minic.Expr)) {
 		}
 	}
 	walkStmts(fd.Body, stmtExprs)
-}
-
-// sortedKeys is a debugging helper for stable footprint rendering.
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -77,11 +77,6 @@ func (r *Relation) Len() int { return r.size }
 // IsEmpty reports whether the relation contains no pairs.
 func (r *Relation) IsEmpty() bool { return r.size == 0 }
 
-// Successors returns the image of from: all to with (from, to) ∈ r.
-// The returned set is the relation's internal storage; callers must not
-// mutate it.
-func (r *Relation) Successors(from ID) Set { return r.succ[from] }
-
 // Pairs returns all pairs sorted by (From, To). The slice is fresh.
 func (r *Relation) Pairs() []Pair {
 	ps := make([]Pair, 0, r.size)

@@ -119,7 +119,6 @@ type Solver struct {
 	budget         sat.Budget
 	selfChecks     int64
 	selfMismatches int64
-	firstMismatch  string
 	// Model cache: the last Sat model, extendable over gates defined since
 	// by circuit evaluation (Tseitin definitions pin each gate variable to
 	// exactly the value of its operator over its children, so the extension
@@ -449,9 +448,6 @@ func (s *Solver) record(st, rst sat.Status) {
 	s.selfChecks++
 	if st != rst {
 		s.selfMismatches++
-		if s.firstMismatch == "" {
-			s.firstMismatch = fmt.Sprintf("incremental=%v fresh=%v", st, rst)
-		}
 	}
 }
 
@@ -594,10 +590,6 @@ func (s *Solver) EncodeStats() (gates int64) { return s.gates }
 func (s *Solver) SelfCheckStats() (checks, mismatches int64) {
 	return s.selfChecks, s.selfMismatches
 }
-
-// FirstMismatch describes the first incremental-vs-fresh verdict
-// disagreement ModeCheck observed ("" when none).
-func (s *Solver) FirstMismatch() string { return s.firstMismatch }
 
 // ModelCacheHits returns how many queries were answered Sat by extending
 // the cached model over newly defined gates, without any solver search.

@@ -101,9 +101,6 @@ func (t *Analysis) operand(n *acfg.Node, i int) bool {
 	return false
 }
 
-// Controlled reports whether node n's result may be attacker-controlled.
-func (t *Analysis) Controlled(n int) bool { return t.controlled[n] }
-
 // AddressControlled reports whether the address operand of a memory access
 // node is attacker-steerable.
 func (t *Analysis) AddressControlled(n *acfg.Node) bool {
