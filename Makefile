@@ -15,9 +15,9 @@ race:
 
 # race-core exercises the packages with real shared state under the
 # parallel pipeline: the worker pool (the only level of parallelism) and
-# the process-wide caches (harness), the frontend cache whose lazily
-# filled reach lists concurrent detectors share (detect), and the
-# multi-process campaign waves (cmd/clou).
+# the process-wide caches (harness), the frontend cache whose A-CFG
+# order, closures and pre-solver facts concurrent detectors fill once and
+# share (detect), and the multi-process campaign waves (cmd/clou).
 race-core:
 	$(GO) test -race ./internal/harness ./internal/detect ./cmd/clou
 

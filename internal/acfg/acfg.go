@@ -80,6 +80,8 @@ type Graph struct {
 	succs [][]int
 	preds [][]int
 
+	topoOnce  sync.Once
+	topo      []int // topological order, built by Topo
 	reachOnce sync.Once
 	reach     [][]uint64 // transitive closure rows, built by Reach
 	ffOnce    sync.Once
@@ -419,21 +421,30 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 }
 
 // Topo returns the nodes in topological order (the graph is a DAG by
-// construction).
+// construction). It is computed once, on the first call, and shared by
+// every caller, so it must not be modified.
 func (g *Graph) Topo() []int {
+	g.topoOnce.Do(func() { g.topo = g.topoOrder() })
+	return g.topo
+}
+
+// topoOrder sorts the graph by Kahn's algorithm. On a cyclic graph the
+// order omits every node on or after a cycle, which is how Verify detects
+// one.
+func (g *Graph) topoOrder() []int {
 	indeg := make([]int, len(g.Nodes))
 	for _, ss := range g.succs {
 		for _, s := range ss {
 			indeg[s]++
 		}
 	}
-	var order []int
 	var ready []int
 	for i := range g.Nodes {
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
+	order := make([]int, 0, len(g.Nodes))
 	for len(ready) > 0 {
 		n := ready[0]
 		ready = ready[1:]
@@ -561,7 +572,8 @@ func (g *Graph) Verify() error {
 			return fmt.Errorf("node at %d has ID %d", i, n.ID)
 		}
 	}
-	if order := g.Topo(); len(order) != g.Len() {
+	// A fresh sort, not Topo's memo: Verify checks the graph as it is now.
+	if order := g.topoOrder(); len(order) != g.Len() {
 		return fmt.Errorf("cycle: topological order covers %d of %d nodes", len(order), g.Len())
 	}
 	seen := make([]bool, g.Len())

@@ -74,7 +74,9 @@ func buildFrontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, error
 	fe.taintTime = lap()
 	fe.cfgReach = g.Reach()
 	fe.reachTime = lap()
-	fe.flow = buildFlowGraph(g, fe.al)
+	if fe.flow, err = buildFlowGraph(g, fe.al); err != nil {
+		return nil, err
+	}
 	fe.flowTime = lap()
 	return fe, nil
 }

@@ -1,7 +1,10 @@
 package detect
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,6 +39,61 @@ func TestCachedAnalysisMatchesUncached(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentDetectorsShareFrontend runs every engine over one
+// function on several goroutines at once, as harness workers do, all
+// reading one cached frontend (A-CFG closures and topological order,
+// value-flow graph, pre-solver facts), each in its own engine order. Each
+// result must equal an uncached serial run's. Run with -race -count=10:
+// the frontend is shared state, and nothing in it may be filled in
+// without synchronization.
+func TestConcurrentDetectorsShareFrontend(t *testing.T) {
+	lib, ok := cryptolib.Lookup("tea")
+	if !ok {
+		t.Fatal("tea corpus entry missing")
+	}
+	m := compile(t, lib.Source)
+	const fn = "tea_decrypt"
+	summary := func(r *Result) string {
+		certs, err := json.Marshal(r.Certificates)
+		if err != nil {
+			t.Error(err)
+		}
+		return fmt.Sprintf("%v %v cand=%d pruned=%d q=%d skip=%d dis=%d %s",
+			r.Findings, r.Counts(), r.Candidates, r.Pruned, r.Queries, r.SkippedQueries, r.Discharged, certs)
+	}
+	engines := Engines()
+	want := map[Engine]string{}
+	for _, e := range engines {
+		r, err := AnalyzeFunc(m, fn, DefaultConfig(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e] = summary(r)
+	}
+	cache := NewCache()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range engines {
+				e := engines[(i+w)%len(engines)]
+				cfg := DefaultConfig(e)
+				cfg.Cache = cache
+				r, err := AnalyzeFunc(m, fn, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := summary(r); got != want[e] {
+					t.Errorf("worker %d, %v: result differs from a serial uncached run:\n got %s\nwant %s", w, e, got, want[e])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestCacheSharesFrontendAcrossEngines asserts the second engine over the

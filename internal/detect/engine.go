@@ -461,6 +461,7 @@ type detector struct {
 	ta        *taint.Analysis
 	a         *aeg.AEG
 	flow      *flowGraph
+	words     []uint64 // feeders' sweep scratch, two words per node
 	res       *Result
 	cfgReach  func(from, to int) bool
 	rows      []dataflow.BitSet       // bounded-distance rows by node ID, on first use
@@ -799,46 +800,51 @@ type feed struct {
 
 // feeders is the (data.rf)* relation every engine classifies by: per
 // target node ID, the sources whose value reaches one of the target's
-// defs, in srcs order, never the target itself. One inverted sweep builds
-// it: the targets' defs are indexed once into a mask and a def → targets
-// table, then each source's reach list is walked against the mask, so a
-// source's reach is read once however many targets it feeds. The order of
-// a list does not matter: a source's feeds into one target merge into one
-// entry, and sources are taken in srcs order. The budget is
-// honored between sources; a relation cut short is partial, so callers
-// check outOfBudget before reading it.
+// defs, in srcs order, never the target itself. Sources are taken 64 at
+// a time, one bit each: one forward sweep of the value-flow graph gives
+// every node the block's sources that reach it (and those that reach it
+// through a gep index hop), and a target's feeds are the bits of its
+// defs' words ORed together, read in bit order, which is srcs order. A
+// source reaching several of a target's defs so feeds it once, through a
+// gep hop if any reaching path has one. The budget is honored between
+// blocks; a relation cut short is partial, so callers check outOfBudget
+// before reading it.
 func (d *detector) feeders(srcs, targets []*acfg.Node, defs func(*acfg.Node) []int) [][]feed {
-	mask := dataflow.NewBitSet(d.g.Len())
-	byDef := make([][]int32, d.g.Len())
-	for _, t := range targets {
-		for _, def := range defs(t) {
-			mask.Set(def)
-			byDef[def] = append(byDef[def], int32(t.ID))
-		}
+	n := d.g.Len()
+	if len(d.words) < 2*n {
+		d.words = make([]uint64, 2*n)
 	}
-	rel := make([][]feed, d.g.Len())
-	for _, s := range srcs {
-		if d.outOfBudget() {
-			break
+	reach, viaGep := d.words[:n], d.words[n:2*n]
+	// Each target's defs are listed once, not once per block: addrDefs
+	// builds a fresh list for a havoc call.
+	tdefs := make([][]int, len(targets))
+	for i, t := range targets {
+		tdefs[i] = defs(t)
+	}
+	rel := make([][]feed, n)
+	for len(srcs) > 0 && !d.outOfBudget() {
+		block := srcs[:min(64, len(srcs))]
+		srcs = srcs[len(block):]
+		first := n
+		for i, s := range block {
+			reach[s.ID] |= 1 << i
+			first = min(first, int(d.flow.pos[s.ID]))
 		}
-		for _, e := range d.flow.from(s.ID) {
-			def := int(e >> 1)
-			if !mask.Has(def) {
-				continue
+		d.flow.sweep(reach, viaGep, first)
+		for i, t := range targets {
+			var r, g uint64
+			for _, def := range tdefs[i] {
+				r, g = r|reach[def], g|viaGep[def]
 			}
-			gep := e&1 != 0
-			for _, t := range byDef[def] {
-				switch fs := rel[t]; {
-				case int(t) == s.ID: // never the target itself
-				case len(fs) > 0 && int(fs[len(fs)-1].src) == s.ID:
-					// A source reaching several of t's defs feeds it
-					// once, through a gep hop if any reaching path has one.
-					fs[len(fs)-1].gep = fs[len(fs)-1].gep || gep
-				default:
-					rel[t] = append(fs, feed{src: int32(s.ID), gep: gep})
+			for ; r != 0; r &= r - 1 {
+				b := bits.TrailingZeros64(r)
+				if s := block[b].ID; s != t.ID {
+					rel[t.ID] = append(rel[t.ID], feed{src: int32(s), gep: g>>b&1 != 0})
 				}
 			}
 		}
+		clear(reach)
+		clear(viaGep)
 	}
 	return rel
 }
@@ -1119,7 +1125,11 @@ func (d *detector) runForwarding() {
 		}
 		// A transmitter is never its own load (steered lists no
 		// self-feeds), so the load's row holds exactly the transmitters
-		// reachable from it within the Wsize bound.
+		// reachable from it within the Wsize bound. A load that steers
+		// nothing needs no row.
+		if len(steers[p.l]) == 0 {
+			continue
+		}
 		row := d.near(d.g.Nodes[p.l])
 		for _, tID := range steers[p.l] {
 			if !row.Has(tID) {

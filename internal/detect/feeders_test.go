@@ -1,11 +1,15 @@
 package detect
 
-// Differential check of the one feeder sweep against the pairwise scans it
-// replaced, each kept here as the reference for the relation it built:
-// feedsOf (index loads steering an access's address, with the addr_gep
-// flag), computeSteering (per load, the memory nodes whose address it
-// steers), the per-branch condition scan, and valueFeeders (per store, the
-// non-spill loads feeding its data).
+// Differential check of the bit-parallel feeder sweep against the pairwise
+// scans it replaced, each kept here as the reference for the relation it
+// built: feedsOf (index loads steering an access's address, with the
+// addr_gep flag), computeSteering (per load, the memory nodes whose
+// address it steers), the per-branch condition scan, and valueFeeders (per
+// store, the non-spill loads feeding its data). Every reference reads
+// reach from the per-source DFS (dfsReach). refFeeders, the relation's
+// definition probed pair by pair, covers the shapes no single scan had:
+// Clou-stl/psf's pair-ordered source list, and source lists of 1, 64 and
+// 65 loads, one block, a full block, and a block plus one.
 
 import (
 	"context"
@@ -13,6 +17,7 @@ import (
 	"testing"
 
 	"lcm/internal/acfg"
+	"lcm/internal/aeg"
 	"lcm/internal/cryptolib"
 	"lcm/internal/ir"
 	"lcm/internal/litmus"
@@ -98,6 +103,42 @@ func refValueFeeders(fl *denseFlow, s *acfg.Node, loads []*acfg.Node) []int {
 	return out
 }
 
+// refFeeders is the relation's definition, per target and source in
+// srcs order: a feed when the source is not the target and reaches one
+// of its defs, through a gep hop when some reached def is reached
+// through one.
+func refFeeders(fl *denseFlow, srcs, targets []*acfg.Node, defs func(*acfg.Node) []int) [][]feed {
+	out := make([][]feed, len(fl.dfs.f.start)-1)
+	for _, s := range srcs {
+		r := fl.from(s.ID)
+		for _, t := range targets {
+			if s.ID == t.ID {
+				continue
+			}
+			ok, gep := false, false
+			for _, def := range defs(t) {
+				hit, via := r.reaches(def)
+				ok, gep = ok || hit, gep || via
+			}
+			if ok {
+				out[t.ID] = append(out[t.ID], feed{src: int32(s.ID), gep: gep})
+			}
+		}
+	}
+	return out
+}
+
+// sameFeeders requires got and want to list the same feeds for every
+// target, in the same order.
+func sameFeeders(t testing.TB, label, shape string, targets []*acfg.Node, got, want [][]feed) {
+	t.Helper()
+	for _, t0 := range targets {
+		if !slices.Equal(got[t0.ID], want[t0.ID]) {
+			t.Fatalf("%s: %s feeders of %d = %v, reference %v", label, shape, t0.ID, got[t0.ID], want[t0.ID])
+		}
+	}
+}
+
 func srcsOf(fs []feed) []int {
 	var out []int
 	for _, f := range fs {
@@ -159,6 +200,40 @@ func checkFeeders(t testing.TB, label string, m *ir.Module, fn string) {
 	for _, s := range d.stores {
 		if got, want := srcsOf(ss[s.ID]), refValueFeeders(df, s, d.loads); !slices.Equal(got, want) {
 			t.Fatalf("%s: data feeders of %d = %v, valueFeeders %v", label, s.ID, got, want)
+		}
+	}
+
+	// Clou-stl's and Clou-psf's relation: the pairs' distinct loads, in
+	// pair order (store by store), not load-ID order.
+	d.al, d.cfgReach, d.a = fe.al, fe.cfgReach, aeg.Build(fe.g, fe.al, aeg.Options{})
+	for _, psf := range []bool{false, true} {
+		pairs, _ := d.forwardPairs(psf)
+		var fwd []*acfg.Node
+		seen := map[int]bool{}
+		for _, p := range pairs {
+			if !seen[p.l] {
+				seen[p.l] = true
+				fwd = append(fwd, fe.g.Nodes[p.l])
+			}
+		}
+		sameFeeders(t, label, "forwarding", d.mems,
+			d.feeders(fwd, d.mems, addrDefs), refFeeders(df, fwd, d.mems, addrDefs))
+	}
+
+	// Source lists of one block, a full block and a block plus one, the
+	// last both in load order and reversed.
+	for _, k := range []int{1, 64, 65} {
+		if len(d.loads) < k {
+			break
+		}
+		srcs := d.loads[:k]
+		sameFeeders(t, label, "prefix", d.mems,
+			d.feeders(srcs, d.mems, addrDefs), refFeeders(df, srcs, d.mems, addrDefs))
+		if k == 65 {
+			srcs = slices.Clone(srcs)
+			slices.Reverse(srcs)
+			sameFeeders(t, label, "reversed", d.mems,
+				d.feeders(srcs, d.mems, addrDefs), refFeeders(df, srcs, d.mems, addrDefs))
 		}
 	}
 

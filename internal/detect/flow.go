@@ -9,8 +9,8 @@
 package detect
 
 import (
+	"fmt"
 	"math/bits"
-	"sync"
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
@@ -27,20 +27,29 @@ import (
 //
 // The adjacency is a CSR array: edges[start[n]:start[n+1]] are node n's
 // out-edges, each packed to<<1|gep, where gep marks a hop entering a GEP
-// through its index operand (the addr_gep signal of §5.2). Per-source
-// reach lists are memoized on the graph itself, so they are shared across
-// the candidates of one engine run, across the engines of a cached
-// frontend, and across concurrent detector runs.
+// through its index operand (the addr_gep signal of §5.2). Every edge goes
+// forward in the A-CFG's topological order, which the graph keeps with
+// each node's position in it, so one pass over that order carries any set
+// of values to everything they reach (sweep). The graph is immutable after
+// construction and shared by every detector of a cached frontend.
 type flowGraph struct {
 	start []int32
 	edges []int32
-
-	mu   sync.Mutex
-	memo []reachInfo // per source node ID, nil until computed
+	order []int   // node IDs in topological order (the A-CFG's Topo)
+	pos   []int32 // node ID → index in order
 }
 
-func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) *flowGraph {
-	f := &flowGraph{memo: make([]reachInfo, g.Len())}
+// buildFlowGraph builds the CSR graph. It fails if an edge does not go
+// forward in the A-CFG's topological order: the sweep would miss what
+// such an edge carries.
+func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) (*flowGraph, error) {
+	f := &flowGraph{order: g.Topo(), pos: make([]int32, g.Len())}
+	if len(f.order) != g.Len() {
+		return nil, fmt.Errorf("%s: value flow: the A-CFG has a cycle", g.Fn)
+	}
+	for i, id := range f.order {
+		f.pos[id] = int32(i)
+	}
 	type rawEdge struct{ src, packed int32 }
 	var raw []rawEdge
 	add := func(src, to int, gep bool) {
@@ -133,98 +142,38 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) *flowGraph {
 	cursor := make([]int32, n)
 	copy(cursor, f.start[:n])
 	for _, e := range raw {
+		if to := e.packed >> 1; f.pos[to] <= f.pos[e.src] {
+			return nil, fmt.Errorf("%s: value flow: edge %d → %d goes backward in topological order", g.Fn, e.src, to)
+		}
 		f.edges[cursor[e.src]] = e.packed
 		cursor[e.src]++
 	}
-	return f
+	return f, nil
 }
 
-// reachInfo lists the nodes one source's value reaches, once each, in
-// discovery order: entries are packed node<<1|gep, the CSR edge packing,
-// with gep set when some reaching path crosses a gep index hop. The
-// source itself is always the first entry. A list, not n-bit sets: a load
-// reaches about a hundred of donna's ten thousand nodes.
-type reachInfo []int32
-
-// reachScratch is one traversal's reusable working memory: a node is
-// listed in the current traversal when its stamp equals epoch, and at
-// holds its entry's index in list. Epochs only grow, so stamps left by
-// an earlier traversal, over any graph, never match.
-type reachScratch struct {
-	stamp []uint32
-	at    []int32
-	epoch uint32
-	list  []int32
-	stack []int32
-}
-
-// reachScratchPool hands each concurrent traversal its own scratch. It is
-// shared by every graph: a pool per graph would keep each graph reachable
-// from the runtime's pool list until two collections after its last use.
-var reachScratchPool = sync.Pool{New: func() any { return new(reachScratch) }}
-
-// from returns (computing and memoizing on first use) the reach list of
-// one source node. Safe for concurrent use; the traversal is pure, so two
-// racing computations produce identical results and either may be kept.
-func (f *flowGraph) from(src int) reachInfo {
-	f.mu.Lock()
-	r := f.memo[src]
-	f.mu.Unlock()
-	if r != nil {
-		return r
-	}
-	r = f.compute(src)
-	f.mu.Lock()
-	if prev := f.memo[src]; prev != nil {
-		r = prev
-	} else {
-		f.memo[src] = r
-	}
-	f.mu.Unlock()
-	return r
-}
-
-// compute runs the DFS over (node, crossed-gep) states, packed
-// node<<1|gep like a CSR edge, so following an edge is a single OR of the
-// gep flags. A state adds nothing once its node is listed with at least
-// its gep flag: whatever (n, 0) reaches, (n, 1) reaches with the flag set.
-// Concurrent callers each take their own scratch from the pool.
-func (f *flowGraph) compute(src int) reachInfo {
-	sc := reachScratchPool.Get().(*reachScratch)
-	defer reachScratchPool.Put(sc)
-	if n := len(f.start) - 1; len(sc.stamp) < n {
-		sc.stamp, sc.at = make([]uint32, n), make([]int32, n)
-	}
-	if sc.epoch++; sc.epoch == 0 {
-		clear(sc.stamp)
-		sc.epoch = 1
-	}
-	list, stack := sc.list[:0], append(sc.stack[:0], int32(src)<<1)
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		node, gep := st>>1, st&1
-		if sc.stamp[node] == sc.epoch {
-			i := sc.at[node]
-			if list[i]&1 >= gep {
-				continue
-			}
-			list[i] |= 1
-		} else {
-			sc.stamp[node] = sc.epoch
-			sc.at[node] = int32(len(list))
-			list = append(list, st)
+// sweep carries bit-parallel value sets forward: reach[n] holds the
+// sources whose value reaches node n, one bit each, and viaGep[n] those
+// whose value reaches it through a gep index hop on some path. Seeded
+// with the sources' own bits, one pass over the topological order from
+// position first (no source sits earlier) ORs each node's words into its
+// successors', so every node's words are final before they are read.
+func (f *flowGraph) sweep(reach, viaGep []uint64, first int) {
+	for _, u := range f.order[first:] {
+		r := reach[u]
+		if r == 0 {
+			continue
 		}
-		for _, e := range f.edges[f.start[node]:f.start[node+1]] {
-			next := e | gep
-			if to := next >> 1; sc.stamp[to] == sc.epoch && list[sc.at[to]]&1 >= next&1 {
-				continue
+		g := viaGep[u]
+		for _, e := range f.edges[f.start[u]:f.start[u+1]] {
+			to := e >> 1
+			reach[to] |= r
+			if e&1 != 0 {
+				viaGep[to] |= r
+			} else {
+				viaGep[to] |= g
 			}
-			stack = append(stack, next)
 		}
 	}
-	sc.list, sc.stack = list, stack
-	return append(reachInfo(nil), list...)
 }
 
 // addrDefs returns the defining nodes of a memory node's address operand

@@ -1,18 +1,20 @@
 package detect
 
-// Differential oracle for the CSR value-flow graph: a naive map-adjacency
-// DFS, written independently here, must agree with flowGraph.from's
-// sparse reach list on the (reached, viaGep) verdict of every (source,
-// destination) pair, and the list must name each reached node once. The edge
-// enumeration is intentionally duplicated — if buildFlowGraph's CSR
-// packing or counting sort drops or misroutes an edge, the reference
-// disagrees.
+// Differential oracles for the CSR value-flow graph: a naive map-adjacency
+// DFS, written independently here, must agree with the per-source DFS
+// over the CSR arrays (dfsReach, the traversal the bit-parallel sweep
+// replaced, kept as the reference the feeder checks probe) and with the
+// sweep itself on the (reached, viaGep) verdict of every (source,
+// destination) pair. The edge enumeration is intentionally duplicated —
+// if buildFlowGraph's CSR packing or counting sort drops or misroutes an
+// edge, the reference disagrees.
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
+	"strings"
 	"testing"
 
 	"lcm/internal/acfg"
@@ -106,7 +108,9 @@ func refReach(adj map[int][]refEdge, src int) (reached, viaGep map[int]bool) {
 }
 
 // diffFlowFunc pins the CSR graph against the reference for one function,
-// using every load and store as a source.
+// using every load and store as a source: the DFS reference's list and
+// the sweep's relation (every node a target, fed through its own value)
+// must both give the map-backed DFS's verdicts.
 func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 	t.Helper()
 	g, err := acfg.Build(m, fn, acfg.Options{})
@@ -114,15 +118,22 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		t.Fatalf("%s/%s: acfg: %v", label, fn, err)
 	}
 	al := alias.Analyze(g)
-	fg := buildFlowGraph(g, al)
+	fg, err := buildFlowGraph(g, al)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", label, fn, err)
+	}
 	adj := refFlowEdges(g, al, g.Reach())
+	dfs := newDFSReach(fg)
+	var srcs []*acfg.Node
+	var refs [][2]map[int]bool // per source, the reference's (reached, viaGep)
 	for _, src := range g.Nodes {
 		if !src.IsLoad() && !src.IsStore() {
 			continue
 		}
-		list := fg.from(src.ID)
+		list := dfs.from(src.ID)
 		r := list.dense(g.Len())
 		wantReach, wantGep := refReach(adj, src.ID)
+		srcs, refs = append(srcs, src), append(refs, [2]map[int]bool{wantReach, wantGep})
 		if len(list) != len(wantReach) || int(list[0]>>1) != src.ID {
 			t.Fatalf("%s/%s: from(%d) lists %d entries starting at node %d, reference reaches %d nodes",
 				label, fn, src.ID, len(list), list[0]>>1, len(wantReach))
@@ -137,6 +148,19 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		if r.popcount() != len(wantReach) {
 			t.Fatalf("%s/%s: from(%d) reaches %d nodes, reference %d",
 				label, fn, src.ID, r.popcount(), len(wantReach))
+		}
+	}
+	d := &detector{ctx: context.Background(), g: g, flow: fg, res: &Result{}}
+	rel := d.feeders(srcs, g.Nodes, func(n *acfg.Node) []int { return []int{n.ID} })
+	for _, dst := range g.Nodes {
+		var want []feed
+		for i, src := range srcs {
+			if src != dst && refs[i][0][dst.ID] {
+				want = append(want, feed{src: int32(src.ID), gep: refs[i][1][dst.ID]})
+			}
+		}
+		if !slices.Equal(rel[dst.ID], want) {
+			t.Fatalf("%s/%s: the sweep feeds node %d from %v, reference %v", label, fn, dst.ID, rel[dst.ID], want)
 		}
 	}
 }
@@ -161,7 +185,10 @@ func refCSR(n int, adj map[int][]refEdge) (start, edges []int32) {
 }
 
 // checkFlowCSR requires, for every defined function of m, that the
-// indexed data.rf build yields exactly the pairwise scan's CSR arrays.
+// indexed data.rf build yields exactly the pairwise scan's CSR arrays,
+// and that every edge of the scan goes forward in the A-CFG's
+// topological order (node IDs are not such an order), which the sweep
+// relies on and buildFlowGraph enforces.
 func checkFlowCSR(t testing.TB, label string, m *ir.Module) {
 	t.Helper()
 	for _, f := range m.Funcs {
@@ -173,8 +200,23 @@ func checkFlowCSR(t testing.TB, label string, m *ir.Module) {
 			t.Fatalf("%s/%s: acfg: %v", label, f.Nm, err)
 		}
 		al := alias.Analyze(g)
-		fg := buildFlowGraph(g, al)
-		start, edges := refCSR(g.Len(), refFlowEdges(g, al, g.Reach()))
+		fg, err := buildFlowGraph(g, al)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", label, f.Nm, err)
+		}
+		adj := refFlowEdges(g, al, g.Reach())
+		pos := make([]int, g.Len())
+		for i, id := range g.Topo() {
+			pos[id] = i
+		}
+		for src, es := range adj {
+			for _, e := range es {
+				if pos[e.to] <= pos[src] {
+					t.Fatalf("%s/%s: flow edge %d → %d goes backward in topological order", label, f.Nm, src, e.to)
+				}
+			}
+		}
+		start, edges := refCSR(g.Len(), adj)
 		if !slices.Equal(fg.start, start) {
 			t.Fatalf("%s/%s: CSR start differs from the pairwise scan", label, f.Nm)
 		}
@@ -185,20 +227,29 @@ func checkFlowCSR(t testing.TB, label string, m *ir.Module) {
 	}
 }
 
-// TestReachListMatchesReferenceRandom runs the sparse traversal over
-// random small graphs, cycles included, with gep hops on random edges.
-// Corpus graphs rarely reach a node first without a gep hop and later
-// through one, which is where the traversal must set the listed entry's
-// flag and explore again; random edge orders exercise both orders.
+// TestReachListMatchesReferenceRandom runs the DFS reference and the
+// sweep over random DAGs with gep hops on random edges. Each DAG's
+// topological order is a random permutation, so node IDs are no guide to
+// it; sources are taken in a random order, and every tenth graph is large
+// enough for several 64-source blocks. Corpus graphs rarely reach a node
+// first without a gep hop and later through one, or feed a target through
+// several defs only some of which a gep hop reaches; random graphs
+// exercise both.
 func TestReachListMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 3000; iter++ {
 		n := 2 + rng.Intn(11)
+		if iter%10 == 0 {
+			n = 2 + rng.Intn(150)
+		}
+		f := &flowGraph{start: make([]int32, n+1), order: rng.Perm(n), pos: make([]int32, n)}
+		for i, id := range f.order {
+			f.pos[id] = int32(i)
+		}
 		adj := map[int][]refEdge{}
-		f := &flowGraph{start: make([]int32, n+1), memo: make([]reachInfo, n)}
 		for src := 0; src < n; src++ {
-			for k := rng.Intn(4); k > 0; k-- {
-				e := refEdge{to: rng.Intn(n), gep: rng.Intn(3) == 0}
+			for k := rng.Intn(4); k > 0 && int(f.pos[src]) < n-1; k-- {
+				e := refEdge{to: f.order[int(f.pos[src])+1+rng.Intn(n-1-int(f.pos[src]))], gep: rng.Intn(3) == 0}
 				adj[src] = append(adj[src], e)
 				p := int32(e.to) << 1
 				if e.gep {
@@ -208,8 +259,9 @@ func TestReachListMatchesReferenceRandom(t *testing.T) {
 			}
 			f.start[src+1] = int32(len(f.edges))
 		}
+		dfs := newDFSReach(f)
 		for src := 0; src < n; src++ {
-			list := f.from(src)
+			list := dfs.from(src)
 			r := list.dense(n)
 			wantReach, wantGep := refReach(adj, src)
 			if len(list) != len(wantReach) || int(list[0]>>1) != src {
@@ -222,47 +274,57 @@ func TestReachListMatchesReferenceRandom(t *testing.T) {
 				}
 			}
 		}
+
+		nodes := make([]*acfg.Node, n)
+		for i := range nodes {
+			nodes[i] = &acfg.Node{ID: i}
+		}
+		defs := make([][]int, n)
+		for i := range defs {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				defs[i] = append(defs[i], rng.Intn(n))
+			}
+		}
+		srcs := make([]*acfg.Node, 0, n)
+		for _, i := range rng.Perm(n)[:1+rng.Intn(n)] {
+			srcs = append(srcs, nodes[i])
+		}
+		d := &detector{ctx: context.Background(), g: &acfg.Graph{Nodes: nodes}, flow: f, res: &Result{}}
+		got := d.feeders(srcs, nodes, func(t *acfg.Node) []int { return defs[t.ID] })
+		want := refFeeders(newDenseFlow(f), srcs, nodes, func(t *acfg.Node) []int { return defs[t.ID] })
+		for _, tn := range nodes {
+			if !slices.Equal(got[tn.ID], want[tn.ID]) {
+				t.Fatalf("iter %d: feeders of %d (defs %v) = %v, reference %v; graph %v",
+					iter, tn.ID, defs[tn.ID], got[tn.ID], want[tn.ID], adj)
+			}
+		}
 	}
 }
 
-// TestFlowFromConcurrent has several goroutines ask one graph for every
-// source's reach list at once, as harness workers do when their analyses
-// share one cached frontend, each in its own order; each list must equal a
-// serial computation on a fresh graph. Run with -race: the memo and the
-// pooled scratch are shared state.
-func TestFlowFromConcurrent(t *testing.T) {
-	lib, ok := cryptolib.Lookup("secretbox")
-	if !ok {
-		t.Fatal("secretbox corpus entry missing")
-	}
-	g, err := acfg.Build(compile(t, lib.Source), "crypto_secretbox_open", acfg.Options{})
+// TestFlowGraphRejectsBackwardEdge gives a store a stored-value def the
+// exit node, last in every topological order: the edge exit → store would
+// carry nothing in the sweep, so construction must fail instead.
+func TestFlowGraphRejectsBackwardEdge(t *testing.T) {
+	c := litmus.All()[0]
+	g, err := acfg.Build(compile(t, c.Source), c.Fn, acfg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	al := alias.Analyze(g)
-	serial := buildFlowGraph(g, al)
-	shared := buildFlowGraph(g, al)
-	var srcs []int
+	if _, err := buildFlowGraph(g, al); err != nil {
+		t.Fatalf("intact graph: %v", err)
+	}
 	for _, n := range g.Nodes {
-		if n.IsLoad() || n.IsStore() {
-			srcs = append(srcs, n.ID)
+		if n.IsStore() {
+			n.ArgDefs[0] = append(n.ArgDefs[0], g.Exit)
+			_, err := buildFlowGraph(g, al)
+			if err == nil || !strings.Contains(err.Error(), "backward") {
+				t.Fatalf("edge %d → %d: buildFlowGraph error %v, want a backward edge", g.Exit, n.ID, err)
+			}
+			return
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range srcs {
-				src := srcs[(i*(2*w+1)+w)%len(srcs)]
-				if got := shared.from(src); !slices.Equal(got, serial.compute(src)) {
-					t.Errorf("worker %d: from(%d) differs from a serial traversal", w, src)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	t.Fatalf("%s has no store", c.Name)
 }
 
 func TestFlowGraphMatchesReferenceLitmus(t *testing.T) {
@@ -299,7 +361,63 @@ func TestFlowGraphMatchesReferenceCryptolib(t *testing.T) {
 	}
 }
 
-// denseReach is a sparse reach list expanded into the two bitsets the
+// reachInfo lists the nodes one source's value reaches, once each, in
+// discovery order: entries are packed node<<1|gep, the CSR edge packing,
+// with gep set when some reaching path crosses a gep index hop. The
+// source itself is always the first entry.
+type reachInfo []int32
+
+// dfsReach is the per-source traversal the sweep replaced, kept as the
+// reference: a DFS over (node, crossed-gep) states, packed node<<1|gep
+// like a CSR edge, so following an edge is a single OR of the gep flags.
+// A state adds nothing once its node is listed with at least its gep
+// flag: whatever (n, 0) reaches, (n, 1) reaches with the flag set. A node
+// is listed in the current traversal when its stamp equals epoch, and at
+// holds its entry's index in the list.
+type dfsReach struct {
+	f     *flowGraph
+	stamp []uint32
+	at    []int32
+	epoch uint32
+}
+
+func newDFSReach(f *flowGraph) *dfsReach {
+	n := len(f.start) - 1
+	return &dfsReach{f: f, stamp: make([]uint32, n), at: make([]int32, n)}
+}
+
+func (r *dfsReach) from(src int) reachInfo {
+	f := r.f
+	r.epoch++
+	var list reachInfo
+	stack := []int32{int32(src) << 1}
+	for len(stack) > 0 {
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		node, gep := st>>1, st&1
+		if r.stamp[node] == r.epoch {
+			i := r.at[node]
+			if list[i]&1 >= gep {
+				continue
+			}
+			list[i] |= 1
+		} else {
+			r.stamp[node] = r.epoch
+			r.at[node] = int32(len(list))
+			list = append(list, st)
+		}
+		for _, e := range f.edges[f.start[node]:f.start[node+1]] {
+			next := e | gep
+			if to := next >> 1; r.stamp[to] == r.epoch && list[r.at[to]]&1 >= next&1 {
+				continue
+			}
+			stack = append(stack, next)
+		}
+	}
+	return list
+}
+
+// denseReach is a reach list expanded into the two bitsets the
 // references probe: reached nodes, and nodes some reaching path crosses a
 // gep index hop to arrive at.
 type denseReach struct{ reached, viaGep dataflow.BitSet }
@@ -330,20 +448,20 @@ func (r denseReach) popcount() int {
 	return total
 }
 
-// denseFlow memoizes each source's expanded reach for the references.
+// denseFlow memoizes each source's expanded DFS reach for the references.
 type denseFlow struct {
-	fl   *flowGraph
+	dfs  *dfsReach
 	memo map[int]denseReach
 }
 
 func newDenseFlow(fl *flowGraph) *denseFlow {
-	return &denseFlow{fl: fl, memo: map[int]denseReach{}}
+	return &denseFlow{dfs: newDFSReach(fl), memo: map[int]denseReach{}}
 }
 
 func (df *denseFlow) from(src int) denseReach {
 	r, ok := df.memo[src]
 	if !ok {
-		r = df.fl.from(src).dense(len(df.fl.start) - 1)
+		r = df.dfs.from(src).dense(len(df.dfs.f.start) - 1)
 		df.memo[src] = r
 	}
 	return r

@@ -176,8 +176,8 @@ func TestForwardPairsMatchReferenceCryptolib(t *testing.T) {
 	}
 }
 
-// FuzzForwardPairs runs the pair, row and sparse-reach reference checks
-// on every function of any input that lowers and builds.
+// FuzzForwardPairs runs the pair, row, reach and feeder-sweep reference
+// checks on every function of any input that lowers and builds.
 // Run with `make fuzz` or `go test -fuzz=FuzzForwardPairs ./internal/detect`.
 func FuzzForwardPairs(f *testing.F) {
 	for _, seed := range []string{
@@ -211,6 +211,7 @@ func FuzzForwardPairs(f *testing.F) {
 			}
 			checkForwardPairs(t, "fuzz/"+fn.Nm, m, fn.Nm)
 			diffFlowFunc(t, "fuzz", m, fn.Nm)
+			checkFeeders(t, "fuzz/"+fn.Nm, m, fn.Nm)
 		}
 	})
 }

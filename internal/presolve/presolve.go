@@ -105,14 +105,17 @@ type Analysis struct {
 		ord    []int32 // topological positions, for search pruning
 	}
 	// entry is the entry-rooted BFS tree's parent links (-1 where the
-	// entry does not reach), built by entryTree on first use.
-	entry []int32
+	// entry does not reach) and hop each node's nearest branch hop on its
+	// tree path, both built by entryTree on first use.
+	entry, hop []int32
 	// take is the witness builders' take-assignment scratch: 0 unset, 1
 	// false, 2 true, with the set nodes listed in taken. replays memoises
-	// arch-witness replays by the branches set false, keyed in keyBuf.
+	// arch-witness replays by the branches set false, sorted in falses
+	// and keyed in keyBuf.
 	take    []int8
 	taken   []int
 	replays map[string]*replayed
+	falses  []int
 	keyBuf  []byte
 }
 

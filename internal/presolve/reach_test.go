@@ -121,7 +121,7 @@ func (a *Analysis) bfsPath(src, dst int) []int {
 }
 
 func (a *Analysis) entryPath(dst int) []int {
-	if a.entryTree()[dst] < 0 {
+	if parent, _ := a.entryTree(); parent[dst] < 0 {
 		return nil
 	}
 	return treePath(a.entry, a.f.G.Entry, dst)

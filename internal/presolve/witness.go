@@ -215,14 +215,18 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	// conditional branch has two successors, so no other node's take
 	// could steer the path.) A DAG's arch witnesses share a few dozen
 	// paths across thousands of queries.
-	slices.Sort(a.taken)
-	buf := a.keyBuf[:0]
+	falses := a.falses[:0]
 	for _, n := range a.taken {
 		if a.take[n] == 1 {
-			buf = binary.AppendUvarint(buf, uint64(n))
+			falses = append(falses, n)
 		}
 	}
-	a.keyBuf = buf
+	slices.Sort(falses)
+	buf := a.keyBuf[:0]
+	for _, n := range falses {
+		buf = binary.AppendUvarint(buf, uint64(n))
+	}
+	a.falses, a.keyBuf = falses, buf
 	r, hit := a.replays[string(buf)]
 	if hit {
 		a.clearTakes()
@@ -251,21 +255,32 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 
 // segmentTakes records the takes along a shortest path from src to dst,
 // walking its parent links back from dst: the entry tree's for the entry
-// segment, a fresh search's otherwise. It reports false when dst is
-// unreachable or a take conflicts.
+// segment, a fresh search's otherwise. On the entry tree it jumps from
+// branch hop to branch hop, skipping the unconditional edges between
+// them, which set nothing, so it makes the same setTake calls in the same
+// order. It reports false when dst is unreachable or a take conflicts.
 func (a *Analysis) segmentTakes(src, dst int) bool {
-	parent := a.entryTree()
-	if src != a.f.G.Entry {
-		if !a.bfsTree(src, dst) {
+	g := a.f.G
+	if src == g.Entry {
+		parent, hop := a.entryTree()
+		if parent[dst] < 0 {
 			return false
 		}
-		parent = a.bfs.parent
-	} else if parent[dst] < 0 {
+		for c := hop[dst]; c >= 0; c = hop[parent[c]] {
+			p := int(parent[c])
+			if t, _ := takeFor(g, p, int(c)); !a.setTake(p, t) {
+				return false
+			}
+		}
+		return true
+	}
+	if !a.bfsTree(src, dst) {
 		return false
 	}
+	parent := a.bfs.parent
 	for n := dst; n != src; n = int(parent[n]) {
 		p := int(parent[n])
-		if t, ok := takeFor(a.f.G, p, n); ok && !a.setTake(p, t) {
+		if t, ok := takeFor(g, p, n); ok && !a.setTake(p, t) {
 			return false
 		}
 	}
@@ -391,27 +406,33 @@ func (a *Analysis) bfsTree(src, dst int) bool {
 // where the entry does not reach), built on first use. Neither bfsTree's
 // topological pruning nor its early exit changes the parent of a node
 // that reaches dst, so the tree's parent chains are exactly the paths
-// bfsTree(Entry, dst) leaves.
-func (a *Analysis) entryTree() []int32 {
+// bfsTree(Entry, dst) leaves. With them it returns each node's branch
+// hop: the nearest node c on its tree path from the entry, itself
+// included, whose in-edge from parent[c] leaves a proper branch (-1 when
+// no edge on the path does).
+func (a *Analysis) entryTree() (parent, hop []int32) {
 	g := a.f.G
 	if a.entry == nil {
-		a.entry = make([]int32, g.Len())
+		a.entry, a.hop = make([]int32, g.Len()), make([]int32, g.Len())
 		for i := range a.entry {
 			a.entry[i] = -1
 		}
-		a.entry[g.Entry] = int32(g.Entry)
+		a.entry[g.Entry], a.hop[g.Entry] = int32(g.Entry), -1
 		queue := []int32{int32(g.Entry)}
 		for head := 0; head < len(queue); head++ {
 			n := int(queue[head])
 			for _, s := range g.Succs(n) {
 				if a.entry[s] < 0 {
-					a.entry[s] = int32(n)
+					a.entry[s], a.hop[s] = int32(n), a.hop[n]
+					if _, ok := takeFor(g, n, s); ok {
+						a.hop[s] = int32(s)
+					}
 					queue = append(queue, int32(s))
 				}
 			}
 		}
 	}
-	return a.entry
+	return a.entry, a.hop
 }
 
 // dedupSorted sorts and deduplicates a node list.
