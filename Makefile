@@ -53,10 +53,15 @@ check: vet fmt lint race-core
 # certificates share their replayed paths. The conservation test checks the
 # decide step's accounting: over every litmus case and engine, the
 # pre-solver-on run's solver plus skipped queries and the audited run's
-# queries both equal the pre-solver-off run's queries.
+# queries both equal the pre-solver-off run's queries. Range certificates
+# (in-bounds, stl-disjoint) package the pruner's own facts, and audit
+# Checks each one by arithmetic; the range reference test requires the
+# pruner's decisions and certificates to equal the old bool rules and
+# certificate mirror on every access and forwarding pair of litmus, crypto
+# and progen.
 audit-presolve: build
 	$(GO) run ./cmd/clou -litmus all -audit-presolve
-	$(GO) test ./internal/detect -run '^(TestAuditPresolveWindowRefutations|TestAuditPresolveArchWitnesses|TestQueryConservationAcrossPresolveModes)$$' -count=1 -v
+	$(GO) test ./internal/detect -run '^(TestAuditPresolveWindowRefutations|TestAuditPresolveArchWitnesses|TestQueryConservationAcrossPresolveModes|TestRangeFactsMatchReference)$$' -count=1 -v
 
 # fuzz gives each native fuzz target a short budget — enough to shake out
 # shallow regressions in CI. Crashing inputs are written to testdata/fuzz/

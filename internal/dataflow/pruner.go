@@ -31,50 +31,33 @@ func NewPruner(m *ir.Module) *Pruner {
 }
 
 // Ranges exposes the pruner's shared per-module range analyses, so the
-// static pre-solver (internal/presolve) derives its certificates from the
-// same interval facts the prune decisions use.
+// static pre-solver (internal/presolve) builds its alias partition from
+// the same interval facts the prune decisions use.
 func (p *Pruner) Ranges() *ModuleRanges { return p.mr }
 
-// InBoundsAccess reports whether the access provably stays inside its
-// base object for every admitted value, including on transient paths.
-func (p *Pruner) InBoundsAccess(in *ir.Instr) bool {
-	if in == nil {
-		return false
+// InBoundsAccess resolves the access's extent and reports whether it
+// provably stays inside its base object for every admitted value,
+// including on transient paths. The extent is the fact the decision rests
+// on: the pre-solver packages it, unchanged, as the prune's certificate.
+// A nil Pruner (pruning disabled) decides nothing.
+func (p *Pruner) InBoundsAccess(in *ir.Instr) (Extent, bool) {
+	if p == nil {
+		return Extent{}, false
 	}
-	r := p.mr.ForInstr(in)
-	return r != nil && r.InBounds(in)
+	e, ok := p.mr.Extent(in)
+	return e, ok && e.InBounds()
 }
 
-// DisjointPair reports whether the store and load provably touch disjoint
-// bytes of the same object even under store bypass, so the pair cannot
-// forward stale data.
-func (p *Pruner) DisjointPair(s, l *ir.Instr) bool {
-	if s == nil || l == nil || s.Op != ir.OpStore || l.Op != ir.OpLoad {
-		return false
+// DisjointPair resolves a store's and a load's extents, each in its own
+// function, and reports whether they provably cover disjoint bytes of the
+// same object even under store bypass, so the pair cannot forward stale
+// data. The extents are the facts the decision rests on. A nil Pruner
+// decides nothing.
+func (p *Pruner) DisjointPair(s, l *ir.Instr) (se, le Extent, ok bool) {
+	if p == nil || s == nil || l == nil || s.Op != ir.OpStore || l.Op != ir.OpLoad {
+		return Extent{}, Extent{}, false
 	}
-	rs := p.mr.ForInstr(s)
-	rl := p.mr.ForInstr(l)
-	if rs == nil || rl == nil {
-		return false
-	}
-	if rs == rl {
-		return rs.DisjointRanges(s, l)
-	}
-	// The pair spans an inline boundary (A-CFG nodes of caller and
-	// callee): resolve each side in its own function and require the same
-	// global base.
-	as := rs.Addr(s.Args[1])
-	al := rl.Addr(l.Args[0])
-	if !as.Known || !al.Known || as.Global == nil || as.Global != al.Global {
-		return false
-	}
-	if !as.Off.LoadFree || !al.Off.LoadFree || !as.Off.Bounded() || !al.Off.Bounded() {
-		return false
-	}
-	sEnd, ok1 := addOv(as.Off.Hi, int64(s.Args[0].Type().Size()))
-	lEnd, ok2 := addOv(al.Off.Hi, int64(l.Ty.Size()))
-	if !ok1 || !ok2 {
-		return false
-	}
-	return sEnd <= al.Off.Lo || lEnd <= as.Off.Lo
+	se, ok1 := p.mr.Extent(s)
+	le, ok2 := p.mr.Extent(l)
+	return se, le, ok1 && ok2 && Disjoint(se, le)
 }

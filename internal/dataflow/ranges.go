@@ -289,70 +289,68 @@ func gepIndexRange(ty ir.Type, iv Interval) Interval {
 	return iv
 }
 
-// accessAddrAndSize extracts the address operand and access width of a
-// load or store.
-func accessAddrAndSize(in *ir.Instr) (ir.Value, int, bool) {
+// Extent is one load's or store's footprint: its address resolved to a
+// base object and byte-offset interval, the access width, and the base
+// object's byte size (0 when the address is unresolved). Both range rules
+// decide on extents, and their certificates record them.
+type Extent struct {
+	Addr   AddrInfo
+	Width  int
+	Object int
+}
+
+// Extent resolves a load's or store's footprint; ok is false for any
+// other instruction.
+func (r *RangeAnalysis) Extent(in *ir.Instr) (e Extent, ok bool) {
+	var addr ir.Value
 	switch in.Op {
 	case ir.OpLoad:
-		return in.Args[0], in.Ty.Size(), true
+		addr, e.Width = in.Args[0], in.Ty.Size()
 	case ir.OpStore:
-		return in.Args[1], in.Args[0].Type().Size(), true
+		addr, e.Width = in.Args[1], in.Args[0].Type().Size()
+	default:
+		return Extent{}, false
 	}
-	return nil, 0, false
+	e.Addr = r.Addr(addr)
+	switch {
+	case e.Addr.Global != nil:
+		e.Object = e.Addr.Global.Elem.Size()
+	case e.Addr.Slot != nil:
+		e.Object = e.Addr.Slot.AllocaElem.Size()
+	}
+	return e, true
 }
 
 // InBounds reports whether the access provably stays inside its base
 // object for every value the analysis admits — in which case even a
-// mispredicted execution of this access cannot read outside the object.
-func (r *RangeAnalysis) InBounds(in *ir.Instr) bool {
-	addr, size, ok := accessAddrAndSize(in)
-	if !ok {
+// mispredicted execution of it cannot read outside the object.
+func (e Extent) InBounds() bool {
+	off := e.Addr.Off
+	if !e.Addr.Known || !off.Bounded() || off.Lo < 0 {
 		return false
 	}
-	ai := r.Addr(addr)
-	if !ai.Known || !ai.Off.Bounded() || ai.Off.Lo < 0 {
-		return false
-	}
-	var objSize int
-	switch {
-	case ai.Global != nil:
-		objSize = ai.Global.Elem.Size()
-	case ai.Slot != nil:
-		objSize = ai.Slot.AllocaElem.Size()
-	default:
-		return false
-	}
-	end, ok := addOv(ai.Off.Hi, int64(size))
-	return ok && end <= int64(objSize)
+	end, ok := addOv(off.Hi, int64(e.Width))
+	return ok && end <= int64(e.Object)
 }
 
-// DisjointRanges reports whether the store and load provably touch
-// disjoint byte ranges of the same base object, using only LoadFree
-// offset bounds — bounds that hold even when earlier stores are bypassed,
-// which is what Clou-stl's transient reordering requires.
-func (r *RangeAnalysis) DisjointRanges(store, load *ir.Instr) bool {
-	if store.Op != ir.OpStore || load.Op != ir.OpLoad {
+// Disjoint reports whether a store's and a load's extents provably cover
+// disjoint bytes of one base object, using only LoadFree offset bounds —
+// bounds that hold even when earlier stores are bypassed, which is what
+// Clou-stl's transient reordering requires. Alias facts across objects
+// are untrusted transiently (§5.2), so distinct bases are never disjoint.
+// The extents may come from different functions (an inline boundary of
+// the A-CFG): a slot belongs to one function, so only a global is then a
+// shared base.
+func Disjoint(s, l Extent) bool {
+	a, b := s.Addr.Off, l.Addr.Off
+	sameBase := (s.Addr.Global != nil && s.Addr.Global == l.Addr.Global) ||
+		(s.Addr.Slot != nil && s.Addr.Slot == l.Addr.Slot)
+	if !sameBase || !a.LoadFree || !b.LoadFree || !a.Bounded() || !b.Bounded() {
 		return false
 	}
-	as := r.Addr(store.Args[1])
-	al := r.Addr(load.Args[0])
-	if !as.Known || !al.Known {
-		return false
-	}
-	sameBase := (as.Global != nil && as.Global == al.Global) ||
-		(as.Slot != nil && as.Slot == al.Slot)
-	if !sameBase {
-		return false // alias facts across objects are untrusted transiently (§5.2)
-	}
-	if !as.Off.LoadFree || !al.Off.LoadFree || !as.Off.Bounded() || !al.Off.Bounded() {
-		return false
-	}
-	sEnd, ok1 := addOv(as.Off.Hi, int64(store.Args[0].Type().Size()))
-	lEnd, ok2 := addOv(al.Off.Hi, int64(load.Ty.Size()))
-	if !ok1 || !ok2 {
-		return false
-	}
-	return sEnd <= al.Off.Lo || lEnd <= as.Off.Lo
+	sEnd, ok1 := addOv(a.Hi, int64(s.Width))
+	lEnd, ok2 := addOv(b.Hi, int64(l.Width))
+	return ok1 && ok2 && (sEnd <= b.Lo || lEnd <= a.Lo)
 }
 
 // ModuleRanges lazily computes per-function range analyses for a module.
@@ -395,4 +393,14 @@ func (mr *ModuleRanges) ForInstr(in *ir.Instr) *RangeAnalysis {
 		return nil
 	}
 	return mr.ForFunc(in.Blk.Fn)
+}
+
+// Extent resolves a load's or store's footprint in the analysis of its
+// own function; ok is false for any other instruction.
+func (mr *ModuleRanges) Extent(in *ir.Instr) (Extent, bool) {
+	r := mr.ForInstr(in)
+	if r == nil {
+		return Extent{}, false
+	}
+	return r.Extent(in)
 }

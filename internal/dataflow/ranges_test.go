@@ -28,6 +28,12 @@ func globalAccesses(r *dataflow.RangeAnalysis, f *ir.Func, op ir.Op, global stri
 	return out
 }
 
+// inBounds is the pruner's in-bounds rule on one access of r's function.
+func inBounds(r *dataflow.RangeAnalysis, in *ir.Instr) bool {
+	e, ok := r.Extent(in)
+	return ok && e.InBounds()
+}
+
 func TestRangeMaskedIndexInBounds(t *testing.T) {
 	m := compile(t, `
 uint8_t table[32];
@@ -61,7 +67,7 @@ void reader(uint32_t i) {
 	if len(tl) != 1 {
 		t.Fatalf("got %d loads of table, want 1", len(tl))
 	}
-	if !r.InBounds(tl[0]) {
+	if !inBounds(r, tl[0]) {
 		t.Errorf("table[i & 31] must be provably in bounds of the 32-byte table")
 	}
 
@@ -69,7 +75,7 @@ void reader(uint32_t i) {
 	if len(pl) != 1 {
 		t.Fatalf("got %d loads of probe, want 1", len(pl))
 	}
-	if r.InBounds(pl[0]) {
+	if inBounds(r, pl[0]) {
 		t.Errorf("probe[i] with unbounded u32 i must not be provably in bounds")
 	}
 }
@@ -91,7 +97,7 @@ void spin(uint32_t n) {
 	if len(ss) != 1 {
 		t.Fatalf("got %d stores to st, want 1", len(ss))
 	}
-	if !r.InBounds(ss[0]) {
+	if !inBounds(r, ss[0]) {
 		t.Errorf("st[i & 7] must stay provably in bounds across widening")
 	}
 }
@@ -110,7 +116,7 @@ void flow(uint32_t i) {
 	f := fn(t, m, "flow")
 	r := dataflow.NewRangeAnalysis(f)
 	ld := globalAccesses(r, f, ir.OpLoad, "buf")
-	if len(ld) != 1 || !r.InBounds(ld[0]) {
+	if len(ld) != 1 || !inBounds(r, ld[0]) {
 		t.Errorf("buf[j] after j &= 15 must be in bounds (loads=%d)", len(ld))
 	}
 }
@@ -151,8 +157,10 @@ void loaded(uint64_t v) {
 		if len(ss) != 1 || len(ld) != 1 {
 			t.Fatalf("%s: got %d stores / %d array loads, want 1/1", name, len(ss), len(ld))
 		}
-		if got := r.DisjointRanges(ss[0], ld[0]); got != want {
-			t.Errorf("%s: DisjointRanges = %v, want %v (%s)", name, got, want, why)
+		se, _ := r.Extent(ss[0])
+		le, _ := r.Extent(ld[0])
+		if got := dataflow.Disjoint(se, le); got != want {
+			t.Errorf("%s: Disjoint = %v, want %v (%s)", name, got, want, why)
 		}
 	}
 	check("pair", true, "constant offsets 0 and 8 of the same array")

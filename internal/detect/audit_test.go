@@ -9,6 +9,29 @@ import (
 	"lcm/internal/presolve"
 )
 
+// TestAddCertKeepsFirstPerKey pins the certificate dedup: the pre-solver
+// derives every query afresh, so a repeated query yields a new
+// certificate with the key of one already emitted. addCert must keep the
+// first and hand it back, so that an audit disagreement on the repeat
+// flags the certificate the result carries.
+func TestAddCertKeepsFirstPerKey(t *testing.T) {
+	d := &detector{res: &Result{}}
+	first := &presolve.Certificate{Kind: presolve.KindWindow, Key: "window|b=1|t=2|e=|a="}
+	other := &presolve.Certificate{Kind: presolve.KindInBounds, Key: "in-bounds|n=2"}
+	repeat := &presolve.Certificate{Kind: presolve.KindWindow, Key: first.Key}
+	for _, c := range []*presolve.Certificate{first, other} {
+		if got := d.addCert(c); got != c {
+			t.Fatalf("addCert(%s) returned another certificate", c.Key)
+		}
+	}
+	if got := d.addCert(repeat); got != first {
+		t.Errorf("addCert of a repeated key returned %p, want the first certificate %p", got, first)
+	}
+	if len(d.res.Certificates) != 2 || d.res.Certificates[0] != first || d.res.Certificates[1] != other {
+		t.Errorf("retained %d certificates, want the first two in emission order", len(d.res.Certificates))
+	}
+}
+
 // TestAuditPresolveWindowRefutations replays the pre-solver's window
 // refutations through the SAT encoding. The litmus and progen corpora emit
 // no window certificates, so this is the one subject where the audit

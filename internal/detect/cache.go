@@ -55,7 +55,7 @@ func (fe *frontend) presolveFacts(mr *dataflow.ModuleRanges) *presolve.Facts {
 }
 
 // buildFrontend computes the artifacts from scratch, timing each stage.
-func buildFrontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, error) {
+func buildFrontend(m *ir.Module, fn string) (*frontend, error) {
 	mark := time.Now()
 	lap := func() time.Duration {
 		now := time.Now()
@@ -63,7 +63,7 @@ func buildFrontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, error
 		mark = now
 		return d
 	}
-	g, err := acfg.Build(m, fn, opts)
+	g, err := acfg.Build(m, fn, acfg.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -97,9 +97,8 @@ type Cache struct {
 }
 
 type funcKey struct {
-	m    *ir.Module
-	fn   string
-	opts acfg.Options
+	m  *ir.Module
+	fn string
 }
 
 type funcEntry struct {
@@ -126,11 +125,11 @@ func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// frontend returns the cached artifacts for (m, fn, opts), computing them
+// frontend returns the cached artifacts for (m, fn), computing them
 // exactly once per key even under concurrent callers. The hit flag
 // reports whether this call found the entry already present.
-func (c *Cache) frontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, bool, error) {
-	key := funcKey{m: m, fn: fn, opts: opts}
+func (c *Cache) frontend(m *ir.Module, fn string) (*frontend, bool, error) {
+	key := funcKey{m: m, fn: fn}
 	c.mu.Lock()
 	e, ok := c.funcs[key]
 	if !ok {
@@ -143,7 +142,7 @@ func (c *Cache) frontend(m *ir.Module, fn string, opts acfg.Options) (*frontend,
 	} else {
 		c.misses.Add(1)
 	}
-	e.once.Do(func() { e.fe, e.err = buildFrontend(m, fn, opts) })
+	e.once.Do(func() { e.fe, e.err = buildFrontend(m, fn) })
 	return e.fe, ok, e.err
 }
 

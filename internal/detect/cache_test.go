@@ -144,9 +144,7 @@ func TestTimeoutBindsMidQuery(t *testing.T) {
 	// Pre-warm the frontend so the timed run measures only the search and
 	// solver phases — the phases the context must interrupt mid-query.
 	cache := NewCache()
-	warm := DefaultPHT()
-	warm.Cache = cache
-	if _, _, err := cache.frontend(m, fn, warm.ACFG); err != nil {
+	if _, _, err := cache.frontend(m, fn); err != nil {
 		t.Fatal(err)
 	}
 

@@ -77,9 +77,8 @@ type Config struct {
 	// Transmitters restricts the classes searched for; empty means all of
 	// DT, CT, UDT, UCT.
 	Transmitters []core.Class
-	// ACFG and AEG bounds.
-	ACFG acfg.Options
-	AEG  aeg.Options
+	// AEG bounds the S-AEG's speculation windows and queues.
+	AEG aeg.Options
 	// RequireGEP applies the addr_gep filter to universal patterns
 	// (Clou-pht's default; unusable for STL, §5.3).
 	RequireGEP bool
@@ -360,9 +359,9 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	feSpan := fnSpan.Start("frontend")
 	if err = faultinject.Error(faultinject.ProbeCacheLookup, key); err == nil {
 		if cfg.Cache != nil {
-			fe, hit, err = cfg.Cache.frontend(m, fn, cfg.ACFG)
+			fe, hit, err = cfg.Cache.frontend(m, fn)
 		} else {
-			fe, err = buildFrontend(m, fn, cfg.ACFG)
+			fe, err = buildFrontend(m, fn)
 		}
 	}
 	feSpan.End()
@@ -469,11 +468,11 @@ type detector struct {
 	// The graph's memory nodes (loads, stores, havocs), loads, and
 	// stores, in node order; listed once per detector by indexNodes.
 	mems, loads, stores []*acfg.Node
-	pruner              *dataflow.Pruner               // nil under NoPrune
-	prunedAcc           map[int]bool                   // pruneAccess memo, also dedups the counters
-	ps                  *presolve.Analysis             // nil when the pre-solver is disabled
-	certSeen            map[*presolve.Certificate]bool // certificates already emitted
-	found               map[candKey]bool               // candidates reported, every engine's kinds
+	pruner              *dataflow.Pruner                 // nil under NoPrune
+	prunedAcc           map[int]bool                     // pruneAccess memo, also dedups the counters
+	ps                  *presolve.Analysis               // nil when the pre-solver is disabled
+	certSeen            map[string]*presolve.Certificate // certificates emitted, by key
+	found               map[candKey]bool                 // candidates reported, every engine's kinds
 	cands               map[candKey]*candStat
 	candArena           []candStat // chunked backing store for cands values
 }
@@ -519,57 +518,49 @@ func (d *detector) pruneAccess(accID int) bool {
 	}
 	d.res.Candidates++
 	n := d.g.Nodes[accID]
-	v := d.pruner != nil && n.Instr != nil && d.pruner.InBoundsAccess(n.Instr)
+	e, v := d.pruner.InBoundsAccess(n.Instr)
 	if v {
-		d.prune(func() (*presolve.Certificate, bool) { return d.ps.CertInBounds(n) })
+		d.prune(d.ps.InBoundsCert(n, e))
 	}
 	d.prunedAcc[accID] = v
 	return v
 }
 
 // prune records a range-rule discharge: the trusted pruner already
-// retired the candidate (or its universality claim); the pre-solver
-// re-derives the interval facts into a certificate. Under audit, a
-// certificate that cannot be reconstructed or whose arithmetic fails
-// Check is a disagreement.
-func (d *detector) prune(derive func() (*presolve.Certificate, bool)) {
+// retired the candidate (or its universality claim), and c packages the
+// facts it decided on (nil when the pre-solver is off). Under audit, c's
+// arithmetic is checked on its own: a certificate that fails Check is a
+// disagreement.
+func (d *detector) prune(c *presolve.Certificate) {
 	d.res.Pruned++
-	if d.ps == nil {
+	if c == nil {
 		return
 	}
 	d.res.Discharged++
-	cert, ok := derive()
-	if !ok {
-		if d.cfg.AuditPresolve {
-			d.res.PresolveAudited++
-			d.res.PresolveDisagreements++
-		}
-		return
-	}
-	d.addCert(cert)
+	c = d.addCert(c)
 	if d.cfg.AuditPresolve {
 		d.res.PresolveAudited++
-		if err := cert.Check(); err != nil {
+		if err := c.Check(); err != nil {
 			d.res.PresolveDisagreements++
-			cert.Disagreement = true
+			c.Disagreement = true
 		}
 	}
 }
 
 // addCert retains a certificate on the result, in candidate-enumeration
-// order, unless it was already emitted. Dedup is by pointer: the
-// pre-solver memoizes certificates per key, so two candidates reaching
-// the same query share one *Certificate — hashing the pointer avoids
-// re-hashing the key string per probe.
-func (d *detector) addCert(c *presolve.Certificate) {
+// order, unless one with the same key was already emitted, and returns
+// the retained certificate: the first one emitted per key, which is where
+// an audit disagreement on a repeated query must be flagged.
+func (d *detector) addCert(c *presolve.Certificate) *presolve.Certificate {
 	if d.certSeen == nil {
-		d.certSeen = map[*presolve.Certificate]bool{}
+		d.certSeen = map[string]*presolve.Certificate{}
 	}
-	if d.certSeen[c] {
-		return
+	if kept, ok := d.certSeen[c.Key]; ok {
+		return kept
 	}
-	d.certSeen[c] = true
+	d.certSeen[c.Key] = c
 	d.res.Certificates = append(d.res.Certificates, c)
+	return c
 }
 
 // candStatFor returns (allocating on first use) a window candidate's
@@ -722,7 +713,7 @@ func (d *detector) ask(key candKey, q presolve.Query) bool {
 		return d.query(exprs(d.a, q)...)
 	}
 	cs.decided++
-	d.addCert(cert)
+	cert = d.addCert(cert)
 	if !d.cfg.AuditPresolve {
 		// Skipped queries consume no solver budget: the decision is a
 		// proof, not a search.
@@ -1214,8 +1205,8 @@ func (d *detector) forwardPair(psf bool, s, l *acfg.Node) bool {
 		return false
 	}
 	d.res.Candidates++
-	if d.pruner != nil && s.Instr != nil && l.Instr != nil && d.pruner.DisjointPair(s.Instr, l.Instr) {
-		d.prune(func() (*presolve.Certificate, bool) { return d.ps.CertDisjoint(s, l) })
+	if se, le, ok := d.pruner.DisjointPair(s.Instr, l.Instr); ok {
+		d.prune(d.ps.DisjointCert(s, l, se, le))
 		return false
 	}
 	return true

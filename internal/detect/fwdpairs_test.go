@@ -79,7 +79,7 @@ func refForwardPairs(d *detector, psf bool, near map[int]refNear) (pairs []fwdPa
 					continue
 				}
 				candidates++
-				if d.pruner != nil && s.Instr != nil && l.Instr != nil && d.pruner.DisjointPair(s.Instr, l.Instr) {
+				if _, _, ok := d.pruner.DisjointPair(s.Instr, l.Instr); ok {
 					pruned++
 					continue
 				}
@@ -102,7 +102,7 @@ var fwdBounds = []aeg.Options{{}, {LSQ: 120, Wsize: 40}, {LSQ: 3, Wsize: 5}}
 // its Wsize set.
 func checkForwardPairs(t testing.TB, label string, m *ir.Module, fn string) {
 	t.Helper()
-	fe, err := buildFrontend(m, fn, acfg.Options{})
+	fe, err := buildFrontend(m, fn)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -176,8 +176,8 @@ func TestForwardPairsMatchReferenceCryptolib(t *testing.T) {
 	}
 }
 
-// FuzzForwardPairs runs the pair, row, reach and feeder-sweep reference
-// checks on every function of any input that lowers and builds.
+// FuzzForwardPairs runs the pair, row, reach, feeder-sweep and range-rule
+// reference checks on every function of any input that lowers and builds.
 // Run with `make fuzz` or `go test -fuzz=FuzzForwardPairs ./internal/detect`.
 func FuzzForwardPairs(f *testing.F) {
 	for _, seed := range []string{
@@ -190,6 +190,7 @@ func FuzzForwardPairs(f *testing.F) {
 		"char buf[8];\nvoid cpy(char *src) { int i = 0; do { buf[i] = src[i]; i++; } while (src[i]); }",
 		"int g(int x){return x+1;} int f(int x){return g(x);} int A[16]; int top(int y){int v=f(y); return A[v];}",
 		"int h(int x){ if (x) return 1; return x; } int k(int y){ return h(y) + h(y+1); }",
+		"uint64_t arr[8];\nuint64_t g;\nuint64_t d;\nvoid st(uint64_t v) { uint64_t j = g & 1; arr[0] = v; d = arr[2]; d = arr[j + 1]; }",
 	} {
 		f.Add(seed)
 	}
@@ -212,6 +213,7 @@ func FuzzForwardPairs(f *testing.F) {
 			checkForwardPairs(t, "fuzz/"+fn.Nm, m, fn.Nm)
 			diffFlowFunc(t, "fuzz", m, fn.Nm)
 			checkFeeders(t, "fuzz/"+fn.Nm, m, fn.Nm)
+			checkRangeFacts(t, "fuzz/"+fn.Nm, m, fn.Nm)
 		}
 	})
 }

@@ -45,10 +45,10 @@ func (r Rung) String() string {
 }
 
 // triageCfg derives the RungTriage configuration: the caller's engine,
-// filters and A-CFG/S-AEG bounds with no solver search at all. Keeping
-// the caller's Unroll and windows is what makes triage cover the full
-// rung — shrinking either would drop transmitters — so the only budgets
-// left are the wall clock and the frontend.
+// filters and S-AEG bounds with no solver search at all. Keeping the
+// caller's windows is what makes triage cover the full rung — shrinking
+// them would drop transmitters — so the only budgets left are the wall
+// clock and the frontend.
 func triageCfg(cfg Config) Config {
 	c := cfg
 	c.TriageOnly = true

@@ -196,11 +196,11 @@ func (d *detector) runSS() {
 		}
 		class := core.CT
 		if d.ta.AddressControlled(s) {
-			if d.pruner != nil && d.pruner.InBoundsAccess(s.Instr) {
+			if e, ok := d.pruner.InBoundsAccess(s.Instr); ok {
 				// In-bounds store: the attacker steers within one object,
 				// not to arbitrary memory — only the universality claim
 				// dies, the one-bit channel remains.
-				d.prune(func() (*presolve.Certificate, bool) { return d.ps.CertInBounds(s) })
+				d.prune(d.ps.InBoundsCert(s, e))
 			} else {
 				class = core.UCT
 			}

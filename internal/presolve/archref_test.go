@@ -3,7 +3,7 @@ package presolve
 // The reference for the arch-witness replay memo: refArchWitness is the
 // per-query builder the memo replaced. It collects each query's takes in
 // a fresh map, replays a fresh maximal path from entry, and allocates that
-// path and its take list anew; buildArchWitness must return a certificate
+// path and its take list anew; witnessArch must return a certificate
 // equal to it on every query (see TestArchWitnessMatchesReference).
 
 import (
@@ -122,7 +122,7 @@ func CheckArchWitnesses(g *acfg.Graph, queries [][]int) (int, error) {
 	a := NewAnalysis(NewFacts(g, nil, nil), nil) // arch witnesses read only the graph
 	for _, nodes := range queries {
 		key := archKey(nodes)
-		got, want := a.buildArchWitness(key, nodes), a.refArchWitness(key, nodes)
+		got, want := a.witnessArch(nodes), a.refArchWitness(key, nodes)
 		if !reflect.DeepEqual(got, want) {
 			return 0, fmt.Errorf("%s: memoised witness %s, reference %s", key, describe(got), describe(want))
 		}
@@ -158,7 +158,7 @@ func TestArchWitnessRejectsOffPathWaypoint(t *testing.T) {
 			a := NewAnalysis(NewFacts(g, nil, nil), nil)
 			for _, q := range [][]int{{succ[1]}, {b, succ[1]}} {
 				key := archKey(q)
-				got, want := a.buildArchWitness(key, q), a.refArchWitness(key, q)
+				got, want := a.witnessArch(q), a.refArchWitness(key, q)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: %s: memoised witness %s, reference %s", c.Name, key, describe(got), describe(want))
 				}

@@ -279,11 +279,11 @@ func (c *Certificate) String() string {
 	return c.Fn + ": " + c.Kind
 }
 
-// queryKey builds the stable deduplication key of a window query. It is
-// on the per-query hot path (computed once per Decide, for both the
-// refutation and the witness memo), so it formats into one grown byte buffer rather than
-// through fmt; the byte layout is pinned by the certificate goldens, which
-// is why the key still ends in an (always empty) "|a=" field.
+// queryKey builds the stable deduplication key of a window query, once
+// per certificate the window rules create. It formats into one grown byte
+// buffer rather than through fmt; the byte layout is pinned by the
+// certificate goldens, which is why the key still ends in an (always
+// empty) "|a=" field.
 func queryKey(q Query) string {
 	buf := make([]byte, 0, 16+8*(len(q.Trans)+len(q.Exec)))
 	buf = append(buf, "window|b="...)

@@ -36,35 +36,31 @@ func Explain(f *Facts, win WindowSource, in *ir.Instr) []string {
 	return out
 }
 
-// explainRange renders the interval analysis's resolution of a memory
-// access's address against its base object's extent.
+// explainRange renders the pruner's in-bounds decision on a memory
+// access: the extent it resolved and its verdict.
 func explainRange(f *Facts, node *acfg.Node) (string, bool) {
-	idx := addrOperand(node)
-	if idx < 0 {
+	if addrOperand(node) < 0 {
 		return "", false
 	}
 	if f.MR == nil {
 		return "range: interval facts unavailable (pruner disabled)", true
 	}
-	in := node.Instr
-	ai := f.MR.ForInstr(in).Addr(in.Args[idx])
-	if !ai.Known {
+	e, _ := f.MR.Extent(node.Instr)
+	if !e.Addr.Known {
 		return "range: address not resolvable to a base object (passes through memory or integer arithmetic)", true
 	}
-	line := fmt.Sprintf("range: base=%s", baseName(ai))
-	if ai.Off.Bounded() {
-		line += fmt.Sprintf(" off=[%d,%d]", ai.Off.Lo, ai.Off.Hi)
+	line := fmt.Sprintf("range: base=%s", baseName(e.Addr))
+	if e.Addr.Off.Bounded() {
+		line += fmt.Sprintf(" off=[%d,%d]", e.Addr.Off.Lo, e.Addr.Off.Hi)
 	} else {
 		line += " off=unbounded"
 	}
-	w := accessWidth(node)
-	line += fmt.Sprintf(" width=%d", w)
-	if sz := objectSize(ai); sz > 0 {
-		hi, ok := addOv(ai.Off.Hi, int64(w))
-		if ai.Off.Bounded() && ai.Off.Lo >= 0 && ok && hi <= int64(sz) {
-			line += fmt.Sprintf(" — provably inside the %d-byte object", sz)
+	line += fmt.Sprintf(" width=%d", e.Width)
+	if e.Object > 0 {
+		if e.InBounds() {
+			line += fmt.Sprintf(" — provably inside the %d-byte object", e.Object)
 		} else {
-			line += fmt.Sprintf(" — may reach outside the %d-byte object", sz)
+			line += fmt.Sprintf(" — may reach outside the %d-byte object", e.Object)
 		}
 	}
 	return line, true

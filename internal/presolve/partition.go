@@ -45,8 +45,8 @@ func (r Rel) String() string {
 // the two S-AEG refinements the paper states (distinct stack allocations
 // have distinct addresses; cross-object alias facts are distrusted during
 // transient execution). No rule reads the partition — the stl-disjoint
-// certificates re-derive their facts from the range analysis — so its
-// only reader in the analyzer is lcmlint -why, through Explain.
+// certificates record the pruner's own facts — so its only reader in the
+// analyzer is lcmlint -why, through Explain.
 type Partition struct {
 	g *acfg.Graph
 
@@ -72,9 +72,9 @@ type classSig struct {
 	locs     []alias.Loc // sorted points-to set of the address
 	external bool        // points-to set contains the external location
 	alloca   int         // single-alloca points-to target node, -1 otherwise
-	addr     dataflow.AddrInfo
-	width    int
-	loadFree bool
+	// ext is the access's extent, as the pruner resolves it; a merged
+	// class's Width is its widest member's.
+	ext dataflow.Extent
 }
 
 // addrOperand returns a memory node's address operand index, mirroring
@@ -88,17 +88,6 @@ func addrOperand(n *acfg.Node) int {
 		return 1
 	}
 	return -1
-}
-
-// accessWidth returns the byte width of a load or store (0 if unknown).
-func accessWidth(n *acfg.Node) int {
-	switch {
-	case n.IsLoad():
-		return n.Instr.Ty.Size()
-	case n.IsStore():
-		return n.Instr.Args[0].Type().Size()
-	}
-	return 0
 }
 
 // buildPartition groups the graph's memory nodes (loads, stores, havoc
@@ -120,9 +109,10 @@ func buildPartition(g *acfg.Graph, al *alias.Analysis, mr *dataflow.ModuleRanges
 		// Must-alias: a single resolved base at one constant offset with
 		// one points-to target is an exact address — every such access
 		// touches the same bytes modulo width.
-		if sig.addr.Known && sig.addr.Off.Bounded() && sig.addr.Off.Lo == sig.addr.Off.Hi &&
+		addr := sig.ext.Addr
+		if addr.Known && addr.Off.Bounded() && addr.Off.Lo == addr.Off.Hi &&
 			len(sig.locs) == 1 && !sig.external {
-			k := key{base: baseName(sig.addr), off: sig.addr.Off.Lo}
+			k := key{base: baseName(addr), off: addr.Off.Lo}
 			if j, ok := byKey[k]; ok {
 				ci = j
 			} else {
@@ -131,17 +121,17 @@ func buildPartition(g *acfg.Graph, al *alias.Analysis, mr *dataflow.ModuleRanges
 		}
 		if ci >= 0 {
 			p.Classes[ci].Members = append(p.Classes[ci].Members, n.ID)
-			if w := sig.width; w > p.sigs[ci].width {
-				p.sigs[ci].width = w // widest member bounds the footprint
+			if w := sig.ext.Width; w > p.sigs[ci].ext.Width {
+				p.sigs[ci].ext.Width = w // widest member bounds the footprint
 			}
 			p.classOf[n.ID] = ci
 			continue
 		}
 		cls := AliasClass{Rep: n.ID, Members: []int{n.ID}}
-		if sig.addr.Known {
-			cls.Base = baseName(sig.addr)
-			if sig.addr.Off.Bounded() {
-				cls.Lo, cls.Hi, cls.Bounded = sig.addr.Off.Lo, sig.addr.Off.Hi, true
+		if addr.Known {
+			cls.Base = baseName(addr)
+			if addr.Off.Bounded() {
+				cls.Lo, cls.Hi, cls.Bounded = addr.Off.Lo, addr.Off.Hi, true
 			}
 		}
 		p.classOf[n.ID] = len(p.Classes)
@@ -172,12 +162,8 @@ func (p *Partition) signature(n *acfg.Node, al *alias.Analysis, mr *dataflow.Mod
 	if len(sig.locs) == 1 && sig.locs[0].Kind == alias.LAlloca {
 		sig.alloca = sig.locs[0].Node
 	}
-	sig.width = accessWidth(n)
-	if mr != nil && n.Instr != nil {
-		if r := mr.ForInstr(n.Instr); r != nil {
-			sig.addr = r.Addr(n.Instr.Args[i])
-			sig.loadFree = sig.addr.Off.LoadFree
-		}
+	if mr != nil {
+		sig.ext, _ = mr.Extent(n.Instr)
 	}
 	return sig
 }
@@ -230,14 +216,9 @@ func (p *Partition) classRel(ci, cj int) Rel {
 		return RelMustNot
 	}
 	// Same base object, byte-disjoint load-free offsets: trusted under
-	// bypass, the fact the stl-disjoint certificates record.
-	if a.addr.Known && b.addr.Known && baseName(a.addr) == baseName(b.addr) &&
-		a.loadFree && b.loadFree && a.addr.Off.Bounded() && b.addr.Off.Bounded() &&
-		a.width > 0 && b.width > 0 {
-		if a.addr.Off.Hi+int64(a.width) <= b.addr.Off.Lo ||
-			b.addr.Off.Hi+int64(b.width) <= a.addr.Off.Lo {
-			return RelMustNot
-		}
+	// bypass, the pruner's stl-disjoint rule.
+	if dataflow.Disjoint(a.ext, b.ext) {
+		return RelMustNot
 	}
 	// Disjoint points-to sets without the external wildcard separate the
 	// pair architecturally only.

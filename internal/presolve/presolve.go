@@ -6,18 +6,19 @@
 //   - a must-alias / must-not-alias partition refining internal/alias's
 //     flow-insensitive points-to sets (partition.go);
 //   - interval facts from internal/dataflow proving address separation,
-//     reused verbatim from the trusted pruner so the range certificates
-//     record exactly the arithmetic behind each prune decision;
+//     shared with the trusted pruner, whose range decisions return the
+//     extents they rest on: the range certificates package those facts;
 //   - speculative-window arm eligibility: per branch and take value, the
 //     window nodes that can be transiently fetched down the arm that take
 //     value mispredicts.
 //
 // The window rule is the only rule that entails UNSAT of an actual solver
 // query, so it is the one -audit-presolve replays through the full SAT
-// path; the range rules mirror the pruner (which already suppressed the
-// SAT work) and are rechecked by arithmetic. Everything here is pure
-// static computation over immutable inputs — results are independent of
-// worker count, keeping reports byte-identical across -j levels.
+// path; the range certificates record the pruner's own facts (the pruner
+// already suppressed the SAT work) and are checked by arithmetic.
+// Everything here is pure static computation over immutable inputs —
+// results are independent of worker count, keeping reports byte-identical
+// across -j levels.
 package presolve
 
 import (
@@ -45,9 +46,8 @@ type WindowSource interface {
 }
 
 // Facts bundles one function's engine-independent static facts. It is
-// built once per (function, A-CFG options) by the detect cache and shared
-// by every engine run and audit replay; all lazy members are safe for
-// concurrent use.
+// built once per function by the detect cache and shared by every engine
+// run and audit replay; all lazy members are safe for concurrent use.
 type Facts struct {
 	G  *acfg.Graph
 	Al *alias.Analysis
@@ -87,11 +87,8 @@ type Analysis struct {
 	f   *Facts
 	win WindowSource
 
-	arms  map[takeKey]*armSet
-	memo  map[string]*Certificate // queryKey → cert; nil entry = known not refuted
-	wit   map[takeKey]*satWitness
-	wmemo map[string]*Certificate // queryKey → witness cert; nil = no witness found
-	amemo map[string]*Certificate // archKey → arch-witness cert; nil = none
+	arms map[takeKey]*armSet
+	wit  map[takeKey]*satWitness
 
 	// bfs is the path searches' reusable scratch: epoch-stamped visit
 	// marks, so each search clears nothing (see nextEpoch). Owned by the
@@ -123,10 +120,8 @@ type Analysis struct {
 func NewAnalysis(f *Facts, win WindowSource) *Analysis {
 	return &Analysis{
 		f: f, win: win,
-		arms: map[takeKey]*armSet{}, memo: map[string]*Certificate{},
-		wit: map[takeKey]*satWitness{}, wmemo: map[string]*Certificate{},
-		amemo: map[string]*Certificate{},
-		take:  make([]int8, f.G.Len()), replays: map[string]*replayed{},
+		arms: map[takeKey]*armSet{}, wit: map[takeKey]*satWitness{},
+		take: make([]int8, f.G.Len()), replays: map[string]*replayed{},
 	}
 }
 
@@ -170,47 +165,41 @@ func (a *Analysis) armsFor(b int, v bool) *armSet {
 }
 
 // Decide is the pre-solver's decision entry point. A window query gets the
-// refutation rule and, failing that, its witness dual, with the query key
-// computed once — every decided query consults both memos, and formatting
-// plus hashing the key twice shows up in the candidate loops. A
-// branch-free query gets the architectural witness rule (witnessArch).
-// When cert is non-nil exactly one of refuted/witnessed is true.
+// refutation rule and, failing that, its witness dual; a branch-free query
+// gets the architectural witness rule (witnessArch). Every query is
+// derived afresh — repeated queries are rare, and the detector keeps the
+// first certificate per key — while the per-(branch, take) arm sets,
+// witnesses and path replays the rules share are memoized. When cert is
+// non-nil exactly one of refuted/witnessed is true.
 func (a *Analysis) Decide(q Query) (cert *Certificate, refuted, witnessed bool) {
 	if q.Branch < 0 {
 		c := a.witnessArch(q.Exec)
 		return c, false, c != nil
 	}
-	key := queryKey(q)
-	if c, ok := a.refuteKeyed(key, q); ok {
+	if c := a.refute(q); c != nil {
 		return c, true, false
 	}
-	if c, ok := a.witnessKeyed(key, q); ok {
+	if c := a.witness(q); c != nil {
 		return c, false, true
 	}
 	return nil, false, false
 }
 
-// refuteKeyed decides whether q is statically UNSAT, with the key
-// precomputed by the caller. On success it returns the certificate
-// witnessing infeasibility of both take directions.
-func (a *Analysis) refuteKeyed(key string, q Query) (*Certificate, bool) {
-	if c, ok := a.memo[key]; ok {
-		return c, c != nil
-	}
+// refute decides whether q is statically UNSAT. On success it returns the
+// certificate witnessing infeasibility of both take directions.
+func (a *Analysis) refute(q Query) *Certificate {
 	tcF, refF := a.refuteCase(q, false)
 	if !refF {
-		a.memo[key] = nil
-		return nil, false
+		return nil
 	}
 	tcT, refT := a.refuteCase(q, true)
 	if !refT {
-		a.memo[key] = nil
-		return nil, false
+		return nil
 	}
-	c := &Certificate{
+	return &Certificate{
 		Kind: KindWindow,
 		Fn:   a.f.G.Fn,
-		Key:  key,
+		Key:  queryKey(q),
 		Window: &WindowFact{
 			Branch: q.Branch,
 			Trans:  sortedCopy(q.Trans),
@@ -218,8 +207,6 @@ func (a *Analysis) refuteKeyed(key string, q Query) (*Certificate, bool) {
 			Cases:  [2]TakeCase{tcF, tcT},
 		},
 	}
-	a.memo[key] = c
-	return c, true
 }
 
 // refuteCase tries to refute q under take(Branch)=v, returning the witness
@@ -240,35 +227,12 @@ func (a *Analysis) refuteCase(q Query, v bool) (TakeCase, bool) {
 	return TakeCase{Take: v}, false
 }
 
-// CertInBounds reconstructs the interval facts behind a successful
-// InBoundsAccess prune of the access at node n and packages them as a
-// certificate. It mirrors dataflow.RangeAnalysis.InBounds exactly; a false
-// return with a pruner that fired is an audit disagreement.
-func (a *Analysis) CertInBounds(n *acfg.Node) (*Certificate, bool) {
-	if a.f.MR == nil || n == nil || n.Instr == nil {
-		return nil, false
-	}
-	i := addrOperand(n)
-	if i < 0 {
-		return nil, false
-	}
-	r := a.f.MR.ForInstr(n.Instr)
-	if r == nil {
-		return nil, false
-	}
-	ai := r.Addr(n.Instr.Args[i])
-	if !ai.Known || !ai.Off.Bounded() || ai.Off.Lo < 0 {
-		return nil, false
-	}
-	obj := objectSize(ai)
-	w := accessWidth(n)
-	if obj <= 0 || w <= 0 {
-		return nil, false
-	}
-	// Hi is bounded and obj/w are positive ints, so the subtraction form
-	// of the end comparison cannot overflow.
-	if ai.Off.Hi > int64(obj)-int64(w) {
-		return nil, false
+// InBoundsCert packages the facts behind an in-bounds prune of access
+// node n — the extent dataflow.Pruner.InBoundsAccess decided on — as a
+// certificate. It returns nil on a nil Analysis (the pre-solver is off).
+func (a *Analysis) InBoundsCert(n *acfg.Node, e dataflow.Extent) *Certificate {
+	if a == nil {
+		return nil
 	}
 	return &Certificate{
 		Kind: KindInBounds,
@@ -277,49 +241,21 @@ func (a *Analysis) CertInBounds(n *acfg.Node) (*Certificate, bool) {
 		InBounds: &BoundsFact{
 			Access: n.ID,
 			Line:   n.Instr.Line,
-			Base:   baseName(ai),
-			Lo:     ai.Off.Lo,
-			Hi:     ai.Off.Hi,
-			Width:  w,
-			Object: obj,
+			Base:   baseName(e.Addr),
+			Lo:     e.Addr.Off.Lo,
+			Hi:     e.Addr.Off.Hi,
+			Width:  e.Width,
+			Object: e.Object,
 		},
-	}, true
+	}
 }
 
-// CertDisjoint reconstructs the facts behind a successful DisjointPair
-// prune of (store s, load l), mirroring dataflow's DisjointRanges and the
-// pruner's cross-inline global case.
-func (a *Analysis) CertDisjoint(s, l *acfg.Node) (*Certificate, bool) {
-	if a.f.MR == nil || s == nil || l == nil || !s.IsStore() || !l.IsLoad() {
-		return nil, false
-	}
-	rs := a.f.MR.ForInstr(s.Instr)
-	rl := a.f.MR.ForInstr(l.Instr)
-	if rs == nil || rl == nil {
-		return nil, false
-	}
-	as := rs.Addr(s.Instr.Args[1])
-	al := rl.Addr(l.Instr.Args[0])
-	if !as.Known || !al.Known {
-		return nil, false
-	}
-	sameBase := (as.Global != nil && as.Global == al.Global) ||
-		(rs == rl && as.Slot != nil && as.Slot == al.Slot)
-	if !sameBase {
-		return nil, false
-	}
-	if !as.Off.LoadFree || !al.Off.LoadFree || !as.Off.Bounded() || !al.Off.Bounded() {
-		return nil, false
-	}
-	sw := accessWidth(s)
-	lw := accessWidth(l)
-	if sw <= 0 || lw <= 0 {
-		return nil, false
-	}
-	sEnd, ok1 := addOv(as.Off.Hi, int64(sw))
-	lEnd, ok2 := addOv(al.Off.Hi, int64(lw))
-	if !ok1 || !ok2 || (sEnd > al.Off.Lo && lEnd > as.Off.Lo) {
-		return nil, false
+// DisjointCert packages the facts behind a disjoint prune of (store s,
+// load l) — the extents dataflow.Pruner.DisjointPair decided on — as a
+// certificate. It returns nil on a nil Analysis (the pre-solver is off).
+func (a *Analysis) DisjointCert(s, l *acfg.Node, se, le dataflow.Extent) *Certificate {
+	if a == nil {
+		return nil
 	}
 	return &Certificate{
 		Kind: KindDisjoint,
@@ -328,22 +264,23 @@ func (a *Analysis) CertDisjoint(s, l *acfg.Node) (*Certificate, bool) {
 		Disjoint: &DisjointFact{
 			Store:      s.ID,
 			Load:       l.ID,
-			Base:       baseName(as),
-			StoreLo:    as.Off.Lo,
-			StoreHi:    as.Off.Hi,
-			StoreWidth: sw,
-			LoadLo:     al.Off.Lo,
-			LoadHi:     al.Off.Hi,
-			LoadWidth:  lw,
-			LoadFree:   true,
+			Base:       baseName(se.Addr),
+			StoreLo:    se.Addr.Off.Lo,
+			StoreHi:    se.Addr.Off.Hi,
+			StoreWidth: se.Width,
+			LoadLo:     le.Addr.Off.Lo,
+			LoadHi:     le.Addr.Off.Hi,
+			LoadWidth:  le.Width,
+			LoadFree:   se.Addr.Off.LoadFree && le.Addr.Off.LoadFree,
 		},
-	}, true
+	}
 }
 
 // Recheck re-derives a certificate from the current graph and facts and
-// verifies the stored facts agree — the audit path for certificates whose
-// rule is not a SAT query (and a structural sanity pass for those that
-// are; their SAT replay happens in the detect engine).
+// requires the stored facts to agree exactly: window and witness
+// certificates through Decide, range certificates through the pruner's
+// rules on freshly resolved extents. (The SAT replay of window and witness
+// decisions happens in the detect engine under audit.)
 func (a *Analysis) Recheck(c *Certificate) error {
 	if err := c.Check(); err != nil {
 		return err
@@ -378,19 +315,21 @@ func (a *Analysis) Recheck(c *Certificate) error {
 		}
 	case KindInBounds:
 		n := a.node(c.InBounds.Access)
-		d, ok := a.CertInBounds(n)
-		if !ok {
+		e, ok := a.extent(n)
+		if !ok || !e.InBounds() {
 			return fmt.Errorf("in-bounds facts no longer derivable for %s", c.Key)
 		}
-		if !reflect.DeepEqual(d.InBounds, c.InBounds) {
+		if !reflect.DeepEqual(a.InBoundsCert(n, e).InBounds, c.InBounds) {
 			return fmt.Errorf("in-bounds facts drifted for %s", c.Key)
 		}
 	case KindDisjoint:
-		d, ok := a.CertDisjoint(a.node(c.Disjoint.Store), a.node(c.Disjoint.Load))
-		if !ok {
+		s, l := a.node(c.Disjoint.Store), a.node(c.Disjoint.Load)
+		se, ok1 := a.extent(s)
+		le, ok2 := a.extent(l)
+		if !ok1 || !ok2 || !s.IsStore() || !l.IsLoad() || !dataflow.Disjoint(se, le) {
 			return fmt.Errorf("stl-disjoint facts no longer derivable for %s", c.Key)
 		}
-		if !reflect.DeepEqual(d.Disjoint, c.Disjoint) {
+		if !reflect.DeepEqual(a.DisjointCert(s, l, se, le).Disjoint, c.Disjoint) {
 			return fmt.Errorf("stl-disjoint facts drifted for %s", c.Key)
 		}
 	default:
@@ -407,24 +346,13 @@ func (a *Analysis) node(id int) *acfg.Node {
 	return a.f.G.Nodes[id]
 }
 
-// objectSize is the byte size of a resolved base object.
-func objectSize(ai dataflow.AddrInfo) int {
-	switch {
-	case ai.Global != nil:
-		return ai.Global.Elem.Size()
-	case ai.Slot != nil:
-		return ai.Slot.AllocaElem.Size()
+// extent resolves a memory node's footprint through the range facts the
+// pruner decides on (ok is false without them or for a non-access).
+func (a *Analysis) extent(n *acfg.Node) (dataflow.Extent, bool) {
+	if a.f.MR == nil || n == nil {
+		return dataflow.Extent{}, false
 	}
-	return 0
-}
-
-// addOv is overflow-checked addition, mirroring dataflow's helper.
-func addOv(a, b int64) (int64, bool) {
-	s := a + b
-	if (b > 0 && s < a) || (b < 0 && s > a) {
-		return 0, false
-	}
-	return s, true
+	return a.f.MR.Extent(n.Instr)
 }
 
 // sortedCopy normalizes a node list; empty lists become nil so that

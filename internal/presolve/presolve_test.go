@@ -25,6 +25,7 @@ import (
 type world struct {
 	g  *acfg.Graph
 	a  *aeg.AEG
+	p  *dataflow.Pruner
 	an *presolve.Analysis
 }
 
@@ -44,8 +45,9 @@ func build(t *testing.T, src, fn string) *world {
 	}
 	al := alias.Analyze(g)
 	a := aeg.Build(g, al, aeg.Options{})
-	facts := presolve.NewFacts(g, al, dataflow.NewModuleRanges(m))
-	return &world{g: g, a: a, an: presolve.NewAnalysis(facts, a)}
+	p := dataflow.NewPruner(m)
+	facts := presolve.NewFacts(g, al, p.Ranges())
+	return &world{g: g, a: a, p: p, an: presolve.NewAnalysis(facts, a)}
 }
 
 // loadAt returns the (unique) array load on a source line, skipping the
@@ -164,6 +166,29 @@ func TestWindowCertificateCheck(t *testing.T) {
 	tamper("node outside the query", func(tc *presolve.TakeCase) { tc.Node = b })
 }
 
+// TestRecheckRederivesWindowCertificate edits a window certificate's
+// recorded fetch distance in place, leaving it internally consistent:
+// Check cannot see the edit, so Recheck on the issuing Analysis must
+// catch it by deriving the certificate afresh and comparing.
+func TestRecheckRederivesWindowCertificate(t *testing.T) {
+	w := build(t, crossArm, "f")
+	q := presolve.Query{Branch: w.theBranch(t), Trans: []int{w.loadAt(t, 7), w.loadAt(t, 9)}}
+	cert, ok, _ := w.an.Decide(q)
+	if !ok {
+		t.Fatal("cross-arm query not refuted")
+	}
+	if err := w.an.Recheck(cert); err != nil {
+		t.Fatalf("recheck before the edit: %v", err)
+	}
+	cert.Window.Cases[0].Dist++
+	if err := cert.Check(); err != nil {
+		t.Fatalf("the edit should leave the certificate self-consistent: %v", err)
+	}
+	if err := w.an.Recheck(cert); err == nil {
+		t.Error("Recheck passed a window certificate whose Dist was edited in place")
+	}
+}
+
 // TestRefutationsAgreeWithSolver is the unit-level audit: over every
 // branch and every small query shape drawn from window members, a static
 // refutation must coincide with solver UNSAT and a witness with SAT.
@@ -225,11 +250,12 @@ int f(int y) {
 
 func TestCertInBounds(t *testing.T) {
 	w := build(t, inBounds, "f")
-	acc := w.loadAt(t, 7)
-	cert, ok := w.an.CertInBounds(w.g.Nodes[acc])
+	acc := w.g.Nodes[w.loadAt(t, 7)]
+	e, ok := w.p.InBoundsAccess(acc.Instr)
 	if !ok {
-		t.Fatal("no in-bounds certificate for masked access")
+		t.Fatal("masked access not pruned in-bounds")
 	}
+	cert := w.an.InBoundsCert(acc, e)
 	if err := cert.Check(); err != nil {
 		t.Fatalf("certificate check: %v", err)
 	}
@@ -263,11 +289,12 @@ int f(int y) {
 
 func TestCertDisjoint(t *testing.T) {
 	w := build(t, disjoint, "f")
-	s, l := w.storeAt(t, 4), w.loadAt(t, 5)
-	cert, ok := w.an.CertDisjoint(w.g.Nodes[s], w.g.Nodes[l])
+	s, l := w.g.Nodes[w.storeAt(t, 4)], w.g.Nodes[w.loadAt(t, 5)]
+	se, le, ok := w.p.DisjointPair(s.Instr, l.Instr)
 	if !ok {
-		t.Fatal("no stl-disjoint certificate for constant-offset pair")
+		t.Fatal("constant-offset pair not pruned disjoint")
 	}
+	cert := w.an.DisjointCert(s, l, se, le)
 	if err := cert.Check(); err != nil {
 		t.Fatalf("certificate check: %v", err)
 	}

@@ -122,15 +122,11 @@ func takeFor(g *acfg.Graph, p, q int) (bool, bool) {
 	return succ[0] == q, true
 }
 
-// witnessKeyed decides whether window query q is statically SAT by
-// explicit model construction, with the key precomputed by the caller. On
-// success the certificate records the take assignment, architectural path,
-// and transient fetch set; audit mode replays the query asserting the
-// solver also answers Sat.
-func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
-	if c, ok := a.wmemo[key]; ok {
-		return c, c != nil
-	}
+// witness decides whether window query q is statically SAT by explicit
+// model construction. On success the certificate records the take
+// assignment, architectural path, and transient fetch set; audit mode
+// replays the query asserting the solver also answers Sat.
+func (a *Analysis) witness(q Query) *Certificate {
 	for _, v := range []bool{false, true} {
 		w := a.witnessFor(q.Branch, v)
 		if w.replayed == nil || !a.covers(w, q) {
@@ -139,10 +135,10 @@ func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 		// Path/Takes/Fetch alias the memoized witness: it is immutable once
 		// built, certificates are read-only downstream, and copying them per
 		// distinct query dominated this function's profile.
-		c := &Certificate{
+		return &Certificate{
 			Kind: KindWitness,
 			Fn:   a.f.G.Fn,
-			Key:  key,
+			Key:  queryKey(q),
 			Witness: &WitnessFact{
 				Branch: q.Branch,
 				Take:   v,
@@ -153,11 +149,8 @@ func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 				Fetch:  w.fetchList,
 			},
 		}
-		a.wmemo[key] = c
-		return c, true
 	}
-	a.wmemo[key] = nil
-	return nil, false
+	return nil
 }
 
 // witnessArch decides a branch-free query — Arch(n) for every queried
@@ -170,16 +163,6 @@ func (a *Analysis) witnessKeyed(key string, q Query) (*Certificate, bool) {
 // would close a cycle. The certificate records the node set, the path,
 // and the take assignment; nil means no witness.
 func (a *Analysis) witnessArch(nodes []int) *Certificate {
-	key := archKey(nodes)
-	if c, ok := a.amemo[key]; ok {
-		return c
-	}
-	c := a.buildArchWitness(key, nodes)
-	a.amemo[key] = c
-	return c
-}
-
-func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	g := a.f.G
 	// Order the waypoints by reachability. Reachability on a DAG is a
 	// partial order; if some pair is incomparable no single path covers
@@ -240,11 +223,11 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 			return nil
 		}
 	}
-	// Path and Takes alias the shared replay, as witnessKeyed's do.
+	// Path and Takes alias the shared replay, as witness's do.
 	return &Certificate{
 		Kind: KindArchWitness,
 		Fn:   g.Fn,
-		Key:  key,
+		Key:  archKey(nodes),
 		Arch: &ArchFact{
 			Nodes: dedupSorted(nodes),
 			Path:  r.path,
