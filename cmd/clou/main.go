@@ -178,12 +178,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Observability: the tracer and registry are allocated only when a
-	// consumer asked for them (-report or -debug-addr); nil handles make
-	// every span/metric call a no-op.
+	// consumer asked for them (-report or -debug-addr, and the tracer for
+	// -v's frontend stage times); nil handles make every span/metric call
+	// a no-op.
 	var tracer *obsv.Tracer
 	var metrics *obsv.Registry
-	if *reportPath != "" || *debugAddr != "" {
+	if *reportPath != "" || *debugAddr != "" || *verbose {
 		tracer = obsv.NewTracer()
+	}
+	if *reportPath != "" || *debugAddr != "" {
 		metrics = obsv.NewRegistry()
 	}
 	if *debugAddr != "" {
@@ -207,6 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sweepStart := time.Now()
 	fns := targets(m, *fn)
 	results, errs := analyzeAll(context.Background(), m, fns, cfg, *par, tracer)
+	fnSpans := lastSpans(tracer)
 
 	totalFindings := 0
 	sweepErrors := 0
@@ -237,10 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "   frontend=%v encode=%v solve=%v cached=%v\n",
 				res.FrontendTime.Round(time.Microsecond), res.EncodeTime.Round(time.Microsecond),
 				res.SolveTime.Round(time.Microsecond), res.CacheHit)
-			fmt.Fprintf(stdout, "   frontend: acfg=%v alias=%v taint=%v reach=%v flowgraph=%v presolve-facts=%v\n",
-				res.ACFGTime.Round(time.Microsecond), res.AliasTime.Round(time.Microsecond),
-				res.TaintTime.Round(time.Microsecond), res.ReachTime.Round(time.Microsecond),
-				res.FlowTime.Round(time.Microsecond), res.PresolveFactsTime.Round(time.Microsecond))
+			fmt.Fprintf(stdout, "   frontend:%s\n", frontendStages(fnSpans["fn:"+name]))
 		}
 		for _, f := range res.Findings {
 			fmt.Fprintf(stdout, "   %s\n", f)

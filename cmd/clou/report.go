@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"time"
 
 	"lcm/internal/detect"
@@ -33,6 +35,44 @@ func analyzeAll(ctx context.Context, m *ir.Module, fns []string, cfg detect.Conf
 	}
 	root.End()
 	return results, errs
+}
+
+// lastSpans indexes tr's spans by name, keeping the last started of each
+// name. A function's supervisor runs its ladder rungs one after another,
+// so "fn:<name>" maps to the attempt that produced its result.
+func lastSpans(tr *obsv.Tracer) map[string]*obsv.Span {
+	spans := map[string]*obsv.Span{}
+	var walk func(s *obsv.Span)
+	walk = func(s *obsv.Span) {
+		spans[s.Name()] = s
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range tr.Roots() {
+		walk(r)
+	}
+	return spans
+}
+
+// frontendStages formats the stage spans under a function span's
+// "frontend" child for -v: " acfg=… alias=… taint=… reach=… flow=…" on
+// the run that built the frontend, " cached" on a cache hit, which
+// records no stages.
+func frontendStages(fnSpan *obsv.Span) string {
+	var b strings.Builder
+	for _, c := range fnSpan.Children() {
+		if c.Name() != "frontend" {
+			continue
+		}
+		for _, st := range c.Children() {
+			fmt.Fprintf(&b, " %s=%v", st.Name(), st.Wall().Round(time.Microsecond))
+		}
+	}
+	if b.Len() == 0 {
+		return " cached"
+	}
+	return b.String()
 }
 
 // buildReport assembles the stable JSON run manifest from a finished

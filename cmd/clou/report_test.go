@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,4 +85,30 @@ func runReport(t *testing.T, src, engine string, workers int) []byte {
 		t.Fatalf("serialize: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// TestVerboseFrontendStages checks -v's per-function frontend line, read
+// from the function's span: every function of the zoo builds its frontend
+// once, so each line lists the five stage spans, in build order.
+func TestVerboseFrontendStages(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-engine", "pht", "-v", filepath.Join("testdata", "zoo.c")}, &out, &errb); code != exitFindings {
+		t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, exitFindings, errb.String())
+	}
+	stages := regexp.MustCompile(`^   frontend: acfg=\S+ alias=\S+ taint=\S+ reach=\S+ flow=\S+$`)
+	var fns, lines int
+	for _, l := range strings.Split(out.String(), "\n") {
+		switch {
+		case strings.HasPrefix(l, "== ") && !strings.HasPrefix(l, "== workers="):
+			fns++
+		case strings.HasPrefix(l, "   frontend:"):
+			lines++
+			if !stages.MatchString(l) {
+				t.Errorf("frontend line %q does not list the five stages", l)
+			}
+		}
+	}
+	if fns == 0 || lines != fns {
+		t.Errorf("%d frontend lines for %d functions", lines, fns)
+	}
 }

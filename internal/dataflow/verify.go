@@ -189,6 +189,11 @@ func verifyPhi(g *FuncGraph, dom *DomTree, bi int, b *ir.Block, in *ir.Instr) er
 	return nil
 }
 
+// scalar reports whether t is a type a load may return or a store may
+// write: an integer or a pointer. Aggregates are addressed, never moved
+// through a register.
+func scalar(t ir.Type) bool { return ir.IsInt(t) || ir.IsPtr(t) }
+
 // typeCheck enforces per-opcode operand and result typing.
 func typeCheck(m *ir.Module, f *ir.Func, in *ir.Instr) error {
 	switch in.Op {
@@ -204,6 +209,9 @@ func typeCheck(m *ir.Module, f *ir.Func, in *ir.Instr) error {
 		if e == nil {
 			return fmt.Errorf("%s: load from non-pointer", in)
 		}
+		if !scalar(in.Ty) {
+			return fmt.Errorf("%s: load of non-scalar %s", in, in.Ty)
+		}
 		if e.Size() != in.Ty.Size() {
 			return fmt.Errorf("%s: load size mismatch (%s from %s*)", in, in.Ty, e)
 		}
@@ -211,6 +219,9 @@ func typeCheck(m *ir.Module, f *ir.Func, in *ir.Instr) error {
 		e := ir.Elem(in.Args[1].Type())
 		if e == nil {
 			return fmt.Errorf("%s: store to non-pointer", in)
+		}
+		if !scalar(in.Args[0].Type()) {
+			return fmt.Errorf("%s: store of non-scalar %s", in, in.Args[0].Type())
 		}
 		if e.Size() != in.Args[0].Type().Size() {
 			return fmt.Errorf("%s: store size mismatch (%s into %s*)", in, in.Args[0].Type(), e)

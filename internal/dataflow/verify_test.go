@@ -123,6 +123,27 @@ func TestVerifyRejectsTypeMismatches(t *testing.T) {
 		Args: []ir.Value{ir.ConstInt(ir.U8, 1), ir.ConstInt(ir.U32, 2)}})
 	f2.Append(b2, &ir.Instr{Op: ir.OpRet})
 	wantErr(t, m2, "want width")
+
+	// A load and a store moving a whole array through a register: the
+	// sizes agree, but only integers and pointers are loaded and stored.
+	arr := ir.ArrayType{Elem: ir.U8, N: 4}
+	for _, tc := range []struct {
+		op   ir.Op
+		frag string
+	}{{ir.OpLoad, "load of non-scalar"}, {ir.OpStore, "store of non-scalar"}} {
+		m3 := ir.NewModule()
+		f3 := &ir.Func{Nm: "h", Ret: ir.Void}
+		m3.Funcs = append(m3.Funcs, f3)
+		b3 := f3.NewBlock("entry")
+		slot := f3.Append(b3, &ir.Instr{Op: ir.OpAlloca, Ty: ir.Ptr(arr), AllocaElem: arr})
+		if tc.op == ir.OpLoad {
+			f3.Append(b3, &ir.Instr{Op: ir.OpLoad, Ty: arr, Args: []ir.Value{slot}})
+		} else {
+			f3.Append(b3, &ir.Instr{Op: ir.OpStore, Args: []ir.Value{ir.ConstInt(arr, 0), slot}})
+		}
+		f3.Append(b3, &ir.Instr{Op: ir.OpRet})
+		wantErr(t, m3, tc.frag)
+	}
 }
 
 func TestVerifyPhi(t *testing.T) {

@@ -3,13 +3,12 @@ package detect
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
 	"lcm/internal/dataflow"
 	"lcm/internal/ir"
-	"lcm/internal/presolve"
+	"lcm/internal/obsv"
 	"lcm/internal/taint"
 )
 
@@ -26,58 +25,34 @@ type frontend struct {
 	ta       *taint.Analysis
 	cfgReach func(from, to int) bool
 	flow     *flowGraph
-
-	// Construction sub-stage wall times, attributed to the building run's
-	// report (cache hits see zeros — they paid nothing).
-	acfgTime  time.Duration
-	aliasTime time.Duration
-	taintTime time.Duration
-	reachTime time.Duration
-	flowTime  time.Duration
-
-	// psOnce/ps hold the pre-solver's engine-independent fact base (the
-	// must-alias partition and range facts). Like the rest of the
-	// frontend it is immutable once built and shared between every
-	// engine's runs.
-	psOnce sync.Once
-	ps     *presolve.Facts
 }
 
-// presolveFacts returns (building on first use) the function's shared
-// pre-solver facts. mr is the module's range analyses — in any one run
-// configuration the pruner, and therefore mr, is stable per module, so
-// memoizing with the first caller's value is safe.
-func (fe *frontend) presolveFacts(mr *dataflow.ModuleRanges) *presolve.Facts {
-	fe.psOnce.Do(func() {
-		fe.ps = presolve.NewFacts(fe.g, fe.al, mr)
-	})
-	return fe.ps
-}
-
-// buildFrontend computes the artifacts from scratch, timing each stage.
-func buildFrontend(m *ir.Module, fn string) (*frontend, error) {
-	mark := time.Now()
-	lap := func() time.Duration {
-		now := time.Now()
-		d := now.Sub(mark)
-		mark = now
-		return d
-	}
+// buildFrontend computes the artifacts from scratch, timing each stage in
+// a child span of sp ("acfg", "alias", "taint", "reach", "flow"). A nil
+// sp records nothing and reads no clock.
+func buildFrontend(m *ir.Module, fn string, sp *obsv.Span) (*frontend, error) {
+	st := sp.Start("acfg")
 	g, err := acfg.Build(m, fn, acfg.Options{})
+	st.End()
 	if err != nil {
 		return nil, err
 	}
-	fe := &frontend{g: g, acfgTime: lap()}
+	fe := &frontend{g: g}
+	st = sp.Start("alias")
 	fe.al = alias.Analyze(g)
-	fe.aliasTime = lap()
+	st.End()
+	st = sp.Start("taint")
 	fe.ta = taint.Analyze(g, fe.al)
-	fe.taintTime = lap()
+	st.End()
+	st = sp.Start("reach")
 	fe.cfgReach = g.Reach()
-	fe.reachTime = lap()
-	if fe.flow, err = buildFlowGraph(g, fe.al); err != nil {
+	st.End()
+	st = sp.Start("flow")
+	fe.flow, err = buildFlowGraph(g, fe.al)
+	st.End()
+	if err != nil {
 		return nil, err
 	}
-	fe.flowTime = lap()
 	return fe, nil
 }
 
@@ -127,8 +102,9 @@ func (c *Cache) Stats() (hits, misses int64) {
 
 // frontend returns the cached artifacts for (m, fn), computing them
 // exactly once per key even under concurrent callers. The hit flag
-// reports whether this call found the entry already present.
-func (c *Cache) frontend(m *ir.Module, fn string) (*frontend, bool, error) {
+// reports whether this call found the entry already present. Only the
+// call that builds the entry records stage spans under sp.
+func (c *Cache) frontend(m *ir.Module, fn string, sp *obsv.Span) (*frontend, bool, error) {
 	key := funcKey{m: m, fn: fn}
 	c.mu.Lock()
 	e, ok := c.funcs[key]
@@ -142,7 +118,7 @@ func (c *Cache) frontend(m *ir.Module, fn string) (*frontend, bool, error) {
 	} else {
 		c.misses.Add(1)
 	}
-	e.once.Do(func() { e.fe, e.err = buildFrontend(m, fn) })
+	e.once.Do(func() { e.fe, e.err = buildFrontend(m, fn, sp) })
 	return e.fe, ok, e.err
 }
 

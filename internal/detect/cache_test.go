@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lcm/internal/cryptolib"
+	"lcm/internal/obsv"
 )
 
 // TestCachedAnalysisMatchesUncached runs both engines over a corpus
@@ -44,7 +45,7 @@ func TestCachedAnalysisMatchesUncached(t *testing.T) {
 // TestConcurrentDetectorsShareFrontend runs every engine over one
 // function on several goroutines at once, as harness workers do, all
 // reading one cached frontend (A-CFG closures and topological order,
-// value-flow graph, pre-solver facts), each in its own engine order. Each
+// value-flow graph), each in its own engine order. Each
 // result must equal an uncached serial run's. Run with -race -count=10:
 // the frontend is shared state, and nothing in it may be filled in
 // without synchronization.
@@ -144,7 +145,7 @@ func TestTimeoutBindsMidQuery(t *testing.T) {
 	// Pre-warm the frontend so the timed run measures only the search and
 	// solver phases — the phases the context must interrupt mid-query.
 	cache := NewCache()
-	if _, _, err := cache.frontend(m, fn); err != nil {
+	if _, _, err := cache.frontend(m, fn, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,40 +174,59 @@ func TestTimeoutBindsMidQuery(t *testing.T) {
 	}
 }
 
-// TestFrontendStageTimesAddUp checks the frontend breakdown on a cold
-// build: every stage is timed, the stages fit inside the frontend total,
-// and a cache hit reports none of them.
+// TestFrontendStageTimesAddUp checks the frontend's stage spans: a cold
+// build records every stage with a nonzero wall time, the stages fit
+// inside the frontend span, and a cache hit records none of them.
 func TestFrontendStageTimesAddUp(t *testing.T) {
 	lib, ok := cryptolib.Lookup("secretbox")
 	if !ok {
 		t.Fatal("secretbox library missing from corpus")
 	}
 	m := compile(t, lib.Source)
+	fn := lib.PublicFuncs[0]
 	cfg := DefaultSTL()
 	cfg.Cache = NewCache()
-	r, err := AnalyzeFunc(m, lib.PublicFuncs[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := map[string]time.Duration{
-		"acfg": r.ACFGTime, "alias": r.AliasTime, "taint": r.TaintTime,
-		"reach": r.ReachTime, "flow": r.FlowTime,
-	}
-	var sum time.Duration
-	for name, d := range stages {
-		if d <= 0 {
-			t.Errorf("%s stage time = %v on a cold build, want > 0", name, d)
+	tr := obsv.NewTracer()
+	// analyze runs fn once under a fresh root span and returns the result
+	// and the run's "frontend" span.
+	analyze := func(root string) (*Result, *obsv.Span) {
+		t.Helper()
+		c := cfg
+		c.Span = tr.Start(root)
+		defer c.Span.End()
+		r, err := AnalyzeFunc(m, fn, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum += d
+		for _, fs := range c.Span.Children() {
+			for _, sp := range fs.Children() {
+				if sp.Name() == "frontend" {
+					return r, sp
+				}
+			}
+		}
+		t.Fatalf("%s: no frontend span", root)
+		return nil, nil
 	}
-	if sum > r.FrontendTime {
-		t.Errorf("frontend stages sum to %v, more than the frontend's %v", sum, r.FrontendTime)
+
+	_, fe := analyze("cold")
+	var names []string
+	var sum time.Duration
+	for _, st := range fe.Children() {
+		names = append(names, st.Name())
+		if st.Wall() <= 0 {
+			t.Errorf("%s stage span = %v on a cold build, want > 0", st.Name(), st.Wall())
+		}
+		sum += st.Wall()
 	}
-	hit, err := AnalyzeFunc(m, lib.PublicFuncs[0], cfg)
-	if err != nil {
-		t.Fatal(err)
+	if want := []string{"acfg", "alias", "taint", "reach", "flow"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("cold build stage spans %v, want %v", names, want)
 	}
-	if !hit.CacheHit || hit.ACFGTime+hit.AliasTime+hit.TaintTime+hit.ReachTime+hit.FlowTime != 0 {
-		t.Errorf("cache hit (%v) reports stage times", hit.CacheHit)
+	if sum > fe.Wall() {
+		t.Errorf("frontend stages sum to %v, more than the frontend span's %v", sum, fe.Wall())
+	}
+	hit, fe := analyze("hit")
+	if !hit.CacheHit || len(fe.Children()) != 0 {
+		t.Errorf("cache hit (%v) records %d stage spans", hit.CacheHit, len(fe.Children()))
 	}
 }

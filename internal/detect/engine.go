@@ -82,8 +82,11 @@ type Config struct {
 	// RequireGEP applies the addr_gep filter to universal patterns
 	// (Clou-pht's default; unusable for STL, §5.3).
 	RequireGEP bool
-	// RequireTaint filters universal candidates whose access address is
-	// not attacker-steerable (§5.3 taint tracking).
+	// RequireTaint drops Clou-pht's universal candidates (UDT, UCT) whose
+	// access address is not attacker-steerable (§5.3 taint tracking). No
+	// other engine reads it: the value a forwarding engine's load returns
+	// is an integer or a pointer, either of which may be
+	// attacker-controlled, so every Clou-stl and Clou-psf finding is UDT.
 	RequireTaint bool
 	// MaxQueries bounds solver calls per function (0 = unlimited).
 	MaxQueries int
@@ -270,26 +273,14 @@ type Result struct {
 	// certificate key.
 	Certificates []*presolve.Certificate
 	// Per-stage wall times: FrontendTime covers A-CFG + alias + taint +
-	// reachability + value flow (near zero on a cache hit), EncodeTime
-	// the S-AEG construction plus the encoding it performs lazily during
-	// search (aeg.AEG.EncodeTime), SolveTime the accumulated solver
-	// queries.
+	// reachability + value flow (near zero on a cache hit; a traced run
+	// times each of those stages in a child of the "frontend" span, see
+	// buildFrontend), EncodeTime the S-AEG construction plus the encoding
+	// it performs lazily during search (aeg.AEG.EncodeTime), SolveTime the
+	// accumulated solver queries.
 	FrontendTime time.Duration
 	EncodeTime   time.Duration
 	SolveTime    time.Duration
-	// Frontend sub-stage wall times, for attributing a frontend
-	// regression without re-profiling: ACFGTime, AliasTime, TaintTime,
-	// ReachTime and FlowTime cover the A-CFG build, the points-to
-	// fixpoint, taint, the transitive closure and the value-flow CSR, in
-	// that order (zero on a cache hit — the builder paid them);
-	// PresolveFactsTime the pre-solver's shared fact base (zero when a
-	// sibling engine already built it).
-	ACFGTime          time.Duration
-	AliasTime         time.Duration
-	TaintTime         time.Duration
-	ReachTime         time.Duration
-	FlowTime          time.Duration
-	PresolveFactsTime time.Duration
 	// CacheHit reports whether the front end came from Config.Cache.
 	CacheHit bool
 	// CDCL search-effort counters harvested from the function's solver.
@@ -359,9 +350,9 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	feSpan := fnSpan.Start("frontend")
 	if err = faultinject.Error(faultinject.ProbeCacheLookup, key); err == nil {
 		if cfg.Cache != nil {
-			fe, hit, err = cfg.Cache.frontend(m, fn)
+			fe, hit, err = cfg.Cache.frontend(m, fn, feSpan)
 		} else {
-			fe, err = buildFrontend(m, fn)
+			fe, err = buildFrontend(m, fn, feSpan)
 		}
 	}
 	feSpan.End()
@@ -410,25 +401,16 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 		}
 	}
 	var ps *presolve.Analysis
-	var psFactsTime time.Duration
 	if !cfg.NoPresolve && !cfg.TriageOnly {
 		var mr *dataflow.ModuleRanges
 		if pruner != nil {
 			mr = pruner.Ranges()
 		}
-		psStart := time.Now()
-		facts := fe.presolveFacts(mr)
-		psFactsTime = time.Since(psStart)
-		ps = presolve.NewAnalysis(facts, a)
+		ps = presolve.NewAnalysis(presolve.NewFacts(fe.g, fe.al, mr), a)
 	}
 	res := &Result{
 		Fn: fn, NodeCount: fe.g.Len(), Graph: fe.g, AEG: a,
 		FrontendTime: frontendTime, EncodeTime: encodeTime, CacheHit: hit,
-		PresolveFactsTime: psFactsTime,
-	}
-	if !hit {
-		res.ACFGTime, res.AliasTime, res.TaintTime = fe.acfgTime, fe.aliasTime, fe.taintTime
-		res.ReachTime, res.FlowTime = fe.reachTime, fe.flowTime
 	}
 	d := &detector{
 		ctx: ctx, cfg: cfg, key: key, g: fe.g, al: fe.al, ta: fe.ta, a: a,
@@ -1080,15 +1062,16 @@ func (d *detector) controlPatterns(branches []int, feeds [][]feed) {
 // that steers a later transmitter. Clou-psf searches for a mispredicted
 // alias forward: a load l with an in-flight po-earlier store s that does
 // NOT have to alias it may be predicted to, transiently returning s's
-// data. The engines differ only in the pair filter (forwardPair), the
-// class predicate, and the candidate kind.
+// data. The engines differ only in the pair filter (forwardPair) and the
+// candidate kind. Every finding is UDT: the value the load returns — stale
+// memory for STL, the store's data for PSF — is an integer or a pointer
+// (the IR verifier admits no other load or store type), and either may be
+// attacker-controlled (§5.3).
 func (d *detector) runForwarding() {
-	// The class predicate asks whether the value the load returns — stale
-	// memory for STL, the store's data for PSF — may be attacker-controlled.
 	psf := d.cfg.Engine == PSF
-	kind, controlled := candSTL, func(s, l *acfg.Node) bool { return staleControlled(l) }
+	kind := candSTL
 	if psf {
-		kind, controlled = candPSF, func(s, l *acfg.Node) bool { return forwardControlled(s) }
+		kind = candPSF
 	}
 	pairs, ok := d.forwardPairs(psf)
 	if !ok {
@@ -1131,11 +1114,7 @@ func (d *detector) runForwarding() {
 			if d.fenceBetween(p.s, tID) {
 				continue
 			}
-			class := core.UDT
-			if d.cfg.RequireTaint && !controlled(d.g.Nodes[p.s], d.g.Nodes[p.l]) {
-				class = core.DT
-			}
-			if !d.wantClass(class) {
+			if !d.wantClass(core.UDT) {
 				continue
 			}
 			key := candKey{kind: kind, a: p.s, b: p.l, c: tID}
@@ -1145,7 +1124,7 @@ func (d *detector) runForwarding() {
 			qn[0], qn[1], qn[2] = p.s, p.l, tID
 			if d.ask(key, presolve.Query{Branch: -1, Exec: qn[:3]}) {
 				d.report(key, Finding{
-					Class:    class,
+					Class:    core.UDT,
 					Transmit: tID, Access: p.l, Index: -1,
 					Branch: -1, Store: p.s, Load: p.l,
 					TransientTransmit: true, TransientAccess: true,
@@ -1210,13 +1189,6 @@ func (d *detector) forwardPair(psf bool, s, l *acfg.Node) bool {
 		return false
 	}
 	return true
-}
-
-// staleControlled reports whether the stale value a bypassing load returns
-// may be attacker-controlled: non-pointer memory is attacker-controlled
-// initially, and stale pointers may also carry attacker values (§5.3).
-func staleControlled(l *acfg.Node) bool {
-	return ir.IsInt(l.Instr.Ty) || ir.IsPtr(l.Instr.Ty)
 }
 
 // near returns (building on first use) a store's or a load's row: the

@@ -151,7 +151,7 @@ func srcsOf(fs []feed) []int {
 // m and requires each to equal its reference, list by list and in order.
 func checkFeeders(t testing.TB, label string, m *ir.Module, fn string) {
 	t.Helper()
-	fe, err := buildFrontend(m, fn)
+	fe, err := buildFrontend(m, fn, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

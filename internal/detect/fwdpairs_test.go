@@ -102,7 +102,7 @@ var fwdBounds = []aeg.Options{{}, {LSQ: 120, Wsize: 40}, {LSQ: 3, Wsize: 5}}
 // its Wsize set.
 func checkForwardPairs(t testing.TB, label string, m *ir.Module, fn string) {
 	t.Helper()
-	fe, err := buildFrontend(m, fn)
+	fe, err := buildFrontend(m, fn, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -198,7 +198,7 @@ func refCertDisjoint(fn string, mr *dataflow.ModuleRanges, s, l *acfg.Node) (*pr
 // disjoint decisions.
 func checkRangeFacts(t testing.TB, label string, m *ir.Module, fn string) (inBounds, disjoint int) {
 	t.Helper()
-	fe, err := buildFrontend(m, fn)
+	fe, err := buildFrontend(m, fn, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -48,31 +48,25 @@ func b2i(b bool) int64 {
 // record of the stable JSON schema clou -report emits.
 func (r *Result) Report() obsv.FuncReport {
 	fr := obsv.FuncReport{
-		Name:            r.Fn,
-		Nodes:           r.NodeCount,
-		Queries:         r.Queries,
-		Candidates:      r.Candidates,
-		Pruned:          r.Pruned,
-		Discharged:      r.Discharged,
-		Skipped:         r.SkippedQueries,
-		Audited:         r.PresolveAudited,
-		Disagreements:   r.PresolveDisagreements,
-		TseitinGates:    r.TseitinGates,
-		ModelHits:       r.ModelCacheHits,
-		SolverChecks:    r.SolverChecks,
-		Mismatches:      r.SolverMismatches,
-		CacheHit:        r.CacheHit,
-		TimedOut:        r.TimedOut,
-		DurationNs:      r.Duration.Nanoseconds(),
-		FrontendNs:      r.FrontendTime.Nanoseconds(),
-		EncodeNs:        r.EncodeTime.Nanoseconds(),
-		SolveNs:         r.SolveTime.Nanoseconds(),
-		ACFGNs:          r.ACFGTime.Nanoseconds(),
-		AliasNs:         r.AliasTime.Nanoseconds(),
-		TaintNs:         r.TaintTime.Nanoseconds(),
-		ReachNs:         r.ReachTime.Nanoseconds(),
-		FlowNs:          r.FlowTime.Nanoseconds(),
-		PresolveFactsNs: r.PresolveFactsTime.Nanoseconds(),
+		Name:          r.Fn,
+		Nodes:         r.NodeCount,
+		Queries:       r.Queries,
+		Candidates:    r.Candidates,
+		Pruned:        r.Pruned,
+		Discharged:    r.Discharged,
+		Skipped:       r.SkippedQueries,
+		Audited:       r.PresolveAudited,
+		Disagreements: r.PresolveDisagreements,
+		TseitinGates:  r.TseitinGates,
+		ModelHits:     r.ModelCacheHits,
+		SolverChecks:  r.SolverChecks,
+		Mismatches:    r.SolverMismatches,
+		CacheHit:      r.CacheHit,
+		TimedOut:      r.TimedOut,
+		DurationNs:    r.Duration.Nanoseconds(),
+		FrontendNs:    r.FrontendTime.Nanoseconds(),
+		EncodeNs:      r.EncodeTime.Nanoseconds(),
+		SolveNs:       r.SolveTime.Nanoseconds(),
 	}
 	switch {
 	case r.Rung == RungUnknown:

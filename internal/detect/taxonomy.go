@@ -36,14 +36,6 @@ func mustAliasExact(s, l *acfg.Node) bool {
 	return ok1 && ok2 && sg.Nm == lg.Nm
 }
 
-// forwardControlled reports whether the wrongly forwarded value — the
-// store's data operand — may carry attacker-interesting bits: integer
-// and pointer data both qualify (the PSF analogue of staleControlled).
-func forwardControlled(s *acfg.Node) bool {
-	ty := s.Instr.Args[0].Type()
-	return ir.IsInt(ty) || ir.IsPtr(ty)
-}
-
 // runIMP searches for the indirect memory prefetcher's universal read: a
 // dependent load pair (index load i feeding data load t's address) that
 // executes at least twice trains the prefetcher, which then dereferences

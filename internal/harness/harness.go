@@ -328,7 +328,9 @@ type Fig8Point struct {
 }
 
 // RunFig8 produces the runtime-versus-size series over the libsodium-like
-// corpus, for both engines.
+// corpus, for both engines. It analyzes one function at a time whatever
+// opts.Parallelism says: a Fig8Point's runtime is a serial runtime, and
+// concurrent analyses would stretch each other's wall time.
 func RunFig8(opts Options) ([]Fig8Point, error) {
 	opts.defaults()
 	root := opts.Tracer.Start("fig8")
@@ -340,7 +342,7 @@ func RunFig8(opts Options) ([]Fig8Point, error) {
 	}
 	engines := []detect.Engine{detect.PHT, detect.STL}
 	pts := make([]Fig8Point, len(engines)*len(lib.PublicFuncs))
-	err = ForEachSpan(root, "clou", opts.Parallelism, len(pts), func(i int, sp *obsv.Span) error {
+	err = ForEachSpan(root, "clou", 1, len(pts), func(i int, sp *obsv.Span) error {
 		e, fn := engines[i/len(lib.PublicFuncs)], lib.PublicFuncs[i%len(lib.PublicFuncs)]
 		r, err := detect.AnalyzeFunc(m, fn, clouConfig(e, opts, true, sp))
 		if err != nil {

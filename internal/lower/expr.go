@@ -197,6 +197,29 @@ func (c *fctx) indexBase(e *minic.Index) (ir.Value, error) {
 	return v, nil
 }
 
+// loadLvalue evaluates the lvalue expression e as an rvalue (see load).
+func (c *fctx) loadLvalue(e minic.Expr, line int) (ir.Value, error) {
+	lv, err := c.lvalue(e)
+	if err != nil {
+		return nil, err
+	}
+	return c.load(lv, line), nil
+}
+
+// load reads the object pointer p addresses as an rvalue: an array decays
+// to a pointer to its first element and a struct is used by address, so
+// only scalars are loaded.
+func (c *fctx) load(p ir.Value, line int) ir.Value {
+	elem := p.Type().(ir.PtrType).Elem
+	switch elem.(type) {
+	case ir.ArrayType:
+		return c.decay(p)
+	case *ir.StructType:
+		return p
+	}
+	return c.emit(&ir.Instr{Op: ir.OpLoad, Ty: elem, Args: []ir.Value{p}, Line: line})
+}
+
 // rvalue lowers an expression to its value.
 func (c *fctx) rvalue(e minic.Expr) (ir.Value, error) {
 	switch e := e.(type) {
@@ -207,18 +230,7 @@ func (c *fctx) rvalue(e minic.Expr) (ir.Value, error) {
 		}
 		return ir.ConstInt(ty, e.Val), nil
 	case *minic.Ident:
-		lv, err := c.lvalue(e)
-		if err != nil {
-			return nil, err
-		}
-		pt := lv.Type().(ir.PtrType)
-		if _, isArr := pt.Elem.(ir.ArrayType); isArr {
-			return c.decay(lv), nil // arrays decay to pointers
-		}
-		if _, isStruct := pt.Elem.(*ir.StructType); isStruct {
-			return lv, nil // struct rvalues are used by address
-		}
-		return c.emit(&ir.Instr{Op: ir.OpLoad, Ty: pt.Elem, Args: []ir.Value{lv}, Line: e.Line}), nil
+		return c.loadLvalue(e, e.Line)
 	case *minic.Unary:
 		return c.unary(e)
 	case *minic.Binary:
@@ -226,22 +238,9 @@ func (c *fctx) rvalue(e minic.Expr) (ir.Value, error) {
 	case *minic.Assign:
 		return c.assign(e)
 	case *minic.Index:
-		lv, err := c.lvalue(e)
-		if err != nil {
-			return nil, err
-		}
-		pt := lv.Type().(ir.PtrType)
-		if _, isArr := pt.Elem.(ir.ArrayType); isArr {
-			return c.decay(lv), nil
-		}
-		return c.emit(&ir.Instr{Op: ir.OpLoad, Ty: pt.Elem, Args: []ir.Value{lv}, Line: e.Line}), nil
+		return c.loadLvalue(e, e.Line)
 	case *minic.Member:
-		lv, err := c.lvalue(e)
-		if err != nil {
-			return nil, err
-		}
-		pt := lv.Type().(ir.PtrType)
-		return c.emit(&ir.Instr{Op: ir.OpLoad, Ty: pt.Elem, Args: []ir.Value{lv}, Line: e.Line}), nil
+		return c.loadLvalue(e, e.Line)
 	case *minic.Call:
 		v, err := c.call(e)
 		if err != nil {
@@ -280,14 +279,10 @@ func (c *fctx) unary(e *minic.Unary) (ir.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt, ok := p.Type().(ir.PtrType)
-		if !ok {
+		if !ir.IsPtr(p.Type()) {
 			return nil, errf(e.Line, "dereference of non-pointer")
 		}
-		if _, isStruct := pt.Elem.(*ir.StructType); isStruct {
-			return p, nil
-		}
-		return c.emit(&ir.Instr{Op: ir.OpLoad, Ty: pt.Elem, Args: []ir.Value{p}, Line: e.Line}), nil
+		return c.load(p, e.Line), nil
 	case "&":
 		return c.lvalue(e.X)
 	case "-":

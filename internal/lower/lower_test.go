@@ -201,6 +201,35 @@ func TestStructs(t *testing.T) {
 	}
 }
 
+// TestStructMemberArraysDecay pins the rvalue of a struct member: an
+// array member decays to a pointer to its first element, as an array
+// variable or an array element does, and a struct member is used by
+// address. Before, `q = s.k` failed with "store size mismatch" and
+// `sum(s.k)` passed a loaded [4 x u8] as the u8* argument.
+func TestStructMemberArraysDecay(t *testing.T) {
+	m := compile(t, `
+		struct In { uint32_t a; uint32_t b; };
+		struct S { uint8_t k[4]; struct In in; };
+		struct S s;
+		uint32_t sum(uint8_t *p) { return p[0] + p[1] + p[2] + p[3]; }
+		uint32_t inb(struct In *p) { return p->b; }
+		void set(void) {
+			for (int i = 0; i < 4; i++) s.k[i] = i + 1;
+			s.in.b = 40;
+		}
+		uint8_t second(void) { uint8_t *q = s.k; return q[1]; }
+		uint32_t total(void) { return sum(s.k); }
+		uint32_t member(void) { return inb(&s.in); }
+	`)
+	ip := ir.NewInterp(m)
+	ip.Call("set")
+	for fn, want := range map[string]uint64{"second": 2, "total": 10, "member": 40} {
+		if v, err := ip.Call(fn); err != nil || v != want {
+			t.Errorf("%s = %d, %v; want %d", fn, v, err, want)
+		}
+	}
+}
+
 func TestTypeConversions(t *testing.T) {
 	m := compile(t, `
 		uint8_t narrow(uint32_t x) { return (uint8_t)x; }

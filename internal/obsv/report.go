@@ -73,16 +73,6 @@ type FuncReport struct {
 	FrontendNs int64 `json:"frontend_ns,omitempty"`
 	EncodeNs   int64 `json:"encode_ns,omitempty"`
 	SolveNs    int64 `json:"solve_ns,omitempty"`
-	// Frontend sub-stage timings (the perf-attribution breakdown of the
-	// frontend_ns total): A-CFG build, points-to analysis, taint, the
-	// transitive closure, value-flow graph build, and the pre-solver's
-	// shared fact base. Zero on cache hits.
-	ACFGNs          int64 `json:"acfg_ns,omitempty"`
-	AliasNs         int64 `json:"alias_ns,omitempty"`
-	TaintNs         int64 `json:"taint_ns,omitempty"`
-	ReachNs         int64 `json:"reach_ns,omitempty"`
-	FlowNs          int64 `json:"flow_ns,omitempty"`
-	PresolveFactsNs int64 `json:"presolve_facts_ns,omitempty"`
 
 	Error string `json:"error,omitempty"`
 }
@@ -145,12 +135,6 @@ func (r *Report) Normalize() {
 		f.FrontendNs = 0
 		f.EncodeNs = 0
 		f.SolveNs = 0
-		f.ACFGNs = 0
-		f.AliasNs = 0
-		f.TaintNs = 0
-		f.ReachNs = 0
-		f.FlowNs = 0
-		f.PresolveFactsNs = 0
 	}
 	for name, h := range r.Metrics.Histograms {
 		h.SumNs, h.MinNs, h.MaxNs = 0, 0, 0

@@ -1,16 +1,19 @@
 // Package presolve is the proof-carrying static pre-solver: it classifies
 // S-AEG detect candidates as Refuted (with a machine-checkable certificate)
-// or Unknown before any SAT query is issued. It layers three flow-sensitive
-// facts on top of the existing per-function frontend:
+// or Unknown before any SAT query is issued. Beside the A-CFG's paths,
+// which the witness rules replay, its rules read two kinds of static fact
+// over the existing per-function frontend:
 //
-//   - a must-alias / must-not-alias partition refining internal/alias's
-//     flow-insensitive points-to sets (partition.go);
-//   - interval facts from internal/dataflow proving address separation,
-//     shared with the trusted pruner, whose range decisions return the
-//     extents they rest on: the range certificates package those facts;
 //   - speculative-window arm eligibility: per branch and take value, the
 //     window nodes that can be transiently fetched down the arm that take
-//     value mispredicts.
+//     value mispredicts, read from the S-AEG's windows (WindowSource);
+//   - interval facts from internal/dataflow proving address separation,
+//     shared with the trusted pruner, whose range decisions return the
+//     extents they rest on: the range certificates package those facts.
+//
+// A must-alias / must-not-alias partition refining internal/alias's
+// flow-insensitive points-to sets (partition.go) is built only on demand
+// by Explain, for -why descriptions; no decision reads it.
 //
 // The window rule is the only rule that entails UNSAT of an actual solver
 // query, so it is the one -audit-presolve replays through the full SAT
@@ -45,9 +48,10 @@ type WindowSource interface {
 	ForEachWindowNode(b int, f func(n int, arms [2]bool))
 }
 
-// Facts bundles one function's engine-independent static facts. It is
-// built once per function by the detect cache and shared by every engine
-// run and audit replay; all lazy members are safe for concurrent use.
+// Facts bundles one function's engine-independent static facts: its
+// graph, alias analysis and module range analyses, and the must-alias
+// partition Explain builds from them on first use. Building Facts costs
+// nothing; the partition is safe to build concurrently.
 type Facts struct {
 	G  *acfg.Graph
 	Al *alias.Analysis
@@ -57,7 +61,7 @@ type Facts struct {
 	part     *Partition
 }
 
-// NewFacts builds the shared fact base for one function.
+// NewFacts bundles one function's fact base.
 func NewFacts(g *acfg.Graph, al *alias.Analysis, mr *dataflow.ModuleRanges) *Facts {
 	return &Facts{G: g, Al: al, MR: mr}
 }
@@ -87,8 +91,7 @@ type Analysis struct {
 	f   *Facts
 	win WindowSource
 
-	arms map[takeKey]*armSet
-	wit  map[takeKey]*satWitness
+	wit map[takeKey]*satWitness
 
 	// bfs is the path searches' reusable scratch: epoch-stamped visit
 	// marks, so each search clears nothing (see nextEpoch). Owned by the
@@ -119,8 +122,7 @@ type Analysis struct {
 // NewAnalysis binds facts to an engine run's window source.
 func NewAnalysis(f *Facts, win WindowSource) *Analysis {
 	return &Analysis{
-		f: f, win: win,
-		arms: map[takeKey]*armSet{}, wit: map[takeKey]*satWitness{},
+		f: f, win: win, wit: map[takeKey]*satWitness{},
 		take: make([]int8, f.G.Len()), replays: map[string]*replayed{},
 	}
 }
@@ -134,34 +136,17 @@ type takeKey struct {
 	v bool
 }
 
-// armSet is the arm eligibility of one (branch, take value) pair: the
-// window nodes fetchable down the arm the take value mispredicts.
-type armSet struct {
-	in  dataflow.BitSet
-	ids []int // the members, ascending
-}
-
-// armsFor returns (computing on first use) the arm eligibility of (b, v).
-// It over-approximates TransUnder under take(b)=v: outside the window
-// TransUnder is constant false, and fetching down arm i asserts the take
-// value that makes arm i the mispredicted path (take=true resolves the
-// branch to its first successor, so transient fetch down it needs
-// take=false). Every node transiently fetched by a satisfying assignment
-// with take(b)=v is therefore a member.
-func (a *Analysis) armsFor(b int, v bool) *armSet {
-	k := takeKey{b, v}
-	if as, ok := a.arms[k]; ok {
-		return as
+// arm is the successor of a branch that take value v mispredicts: take=true
+// resolves the branch to its first successor, so transient fetch runs down
+// the second, and take=false the other way round. arm(v) over-approximates
+// TransUnder under take(b)=v: every node transiently fetched by a
+// satisfying assignment with take(b)=v is fetchable down arm(v) of b's
+// window (outside the window TransUnder is constant false).
+func arm(v bool) int {
+	if v {
+		return 1
 	}
-	as := &armSet{in: dataflow.NewBitSet(a.f.G.Len())}
-	a.win.ForEachWindowNode(b, func(id int, arms [2]bool) {
-		if (v && arms[1]) || (!v && arms[0]) {
-			as.in.Set(id)
-			as.ids = append(as.ids, id)
-		}
-	})
-	a.arms[k] = as
-	return as
+	return 0
 }
 
 // Decide is the pre-solver's decision entry point. A window query gets the
@@ -169,7 +154,8 @@ func (a *Analysis) armsFor(b int, v bool) *armSet {
 // gets the architectural witness rule (witnessArch). Every query is
 // derived afresh — repeated queries are rare, and the detector keeps the
 // first certificate per key — while the per-(branch, take) arm sets,
-// witnesses and path replays the rules share are memoized. When cert is
+// witnesses and path replays the rules share are memoized. Arm
+// eligibility is read from the window source, which already holds it. When cert is
 // non-nil exactly one of refuted/witnessed is true.
 func (a *Analysis) Decide(q Query) (cert *Certificate, refuted, witnessed bool) {
 	if q.Branch < 0 {
@@ -213,13 +199,13 @@ func (a *Analysis) refute(q Query) *Certificate {
 // when the direction is infeasible: some Trans node cannot be fetched down
 // the arm v mispredicts, so its TransUnder literal is false under v.
 func (a *Analysis) refuteCase(q Query, v bool) (TakeCase, bool) {
-	arms := a.armsFor(q.Branch, v)
 	for _, t := range q.Trans {
-		if arms.in.Has(t) {
+		arms, dist, ok := a.win.WindowInfo(q.Branch, t)
+		if ok && arms[arm(v)] {
 			continue
 		}
 		tc := TakeCase{Take: v, Reason: ReasonOutsideWindow, Node: t}
-		if _, dist, ok := a.win.WindowInfo(q.Branch, t); ok {
+		if ok {
 			tc.Reason, tc.Dist = ReasonArmConflict, dist
 		}
 		return tc, true

@@ -70,12 +70,16 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	r := a.replay()
 
 	// Transient fetch set: least fixpoint of the data-feasibility clause
-	// over the arm eligibility of (b, v). The least fixpoint is
+	// over the window nodes fetchable down arm(v). The least fixpoint is
 	// order-independent; the ascending sweep keeps the round count
 	// reproducible.
 	fetch := make([]bool, g.Len())
-	var fl []int
-	elig := a.armsFor(b, v).ids
+	var fl, elig []int
+	a.win.ForEachWindowNode(b, func(id int, arms [2]bool) {
+		if arms[arm(v)] {
+			elig = append(elig, id)
+		}
+	})
 	for changed := true; changed; {
 		changed = false
 		for _, id := range elig {
