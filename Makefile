@@ -17,9 +17,10 @@ race:
 # parallel pipeline: the worker pool (the only level of parallelism) and
 # the process-wide caches (harness), the frontend cache whose A-CFG
 # order, closures and pre-solver facts concurrent detectors fill once and
-# share (detect), and the multi-process campaign waves (cmd/clou).
+# share (detect), the lazily built, shared chain closures themselves
+# (acfg), and the multi-process campaign waves (cmd/clou).
 race-core:
-	$(GO) test -race ./internal/harness ./internal/detect ./cmd/clou
+	$(GO) test -race ./internal/harness ./internal/detect ./internal/acfg ./cmd/clou
 
 vet:
 	$(GO) vet ./...

@@ -83,9 +83,13 @@ type Graph struct {
 	topoOnce  sync.Once
 	topo      []int // topological order, built by Topo
 	reachOnce sync.Once
-	reach     [][]uint64 // transitive closure rows, built by Reach
+	chainOf   []int32  // node → straight-line chain, built by Reach
+	chainAt   []int32  // node → position in its chain, built by Reach
+	chains    int      // number of chains, built by Reach
+	chainRows []uint64 // chain closure rows, built by Reach
+	reach     func(from, to int) bool
 	ffOnce    sync.Once
-	fenceFree [][]uint64 // fence-free closure rows, built by FenceFreeReach
+	fenceFree func(from, to int) bool
 }
 
 // Succs returns the successor node IDs of n.
@@ -438,98 +442,126 @@ func (g *Graph) topoOrder() []int {
 			indeg[s]++
 		}
 	}
-	var ready []int
+	// The order is its own FIFO queue: a node is appended when it becomes
+	// ready and expanded when the head passes it.
+	order := make([]int, 0, len(g.Nodes))
 	for i := range g.Nodes {
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, len(g.Nodes))
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		order = append(order, n)
-		for _, s := range g.succs[n] {
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.succs[order[head]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = append(ready, s)
+				order = append(order, s)
 			}
 		}
 	}
 	return order
 }
 
-// closure builds one reflexive reachability row per node in a single pass
-// over a reverse topological order: each node's row is itself plus the
-// union of the rows of those successors s for which enter(s) holds.
-func (g *Graph) closure(enter func(s int) bool) [][]uint64 {
-	words := (g.Len() + 63) / 64
-	rows := make([][]uint64, g.Len())
+// splitChains cuts the graph into maximal straight-line chains. A node
+// continues its predecessor's chain when it is that predecessor's only
+// successor, the predecessor is its only predecessor, and neither is an
+// lfence, so every lfence is a chain of its own. Chains are numbered in
+// topological order of their heads, so a successor chain always has a
+// higher number; of maps a node to its chain and at to its position in it.
+func (g *Graph) splitChains() (of, at []int32, chains int) {
+	of, at = make([]int32, g.Len()), make([]int32, g.Len())
+	for _, id := range g.Topo() {
+		if ps := g.preds[id]; len(ps) == 1 && len(g.succs[ps[0]]) == 1 &&
+			!g.Nodes[id].IsLfence() && !g.Nodes[ps[0]].IsLfence() {
+			of[id], at[id] = of[ps[0]], at[ps[0]]+1
+			continue
+		}
+		of[id] = int32(chains)
+		chains++
+	}
+	return of, at, chains
+}
+
+// chainClosure builds one reflexive reachability row per chain, all in one
+// backing array of C × ⌈C/64⌉ words, in a single pass over a reverse
+// topological order: a chain's row is itself plus the rows of the chains
+// that its tail's successors s start, for those s where enter(s) holds.
+// Only a tail has a successor outside its own chain, and reachable chains
+// are numbered higher, so a union starts at the successor's own word.
+func (g *Graph) chainClosure(enter func(s int) bool) []uint64 {
+	words := (g.chains + 63) / 64
+	rows := make([]uint64, g.chains*words)
 	topo := g.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
-		row := make([]uint64, words)
-		row[id/64] |= 1 << (uint(id) % 64)
+		ch := int(g.chainOf[id])
+		row := rows[ch*words : (ch+1)*words]
+		row[ch/64] |= 1 << (uint(ch) % 64)
 		for _, s := range g.succs[id] {
-			if !enter(s) {
+			sc := int(g.chainOf[s])
+			if sc == ch || !enter(s) {
 				continue
 			}
-			for w, bits := range rows[s] {
-				row[w] |= bits
+			for w, bits := range rows[sc*words+sc/64 : (sc+1)*words] {
+				row[sc/64+w] |= bits
 			}
 		}
-		rows[id] = row
 	}
 	return rows
 }
 
-// reachRows returns the transitive closure rows, building them on first
-// use; they are immutable afterwards, so concurrent callers may share them.
-func (g *Graph) reachRows() [][]uint64 {
-	g.reachOnce.Do(func() { g.reach = g.closure(func(int) bool { return true }) })
-	return g.reach
+// chainTest answers reachability from a chain closure: on a shared chain
+// by position (from strictly before to, or also from == to when
+// reflexive), and otherwise by one bit of from's chain row.
+func (g *Graph) chainTest(rows []uint64, reflexive bool) func(from, to int) bool {
+	of, at, words := g.chainOf, g.chainAt, (g.chains+63)/64
+	return func(from, to int) bool {
+		cf, ct := of[from], of[to]
+		if cf == ct {
+			if reflexive {
+				return at[from] <= at[to]
+			}
+			return at[from] < at[to]
+		}
+		return rows[int(cf)*words+int(ct)/64]&(1<<(uint(ct)%64)) != 0
+	}
 }
 
 // Reach returns the graph's transitive closure as a strict reachability
 // test: reach(from, to) reports a non-empty successor path from `from` to
-// `to`, so reach(n, n) is false on the DAG. The closure is built once, on
-// the first call, and shared by every caller.
+// `to`, so reach(n, n) is false on the DAG. The closure is kept per
+// straight-line chain, not per node (splitChains); it is built once, on
+// the first call, and every call returns the same func, which concurrent
+// callers may share.
 func (g *Graph) Reach() func(from, to int) bool {
-	rows := g.reachRows()
-	return func(from, to int) bool {
-		if from == to {
-			return false
-		}
-		return hasBit(rows[from], to)
-	}
+	g.reachOnce.Do(func() {
+		g.chainOf, g.chainAt, g.chains = g.splitChains()
+		g.chainRows = g.chainClosure(func(int) bool { return true })
+		g.reach = g.chainTest(g.chainRows, false)
+	})
+	return g.reach
 }
 
 // FenceFreeReach returns the fence-free closure as a reflexive test:
 // ff(from, to) reports a successor path from `from` to `to` that enters no
-// lfence (from itself may be one), and ff(n, n) is true. It is built once,
-// on the first call, by the same pass as Reach; in a function without an
-// lfence the two closures coincide and it shares Reach's rows.
+// lfence (from itself may be one), and ff(n, n) is true. It uses Reach's
+// chains, which never run through an lfence, with a chain closure that
+// does not enter lfence chains; in a function without an lfence the two
+// closures coincide and it shares Reach's rows. It is built once, on the
+// first call, and every call returns the same func.
 func (g *Graph) FenceFreeReach() func(from, to int) bool {
 	g.ffOnce.Do(func() {
-		for _, n := range g.Nodes {
-			if n.IsLfence() {
-				g.fenceFree = g.closure(func(s int) bool { return !g.Nodes[s].IsLfence() })
-				return
-			}
+		g.Reach()
+		rows := g.chainRows
+		if slices.ContainsFunc(g.Nodes, (*Node).IsLfence) {
+			rows = g.chainClosure(func(s int) bool { return !g.Nodes[s].IsLfence() })
 		}
-		g.fenceFree = g.reachRows()
+		g.fenceFree = g.chainTest(rows, true)
 	})
-	rows := g.fenceFree
-	return func(from, to int) bool { return hasBit(rows[from], to) }
+	return g.fenceFree
 }
 
-// ReachRow returns n's reflexive transitive-closure row: bit m is set when
-// m == n or a successor path leads from n to m. The row is shared with
-// Reach and must not be modified.
-func (g *Graph) ReachRow(n int) []uint64 { return g.reachRows()[n] }
-
 // BoundedRow returns the nodes within bound successor hops of n, n
-// included, in ReachRow's word layout, computed by a level-synchronous
+// included, one bit per node ID, computed by a level-synchronous
 // BFS into a fresh row the caller owns; a bound below 1 yields n alone.
 // Pure: it reads only the immutable graph, so concurrent callers are safe.
 func (g *Graph) BoundedRow(n, bound int) []uint64 {

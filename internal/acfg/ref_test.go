@@ -369,7 +369,8 @@ func TestBuildMatchesReferenceProgen(t *testing.T) {
 }
 
 // FuzzACFGBuild differentially fuzzes the builder: every function of any
-// input that lowers must build to the reference graph and pass Verify.
+// input that lowers must build to the reference graph and pass Verify,
+// and its closures must match the per-source BFS (checkReach).
 // Run with `make fuzz` or `go test -fuzz=FuzzACFGBuild ./internal/acfg`.
 func FuzzACFGBuild(f *testing.F) {
 	for _, seed := range []string{
@@ -395,5 +396,10 @@ func FuzzACFGBuild(f *testing.F) {
 			return
 		}
 		checkModule(t, "fuzz", m)
+		for _, fn := range m.Funcs {
+			if g, err := acfg.Build(m, fn.Nm, acfg.Options{}); err == nil {
+				checkReach(t, "fuzz/"+fn.Nm, g)
+			}
+		}
 	})
 }

@@ -262,6 +262,11 @@ func (a *AEG) windowOf(b int) *window {
 		w.arm[arm] = a.windowFrom(succ)
 		w.bits.UnionInto(w.arm[arm])
 	}
+	size := 0
+	for _, word := range w.bits {
+		size += bits.OnesCount64(word)
+	}
+	w.nodes, w.dist = make([]int, 0, size), make([]int32, 0, size)
 	for i, word := range w.bits {
 		for word != 0 {
 			id := i*64 + bits.TrailingZeros64(word)

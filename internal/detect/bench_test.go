@@ -2,7 +2,8 @@ package detect
 
 // Frontend and end-to-end benchmarks over the two heaviest cryptolib
 // subjects. The frontend benchmarks isolate its stages — the A-CFG build,
-// points-to solving, and value-flow construction plus cold feeder sweeps —
+// points-to solving, the reachability closures, and value-flow
+// construction plus cold feeder sweeps —
 // while BenchmarkDetectDonna runs Clou-pht and Clou-stl over both
 // subjects, the two functions on the crypto benchmark's critical path,
 // and BenchmarkEngineCensus the taxonomy engines over the crypto corpus.
@@ -71,6 +72,35 @@ func BenchmarkFrontendAlias(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				alias.Analyze(g)
+			}
+		})
+	}
+}
+
+// BenchmarkFrontendReach times the A-CFG's reachability closures, Reach
+// and FenceFreeReach, as the frontend's reach stage builds them. Each
+// closure is built once per graph, so every iteration builds a fresh graph
+// with the timer stopped.
+func BenchmarkFrontendReach(b *testing.B) {
+	for _, s := range benchSubjects {
+		s := s
+		b.Run(s.lib, func(b *testing.B) {
+			lib, ok := cryptolib.Lookup(s.lib)
+			if !ok {
+				b.Fatalf("corpus entry %q missing", s.lib)
+			}
+			m := compile(b, lib.Source)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g, err := acfg.Build(m, s.fn, acfg.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				g.Reach()
+				g.FenceFreeReach()
 			}
 		})
 	}

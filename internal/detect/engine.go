@@ -970,6 +970,11 @@ func (d *detector) controlPatterns(branches []int, feeds [][]feed) {
 	// memory node transient under b whose execution c controls transmits
 	// the secret-dependent outcome (Table 1, §6.2.1).
 	if d.wantClass(core.UCT) {
+		// The transmitters of (b, c) — the memory nodes in b's window
+		// that c reaches, in d.mems order — depend on neither the access
+		// nor the index, so they are listed once per (b, c), the first
+		// time an (access, index) pair gets past the filters.
+		var trans []int
 		for _, b := range branches {
 			if d.outOfBudget() {
 				return
@@ -978,6 +983,7 @@ func (d *detector) controlPatterns(branches []int, feeds [][]feed) {
 				if c == b || !d.a.InWindow(b, c) {
 					continue
 				}
+				listed := false
 				for _, f := range conds[c] {
 					accID := int(f.src)
 					if !d.a.InWindow(b, accID) {
@@ -993,20 +999,25 @@ func (d *detector) controlPatterns(branches []int, feeds [][]feed) {
 						if d.cfg.RequireGEP && !e.gep {
 							continue
 						}
-						for _, t := range d.mems {
-							if !d.a.InWindow(b, t.ID) || !d.cfgReach(c, t.ID) {
-								continue
+						if !listed {
+							trans, listed = trans[:0], true
+							for _, t := range d.mems {
+								if d.a.InWindow(b, t.ID) && d.cfgReach(c, t.ID) {
+									trans = append(trans, t.ID)
+								}
 							}
-							key := candKey{kind: candUCT, a: t.ID, b: accID}
+						}
+						for _, t := range trans {
+							key := candKey{kind: candUCT, a: t, b: accID}
 							if d.found[key] {
 								continue
 							}
-							qt[0], qt[1], qt[2], qe[0] = t.ID, accID, c, int(e.src)
+							qt[0], qt[1], qt[2], qe[0] = t, accID, c, int(e.src)
 							q := presolve.Query{Branch: b, Trans: qt[:3], Exec: qe[:1]}
 							if d.ask(key, q) {
 								d.report(key, Finding{
 									Class:    core.UCT,
-									Transmit: t.ID, Access: accID, Index: int(e.src),
+									Transmit: t, Access: accID, Index: int(e.src),
 									Branch: b, Store: -1, Load: -1,
 									TransientTransmit: true, TransientAccess: true,
 								})

@@ -92,7 +92,7 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) (*flowGraph, error) {
 	// data.rf hops: store s → load l when they may address the same
 	// location and s can reach l. Index the loads by address location
 	// once; a store's targets are then the loads its alias mask selects,
-	// cut to its reach row and emitted in ascending order.
+	// walked in ascending order and kept where the A-CFG's reach admits.
 	var loadsAt [][]int32 // location → loads whose address may name it
 	var stores []*acfg.Node
 	for _, n := range g.Nodes {
@@ -110,6 +110,7 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) (*flowGraph, error) {
 			loadsAt[loc] = append(loadsAt[loc], int32(n.ID))
 		})
 	}
+	reach := g.Reach()
 	targets := dataflow.NewBitSet(g.Len())
 	for _, s := range stores {
 		_, mask := al.Summary(s)
@@ -120,11 +121,12 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis) (*flowGraph, error) {
 				}
 			}
 		})
-		for w, row := range g.ReachRow(s.ID) {
-			word := targets[w] & row
+		for w, word := range targets {
 			targets[w] = 0
 			for word != 0 {
-				add(s.ID, w*64+bits.TrailingZeros64(word), false)
+				if l := w*64 + bits.TrailingZeros64(word); reach(s.ID, l) {
+					add(s.ID, l, false)
+				}
 				word &= word - 1
 			}
 		}

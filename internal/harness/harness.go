@@ -318,8 +318,8 @@ func RunLibrary(lib cryptolib.Library, opts Options) ([]Row, error) {
 	return rows, nil
 }
 
-// Fig8Point is one scatter point of Fig. 8: serial runtime versus S-AEG
-// node count for one public function.
+// Fig8Point is one scatter point of Fig. 8: cold serial runtime versus
+// S-AEG node count for one public function.
 type Fig8Point struct {
 	Fn      string
 	Engine  string
@@ -330,7 +330,9 @@ type Fig8Point struct {
 // RunFig8 produces the runtime-versus-size series over the libsodium-like
 // corpus, for both engines. It analyzes one function at a time whatever
 // opts.Parallelism says: a Fig8Point's runtime is a serial runtime, and
-// concurrent analyses would stretch each other's wall time.
+// concurrent analyses would stretch each other's wall time. Its analyses
+// bypass the frontend cache, so every point is a cold runtime that
+// includes its own frontend build.
 func RunFig8(opts Options) ([]Fig8Point, error) {
 	opts.defaults()
 	root := opts.Tracer.Start("fig8")
@@ -344,7 +346,9 @@ func RunFig8(opts Options) ([]Fig8Point, error) {
 	pts := make([]Fig8Point, len(engines)*len(lib.PublicFuncs))
 	err = ForEachSpan(root, "clou", 1, len(pts), func(i int, sp *obsv.Span) error {
 		e, fn := engines[i/len(lib.PublicFuncs)], lib.PublicFuncs[i%len(lib.PublicFuncs)]
-		r, err := detect.AnalyzeFunc(m, fn, clouConfig(e, opts, true, sp))
+		cfg := clouConfig(e, opts, true, sp)
+		cfg.Cache = nil
+		r, err := detect.AnalyzeFunc(m, fn, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", fn, err)
 		}

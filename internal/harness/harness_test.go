@@ -34,3 +34,16 @@ func TestFig8Shape(t *testing.T) {
 	}
 	WriteFig8(os.Stderr, pts[:5])
 }
+
+// TestFig8RunsUncached pins that Fig. 8's analyses neither read nor fill
+// the process-wide frontend cache: a cache hit would drop the frontend
+// from a point's runtime.
+func TestFig8RunsUncached(t *testing.T) {
+	hits, misses := analysisCache.Stats()
+	if _, err := RunFig8(Options{FuncTimeout: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := analysisCache.Stats(); h != hits || m != misses {
+		t.Errorf("RunFig8 moved the frontend cache from %d hits, %d misses to %d, %d", hits, misses, h, m)
+	}
+}

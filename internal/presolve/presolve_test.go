@@ -19,6 +19,7 @@ import (
 	"lcm/internal/minic"
 	"lcm/internal/presolve"
 	"lcm/internal/sat"
+	"lcm/internal/smt"
 )
 
 // world bundles one compiled function's frontend, encoder, and pre-solver.
@@ -232,6 +233,42 @@ int g(int y, int z) {
 			}
 		}
 	}
+}
+
+// TestArmCoversSolverTransience pins arm(v), the window arm a take value
+// mispredicts, against the S-AEG solver on every litmus graph: whenever
+// TransUnder(b, t) ∧ take(b)=v is satisfiable, t must be fetchable down
+// arm(v) of b's window, or refuteCase would refute a feasible direction.
+func TestArmCoversSolverTransience(t *testing.T) {
+	sats := [2]int{}
+	for _, c := range litmus.All() {
+		w := build(t, c.Source, c.Fn)
+		for _, b := range w.a.Branches() {
+			var win []int
+			w.a.ForEachWindowNode(b, func(n int, _ [2]bool) { win = append(win, n) })
+			for _, n := range win {
+				for _, v := range []bool{false, true} {
+					take := w.a.Take(b)
+					if !v {
+						take = smt.Not(take)
+					}
+					if w.a.Check(w.a.TransUnder(b, n), take) != sat.Sat {
+						continue
+					}
+					sats[presolve.Arm(v)]++
+					if arms, _, ok := w.a.WindowInfo(b, n); !ok || !arms[presolve.Arm(v)] {
+						t.Fatalf("%s/%s: branch %d node %d is transient under take=%v, but window arms are %v (in window %v)",
+							c.Suite, c.Name, b, n, v, arms, ok)
+					}
+				}
+			}
+		}
+	}
+	// Both take values must reach the check, or an arm swap would pass.
+	if sats[0] == 0 || sats[1] == 0 {
+		t.Fatalf("satisfiable (branch, node, take) triples per arm: %v; want both > 0", sats)
+	}
+	t.Logf("satisfiable (branch, node, take) triples per arm: %v", sats)
 }
 
 // inBounds has a provably confined access: offsets 0..15 of a 16-int
