@@ -3,6 +3,7 @@ package progen
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -90,18 +91,50 @@ type Verdict struct {
 // whole ladder: the program's classification is a sound "don't know".
 func (v Verdict) Unknown() bool { return v.Rung == detect.RungUnknown }
 
-// classify analyzes src's fn under both engines through the degradation
-// ladder and merges class counts. A fault at full precision degrades the
-// verdict's rung instead of failing the program; only genuine errors
-// (non-analyzable input) are returned.
-func classify(src, fn string) (Verdict, error) {
-	v := Verdict{Counts: map[string]int{}}
+// subject is one program as Check's oracles read it: the source, its
+// entry function, the module lowered from that source once, and one
+// detect.Cache through which every analysis of the module shares one
+// frontend and one range pruner. The module is never mutated — the cache
+// keys on its pointer — so the repair oracle, which inserts fences,
+// works on a private copy.
+type subject struct {
+	src, fn string
+	m       *ir.Module
+	cache   *detect.Cache
+}
+
+func newSubject(src, fn string) (*subject, error) {
 	m, err := compileSrc(src)
 	if err != nil {
-		return v, err
+		return nil, err
 	}
+	return &subject{src: src, fn: fn, m: m, cache: detect.NewCache()}, nil
+}
+
+// cfg is conformCfg(e) reading the subject's cache.
+func (s *subject) cfg(e detect.Engine) detect.Config {
+	cfg := conformCfg(e)
+	cfg.Cache = s.cache
+	return cfg
+}
+
+// classify compiles src and classifies its fn (see subject.classify).
+func classify(src, fn string) (Verdict, error) {
+	s, err := newSubject(src, fn)
+	if err != nil {
+		return Verdict{Counts: map[string]int{}}, err
+	}
+	return s.classify()
+}
+
+// classify analyzes the subject under every engine through the
+// degradation ladder and merges class counts. A fault at full precision
+// degrades the verdict's rung instead of failing the program; only
+// genuine errors (non-analyzable input) are returned.
+func (s *subject) classify() (Verdict, error) {
+	v := Verdict{Counts: map[string]int{}}
 	for _, e := range detect.Engines() {
-		res, err := detect.AnalyzeFuncLadder(context.Background(), m, fn, conformCfg(e))
+		res, err := detect.AnalyzeFuncLadder(context.Background(), s.m, s.fn, s.cfg(e))
 		if err != nil {
 			return v, fmt.Errorf("detect %v: %w", e, err)
 		}
@@ -203,37 +236,72 @@ func archSummary(ret uint64, globalAddr func(string) (uint64, bool), load func(u
 	return s
 }
 
-// RunOracle replays one named oracle over bare source. It returns nil
+// sourceOracles are the oracles after "compile" that replay from source
+// alone, in the order Check runs them.
+var sourceOracles = []string{
+	"repair-pht", "repair-stl", "repair-psf", "repair-imp", "repair-ss",
+	"meta-alpha", "meta-dead", "meta-reorder", "presolve", "uarch"}
+
+// RunOracle replays one named oracle over bare source, on a subject of
+// its own; a metamorphic oracle classifies its own base. It returns nil
 // when the oracle passes or does not apply. Compile errors inside
 // non-compile oracles return nil — a program that stops compiling no
 // longer reproduces anything; the "compile" oracle itself owns frontend
 // breakage (including the Parse(Print(p)) round-trip).
 func RunOracle(name, src, fn string) *Failure {
-	switch name {
-	case "compile":
-		if _, err := normalize(src); err != nil {
-			return &Failure{Oracle: name, Detail: err.Error(), Src: src}
-		}
-		if _, err := compileSrc(src); err != nil {
-			return &Failure{Oracle: name, Detail: err.Error(), Src: src}
-		}
+	if name == "compile" {
+		_, f := compileOracle(src)
+		return f
+	}
+	if !slices.Contains(sourceOracles, name) {
 		return nil
+	}
+	s, err := newSubject(src, fn)
+	if err != nil {
+		return nil
+	}
+	var base Verdict
+	if strings.HasPrefix(name, "meta-") {
+		if base, err = s.classify(); err != nil {
+			return nil
+		}
+	}
+	return s.oracle(name, base)
+}
+
+// compileOracle checks that src is a normalize fixed point and compiles,
+// and returns the lowered module.
+func compileOracle(src string) (*ir.Module, *Failure) {
+	if _, err := normalize(src); err != nil {
+		return nil, &Failure{Oracle: "compile", Detail: err.Error(), Src: src}
+	}
+	m, err := compileSrc(src)
+	if err != nil {
+		return nil, &Failure{Oracle: "compile", Detail: err.Error(), Src: src}
+	}
+	return m, nil
+}
+
+// oracle runs one of sourceOracles over the subject. base is the
+// subject's own verdict, which the metamorphic oracles compare against.
+func (s *subject) oracle(name string, base Verdict) *Failure {
+	switch name {
 	case "repair-pht":
-		return repairOracle(src, fn, detect.PHT)
+		return s.repairOracle(detect.PHT)
 	case "repair-stl":
-		return repairOracle(src, fn, detect.STL)
+		return s.repairOracle(detect.STL)
 	case "repair-psf":
-		return repairOracle(src, fn, detect.PSF)
+		return s.repairOracle(detect.PSF)
 	case "repair-imp":
-		return repairOracle(src, fn, detect.IMP)
+		return s.repairOracle(detect.IMP)
 	case "repair-ss":
-		return repairOracle(src, fn, detect.SS)
+		return s.repairOracle(detect.SS)
 	case "meta-alpha", "meta-dead", "meta-reorder":
-		return metaOracle(strings.TrimPrefix(name, "meta-"), src, fn)
+		return s.metaOracle(strings.TrimPrefix(name, "meta-"), base)
 	case "presolve":
-		return presolveOracle(src, fn)
+		return s.presolveOracle()
 	case "uarch":
-		return uarchOracle(src, fn)
+		return s.uarchOracle()
 	}
 	return nil
 }
@@ -249,43 +317,39 @@ func RunOracle(name, src, fn string) *Failure {
 //
 // Programs that time out or degrade are skipped: a budget abort makes the
 // enabled/disabled query sequences diverge legitimately.
-func presolveOracle(src, fn string) *Failure {
-	m, err := compileSrc(src)
-	if err != nil {
-		return nil
-	}
+func (s *subject) presolveOracle() *Failure {
 	for _, engine := range detect.Engines() {
 		tag := engineTag(engine)
-		cfg := conformCfg(engine)
-		with, err := detect.AnalyzeFunc(m, fn, cfg)
+		cfg := s.cfg(engine)
+		with, err := detect.AnalyzeFunc(s.m, s.fn, cfg)
 		if err != nil || with.TimedOut || with.Fault != nil {
 			return nil
 		}
 		off := cfg
 		off.NoPresolve = true
-		without, err := detect.AnalyzeFunc(m, fn, off)
+		without, err := detect.AnalyzeFunc(s.m, s.fn, off)
 		if err != nil || without.TimedOut || without.Fault != nil {
 			return nil
 		}
 		if !countsEqual(countsOf(with), countsOf(without)) {
-			return &Failure{Oracle: "presolve", Src: src,
+			return &Failure{Oracle: "presolve", Src: s.src,
 				Detail: fmt.Sprintf("%s: findings differ with pre-solver on/off: %s -> %s",
 					tag, countsString(countsOf(without)), countsString(countsOf(with)))}
 		}
 		audit := cfg
 		audit.AuditPresolve = true
-		au, err := detect.AnalyzeFunc(m, fn, audit)
+		au, err := detect.AnalyzeFunc(s.m, s.fn, audit)
 		if err != nil || au.TimedOut || au.Fault != nil {
 			return nil
 		}
 		if au.PresolveDisagreements > 0 {
-			return &Failure{Oracle: "presolve", Src: src,
+			return &Failure{Oracle: "presolve", Src: s.src,
 				Detail: fmt.Sprintf("%s: audit found %d disagreement(s) over %d replayed discharge(s)",
 					tag, au.PresolveDisagreements, au.PresolveAudited)}
 		}
 		for _, cert := range with.Certificates {
 			if err := cert.Check(); err != nil {
-				return &Failure{Oracle: "presolve", Src: src,
+				return &Failure{Oracle: "presolve", Src: s.src,
 					Detail: fmt.Sprintf("%s: certificate fails self-check: %v", tag, err)}
 			}
 		}
@@ -306,55 +370,57 @@ func countsOf(res *detect.Result) map[string]int {
 // repairOracle checks the §5.4 soundness claim: after fence insertion,
 // re-detection under the same engine finds nothing, and the repaired
 // program is architecturally unchanged on every replay input.
-func repairOracle(src, fn string, engine detect.Engine) *Failure {
+func (s *subject) repairOracle(engine detect.Engine) *Failure {
 	name := "repair-" + engineTag(engine)
-	m, err := compileSrc(src)
-	if err != nil {
-		return nil
-	}
-	cfg := conformCfg(engine)
-	res, err := detect.AnalyzeFunc(m, fn, cfg)
+	res, err := detect.AnalyzeFunc(s.m, s.fn, s.cfg(engine))
 	if err != nil || res.TimedOut || len(res.Findings) == 0 {
 		return nil // clean programs have nothing to repair
 	}
 	baseline := make([]string, len(uarchInputs))
 	for i, in := range uarchInputs {
-		st, err := archState(m, fn, in)
+		st, err := archState(s.m, s.fn, in)
 		if err != nil {
 			return nil // program not runnable (should not happen for generated subjects)
 		}
 		baseline[i] = st
 	}
+	// Repair inserts fences, so it runs on a private copy of the module,
+	// uncached, never on the subject's shared one.
+	m, err := compileSrc(s.src)
+	if err != nil {
+		return nil
+	}
+	fn, cfg := s.fn, conformCfg(engine)
 	preFences := repair.CountFences(m)
 	rr, err := repair.Repair(m, fn, cfg, 0)
 	if err != nil {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("repair failed on %d finding(s): %v", len(res.Findings), err)}
 	}
 	if rr.Remaining != 0 {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("%d finding(s) remain after %d fences / %d rounds", rr.Remaining, rr.Fences, rr.Rounds)}
 	}
 	if got := repair.CountFences(m); got != preFences+rr.Fences {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("module has %d fences, expected %d pre-existing + %d inserted", got, preFences, rr.Fences)}
 	}
 	post, err := detect.AnalyzeFunc(m, fn, cfg)
 	if err != nil {
-		return &Failure{Oracle: name, Src: src, Detail: fmt.Sprintf("re-detect: %v", err)}
+		return &Failure{Oracle: name, Src: s.src, Detail: fmt.Sprintf("re-detect: %v", err)}
 	}
 	if len(post.Findings) != 0 {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("re-detection finds %d transmitter(s) after a clean repair", len(post.Findings))}
 	}
 	for i, in := range uarchInputs {
 		st, err := archState(m, fn, in)
 		if err != nil {
-			return &Failure{Oracle: name, Src: src,
+			return &Failure{Oracle: name, Src: s.src,
 				Detail: fmt.Sprintf("repaired program broken on input %v: %v", in, err)}
 		}
 		if st != baseline[i] {
-			return &Failure{Oracle: name, Src: src,
+			return &Failure{Oracle: name, Src: s.src,
 				Detail: fmt.Sprintf("fences changed architectural state on input %v: %s -> %s", in, baseline[i], st)}
 		}
 	}
@@ -383,27 +449,23 @@ func stableCounts(c map[string]int) map[string]int {
 // metaOracle checks verdict invariance under one semantics-preserving
 // rewrite: per-class transmitter counts must match exactly for the
 // rewrite-stable engines (see stableCounts).
-func metaOracle(rewrite, src, fn string) *Failure {
+func (s *subject) metaOracle(rewrite string, base Verdict) *Failure {
 	name := "meta-" + rewrite
-	base, err := classify(src, fn)
+	rewritten, applied, err := ApplyRewrite(rewrite, s.src, s.fn)
 	if err != nil {
-		return nil
-	}
-	rewritten, applied, err := ApplyRewrite(rewrite, src, fn)
-	if err != nil {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("rewrite produced invalid program: %v", err)}
 	}
 	if !applied {
 		return nil
 	}
-	after, err := classify(rewritten, fn)
+	after, err := classify(rewritten, s.fn)
 	if err != nil {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("rewritten program does not analyze: %v\nrewritten:\n%s", err, rewritten)}
 	}
 	if !countsEqual(stableCounts(base.Counts), stableCounts(after.Counts)) {
-		return &Failure{Oracle: name, Src: src,
+		return &Failure{Oracle: name, Src: s.src,
 			Detail: fmt.Sprintf("verdict changed: %s -> %s\nrewritten:\n%s",
 				countsString(stableCounts(base.Counts)), countsString(stableCounts(after.Counts)), rewritten)}
 	}
@@ -413,28 +475,25 @@ func metaOracle(rewrite, src, fn string) *Failure {
 // uarchOracle checks that the speculative machine (store bypass, IMP,
 // store buffering all enabled) agrees architecturally with the reference
 // interpreter — speculation must be side-channel-only.
-func uarchOracle(src, fn string) *Failure {
-	m, err := compileSrc(src)
-	if err != nil {
-		return nil
-	}
+func (s *subject) uarchOracle() *Failure {
+	m, fn := s.m, s.fn
 	for _, in := range uarchInputs {
 		want, err := archState(m, fn, in)
 		if err != nil {
-			return &Failure{Oracle: "uarch", Src: src,
+			return &Failure{Oracle: "uarch", Src: s.src,
 				Detail: fmt.Sprintf("interp failed on input %v: %v", in, err)}
 		}
 		ma := uarch.New(m, uarch.Config{StoreBypass: true, IMP: true, StoreBufferDepth: 4})
 		ret, err := ma.Call(fn, callArgs(m, fn, in)...)
 		if err != nil {
-			return &Failure{Oracle: "uarch", Src: src,
+			return &Failure{Oracle: "uarch", Src: s.src,
 				Detail: fmt.Sprintf("machine failed on input %v: %v", in, err)}
 		}
 		got := archSummary(ret, func(name string) (uint64, bool) {
 			return ma.GlobalAddr(name)
 		}, func(addr uint64, size int) uint64 { return ma.Mem.Load(addr, size) })
 		if got != want {
-			return &Failure{Oracle: "uarch", Src: src,
+			return &Failure{Oracle: "uarch", Src: s.src,
 				Detail: fmt.Sprintf("architectural divergence on input %v: interp %s, machine %s", in, want, got)}
 		}
 	}
@@ -462,8 +521,7 @@ var knownDivergences = map[string]string{
 // of its litmus rendering ("diff-enum"), or — for the taxonomy shapes the
 // litmus IR cannot express — two-secret distinguishability on the uarch
 // simulator with the transmitter on and off ("diff-sim").
-func diffOracle(p Program) *Failure {
-	g := p.Gadget
+func (s *subject) diffOracle(g *Gadget) *Failure {
 	if g == nil {
 		return nil
 	}
@@ -471,17 +529,14 @@ func diffOracle(p Program) *Failure {
 	if g.Prog == nil {
 		oracle = "diff-sim"
 	}
-	m, err := compileSrc(p.Src)
+	m := s.m
+	res, err := detect.AnalyzeFunc(m, s.fn, s.cfg(g.Engine))
 	if err != nil {
-		return nil
-	}
-	res, err := detect.AnalyzeFunc(m, p.Fn, conformCfg(g.Engine))
-	if err != nil {
-		return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+		return &Failure{Oracle: oracle,
 			Detail: fmt.Sprintf("gadget %s: detect failed: %v", g.Name, err)}
 	}
 	if res.TimedOut {
-		return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+		return &Failure{Oracle: oracle,
 			Detail: fmt.Sprintf("gadget %s: detect timed out", g.Name)}
 	}
 	clouLeak := len(res.Findings) > 0
@@ -493,16 +548,16 @@ func diffOracle(p Program) *Failure {
 	case g.Sim != nil:
 		on, err := simdiff.Distinguishes(m, g.SimOn, *g.Sim)
 		if err != nil {
-			return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+			return &Failure{Oracle: oracle,
 				Detail: fmt.Sprintf("gadget %s: simulator run failed: %v", g.Name, err)}
 		}
 		off, err := simdiff.Distinguishes(m, g.SimOff, *g.Sim)
 		if err != nil {
-			return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+			return &Failure{Oracle: oracle,
 				Detail: fmt.Sprintf("gadget %s: simulator run failed: %v", g.Name, err)}
 		}
 		if off {
-			return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+			return &Failure{Oracle: oracle,
 				Detail: fmt.Sprintf("gadget %s: residue depends on the secret with the transmitter disabled", g.Name)}
 		}
 		refLeak = on
@@ -518,19 +573,32 @@ func diffOracle(p Program) *Failure {
 		if clouLeak != refLeak {
 			return nil // documented divergence, still present
 		}
-		return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+		return &Failure{Oracle: oracle,
 			Detail: fmt.Sprintf("gadget %s: verdicts now agree; remove %q from knownDivergences", g.Name, template)}
 	}
 	if clouLeak != refLeak {
-		return &Failure{Oracle: oracle, Src: p.Src, Seed: p.Seed, Index: p.Index,
+		return &Failure{Oracle: oracle,
 			Detail: fmt.Sprintf("gadget %s: Clou leak=%v but reference leak=%v with no documented divergence", g.Name, clouLeak, refLeak)}
 	}
 	return nil
 }
 
 // Check runs every applicable oracle over p and reports the program's
-// verdict plus any failures, each tagged with p's seed and index.
+// verdict plus any failures, each tagged with p's seed and index. The
+// oracles after "compile" share one subject: one lowered module, one
+// frontend cache, and the verdict computed here as the metamorphic base.
 func Check(p Program) (Verdict, []Failure) {
+	m, f := compileOracle(p.Src)
+	if f != nil {
+		f.Seed, f.Index = p.Seed, p.Index
+		return Verdict{Counts: map[string]int{}}, []Failure{*f}
+	}
+	s := &subject{src: p.Src, fn: p.Fn, m: m, cache: detect.NewCache()}
+	return s.check(p)
+}
+
+// check is Check after the compile oracle passed, over p's subject s.
+func (s *subject) check(p Program) (Verdict, []Failure) {
 	var fails []Failure
 	add := func(f *Failure) {
 		if f != nil {
@@ -541,20 +609,14 @@ func Check(p Program) (Verdict, []Failure) {
 			fails = append(fails, *f)
 		}
 	}
-	if f := RunOracle("compile", p.Src, p.Fn); f != nil {
-		add(f)
-		return Verdict{Counts: map[string]int{}}, fails
-	}
-	v, err := classify(p.Src, p.Fn)
+	v, err := s.classify()
 	if err != nil {
 		add(&Failure{Oracle: "compile", Detail: err.Error()})
 		return v, fails
 	}
-	for _, name := range []string{
-		"repair-pht", "repair-stl", "repair-psf", "repair-imp", "repair-ss",
-		"meta-alpha", "meta-dead", "meta-reorder", "presolve", "uarch"} {
-		add(RunOracle(name, p.Src, p.Fn))
+	for _, name := range sourceOracles {
+		add(s.oracle(name, v))
 	}
-	add(diffOracle(p))
+	add(s.diffOracle(p.Gadget))
 	return v, fails
 }
