@@ -96,11 +96,14 @@ func (v Verdict) Unknown() bool { return v.Rung == detect.RungUnknown }
 // detect.Cache through which every analysis of the module shares one
 // frontend and one range pruner. The module is never mutated — the cache
 // keys on its pointer — so the repair oracle, which inserts fences,
-// works on a private copy.
+// works on a private copy. full holds, per engine, the analysis classify
+// decided at full precision, which the oracles read instead of analysing
+// again.
 type subject struct {
 	src, fn string
 	m       *ir.Module
 	cache   *detect.Cache
+	full    map[detect.Engine]*detect.Result
 }
 
 func newSubject(src, fn string) (*subject, error) {
@@ -109,6 +112,15 @@ func newSubject(src, fn string) (*subject, error) {
 		return nil, err
 	}
 	return &subject{src: src, fn: fn, m: m, cache: detect.NewCache()}, nil
+}
+
+// analyze returns the subject's analysis under e at full precision:
+// classify's, when it decided e there, else a fresh one.
+func (s *subject) analyze(e detect.Engine) (*detect.Result, error) {
+	if res := s.full[e]; res != nil {
+		return res, nil
+	}
+	return detect.AnalyzeFunc(s.m, s.fn, s.cfg(e))
 }
 
 // cfg is conformCfg(e) reading the subject's cache.
@@ -128,15 +140,20 @@ func classify(src, fn string) (Verdict, error) {
 }
 
 // classify analyzes the subject under every engine through the
-// degradation ladder and merges class counts. A fault at full precision
-// degrades the verdict's rung instead of failing the program; only
-// genuine errors (non-analyzable input) are returned.
+// degradation ladder, merges class counts, and keeps each full-rung
+// result in s.full. A fault at full precision degrades the verdict's rung
+// instead of failing the program; only genuine errors (non-analyzable
+// input) are returned.
 func (s *subject) classify() (Verdict, error) {
 	v := Verdict{Counts: map[string]int{}}
+	s.full = map[detect.Engine]*detect.Result{}
 	for _, e := range detect.Engines() {
 		res, err := detect.AnalyzeFuncLadder(context.Background(), s.m, s.fn, s.cfg(e))
 		if err != nil {
 			return v, fmt.Errorf("detect %v: %w", e, err)
+		}
+		if res.Rung == detect.RungFull {
+			s.full[e] = res
 		}
 		if res.Rung > v.Rung {
 			v.Rung, v.Failure = res.Rung, res.Failure
@@ -321,7 +338,7 @@ func (s *subject) presolveOracle() *Failure {
 	for _, engine := range detect.Engines() {
 		tag := engineTag(engine)
 		cfg := s.cfg(engine)
-		with, err := detect.AnalyzeFunc(s.m, s.fn, cfg)
+		with, err := s.analyze(engine)
 		if err != nil || with.TimedOut || with.Fault != nil {
 			return nil
 		}
@@ -372,7 +389,7 @@ func countsOf(res *detect.Result) map[string]int {
 // program is architecturally unchanged on every replay input.
 func (s *subject) repairOracle(engine detect.Engine) *Failure {
 	name := "repair-" + engineTag(engine)
-	res, err := detect.AnalyzeFunc(s.m, s.fn, s.cfg(engine))
+	res, err := s.analyze(engine)
 	if err != nil || res.TimedOut || len(res.Findings) == 0 {
 		return nil // clean programs have nothing to repair
 	}
@@ -530,7 +547,7 @@ func (s *subject) diffOracle(g *Gadget) *Failure {
 		oracle = "diff-sim"
 	}
 	m := s.m
-	res, err := detect.AnalyzeFunc(m, s.fn, s.cfg(g.Engine))
+	res, err := s.analyze(g.Engine)
 	if err != nil {
 		return &Failure{Oracle: oracle,
 			Detail: fmt.Sprintf("gadget %s: detect failed: %v", g.Name, err)}

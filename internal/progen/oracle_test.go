@@ -145,11 +145,12 @@ func TestCheckSharesOneFrontend(t *testing.T) {
 	if got := repair.CountFences(m); got != fences {
 		t.Errorf("shared module has %d fences, had %d", got, fences)
 	}
-	// One analysis per engine each in classify and in the repair oracles'
-	// pre-checks, three per engine in the presolve oracle, and one in the
-	// diff oracle.
+	// One analysis per engine in classify and two more per engine in the
+	// presolve oracle (pre-solver off, and audit). The repair oracles'
+	// pre-checks, the presolve oracle's enabled run and the diff oracle
+	// read classify's full-rung results.
 	engines := int64(len(detect.Engines()))
-	analyses := engines + engines + 3*engines + 1
+	analyses := engines + 2*engines
 	hits, misses := s.cache.Stats()
 	if misses != 1 || hits != analyses-1 {
 		t.Errorf("cache hits=%d misses=%d, want %d and 1", hits, misses, analyses-1)

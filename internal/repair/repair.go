@@ -1,22 +1,21 @@
 // Package repair implements Clou's automatic mitigation (§6.1): insert a
 // minimal number of speculation fences (lfence) so that no detected
 // transmitter survives. Candidate fence positions are instructions lying
-// between a finding's speculation primitive and its transmitter; a minimal
-// hitting set is computed with the smt package's cardinality constraints,
-// applied to the IR, and validated by re-running detection — the loop
-// continues until the program is clean.
+// between a finding's speculation primitive and its transmitter; a minimum
+// hitting set of the findings' kill lists is found by dominance reduction
+// and branching, applied to the IR, and validated by re-running detection
+// — the loop continues until the program is clean.
 package repair
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lcm/internal/acfg"
 	"lcm/internal/detect"
 	"lcm/internal/ir"
-	"lcm/internal/sat"
-	"lcm/internal/smt"
 )
 
 // Result reports a repair run.
@@ -33,7 +32,8 @@ func Repair(m *ir.Module, fn string, cfg detect.Config, maxRounds int) (Result, 
 }
 
 // RepairCtx is Repair under a context: cancellation aborts the current
-// detection round promptly (each round still gets cfg.Timeout on top).
+// detection round or fence minimisation promptly (each detection round
+// still gets cfg.Timeout on top).
 // Repair mutates m between rounds, so any analysis cache the caller set
 // on cfg is dropped — cached front ends would describe the pre-fence IR.
 func RepairCtx(ctx context.Context, m *ir.Module, fn string, cfg detect.Config, maxRounds int) (Result, error) {
@@ -61,7 +61,7 @@ func RepairCtx(ctx context.Context, m *ir.Module, fn string, cfg detect.Config, 
 			cfg.Metrics.Counter("repair.rounds").Add(int64(round))
 			return Result{Fences: total, Rounds: round}, nil
 		}
-		points, err := minimalFences(res)
+		points, err := minimalFences(ctx, res)
 		if err != nil {
 			roundSpan.End()
 			return Result{Fences: total, Rounds: round, Remaining: len(res.Findings)}, err
@@ -92,42 +92,81 @@ type span struct{ from, to int }
 
 // minimalFences computes a minimum set of instructions before which an
 // lfence cuts every finding.
-func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
+func minimalFences(ctx context.Context, res *detect.Result) ([]*ir.Instr, error) {
 	spans := findingSpans(res)
 	if len(spans) == 0 {
 		return nil, nil
 	}
 	cands := candidates(res.Graph, spans)
-	killers, err := killLists(res.Graph, spans, cands)
+	killers, err := killLists(ctx, res.Graph, spans, cands)
 	if err != nil {
 		return nil, err
 	}
-	// Minimize the fence count: find the smallest k with a model.
-	for k := 1; k <= len(cands); k++ {
-		s := smt.NewSolver()
-		vars := make([]*smt.Expr, len(cands))
-		for j := range cands {
-			vars[j] = s.Var(fmt.Sprintf("fence!%d", j))
-		}
-		for _, ks := range killers {
-			clause := make([]*smt.Expr, len(ks))
-			for i, j := range ks {
-				clause[i] = vars[j]
-			}
-			s.AssertClause(clause...)
-		}
-		s.AtMostK(k, vars...)
-		if s.Check() == sat.Sat {
-			var out []*ir.Instr
-			for j := range cands {
-				if s.Value(vars[j]) {
-					out = append(out, cands[j])
-				}
-			}
-			return out, nil
+	var out []*ir.Instr
+	for _, j := range hittingSet(killers) {
+		out = append(out, cands[j])
+	}
+	return out, nil
+}
+
+// hittingSet returns the ascending indices of a minimum set of candidates
+// that meets every kill list. Of the minimum sets it returns the first
+// the search reaches, which depends only on the lists.
+func hittingSet(lists [][]int) []int {
+	n := 0
+	for _, l := range lists {
+		n = max(n, l[len(l)-1]+1)
+	}
+	set, _ := hit(lists, n, n+1)
+	slices.Sort(set)
+	return set
+}
+
+// hit returns the first smallest set of fewer than limit candidates (all
+// below n) that meets every list, or false if there is none. A candidate
+// whose lists another candidate also meets is dropped (of two that meet
+// the same lists, the higher index); then each remaining candidate of the
+// shortest list is tried in turn, and the lists it leaves unmet are
+// solved recursively under a limit one below the best set found so far.
+func hit(lists [][]int, n, limit int) ([]int, bool) {
+	if len(lists) == 0 || limit <= 1 {
+		return nil, len(lists) == 0 && limit > 0
+	}
+	meets := make([][]int, n) // meets[c]: the lists c meets, ascending
+	for i, l := range lists {
+		for _, c := range l {
+			meets[c] = append(meets[c], i)
 		}
 	}
-	return nil, fmt.Errorf("repair: hitting set infeasible")
+	// c is dominated when a candidate d meets every list c meets, and more
+	// lists or has the lower index; any such d is in c's first list.
+	dominated := func(c int) bool {
+		mc := meets[c]
+		return slices.ContainsFunc(lists[mc[0]], func(d int) bool {
+			md := meets[d]
+			return (len(md) > len(mc) || len(md) == len(mc) && d < c) &&
+				!slices.ContainsFunc(mc, func(i int) bool { _, ok := slices.BinarySearch(md, i); return !ok })
+		})
+	}
+	live := make([]bool, n)
+	for c, mc := range meets {
+		live[c] = len(mc) > 0 && !dominated(c)
+	}
+	var branch []int
+	for _, l := range lists {
+		left := slices.DeleteFunc(slices.Clone(l), func(c int) bool { return !live[c] })
+		if branch == nil || len(left) < len(branch) {
+			branch = left
+		}
+	}
+	var best []int
+	for _, c := range branch {
+		rest := slices.DeleteFunc(slices.Clone(lists), func(l []int) bool { return slices.Contains(l, c) })
+		if sub, ok := hit(rest, n, limit-1); ok {
+			best, limit = append(sub, c), len(sub)+1
+		}
+	}
+	return best, best != nil
 }
 
 // findingSpans lists the spans of res's findings, in finding order.
@@ -205,8 +244,9 @@ func candidates(g *acfg.Graph, spans []span) []*ir.Instr {
 // killLists returns, per span, the indices of the candidates whose fence
 // cuts it: each distinct span is searched once per candidate, by a DFS from
 // its primitive that never enters a node carrying the candidate nor leaves
-// the nodes that reach its transmitter.
-func killLists(g *acfg.Graph, spans []span, cands []*ir.Instr) ([][]int, error) {
+// the nodes that reach its transmitter. It returns ctx's error, checked
+// between spans, once ctx is done.
+func killLists(ctx context.Context, g *acfg.Graph, spans []span, cands []*ir.Instr) ([][]int, error) {
 	reach := g.Reach()
 	mark := make([]int, g.Len()) // mark[n] == stamp: visited by the current DFS
 	stamp := 0
@@ -236,6 +276,9 @@ func killLists(g *acfg.Graph, spans []span, cands []*ir.Instr) ([][]int, error) 
 	lists := make([][]int, len(spans))
 	known := map[span][]int{}
 	for i, sp := range spans {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ks, ok := known[sp]
 		if !ok && sp.from != sp.to {
 			for j, in := range cands {

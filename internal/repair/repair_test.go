@@ -1,17 +1,26 @@
 package repair
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"lcm/internal/acfg"
+	"lcm/internal/cryptolib"
 	"lcm/internal/detect"
 	"lcm/internal/ir"
 	"lcm/internal/litmus"
 	"lcm/internal/lower"
 	"lcm/internal/minic"
+	"lcm/internal/sat"
+	"lcm/internal/smt"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -483,10 +492,67 @@ func refCandidates(g *acfg.Graph, spans []span) []*ir.Instr {
 	return cands
 }
 
+// refMinimumK is the reference fence count: the smallest k for which a
+// fresh solver finds k candidates (of n) meeting every list, asserted as
+// one clause per list under a sequential-counter at-most-k (Sinz 2005).
+func refMinimumK(lists [][]int, n int) int {
+	for k := 1; k <= n; k++ {
+		s := smt.NewSolver()
+		x := make([]*smt.Expr, n)
+		for j := range x {
+			x[j] = s.Var(fmt.Sprintf("fence!%d", j))
+		}
+		for _, l := range lists {
+			clause := make([]*smt.Expr, len(l))
+			for i, j := range l {
+				clause[i] = x[j]
+			}
+			s.Assert(smt.Or(clause...))
+		}
+		if k < n {
+			// r(i, j): among x[0..i], at least j+1 are true.
+			r := func(i, j int) *smt.Expr { return s.Var(fmt.Sprintf("r!%d!%d", i, j)) }
+			s.Assert(smt.Or(smt.Not(x[0]), r(0, 0)))
+			for j := 1; j < k; j++ {
+				s.Assert(smt.Not(r(0, j)))
+			}
+			for i := 1; i < n; i++ {
+				s.Assert(smt.Or(smt.Not(x[i]), r(i, 0)))
+				s.Assert(smt.Or(smt.Not(r(i-1, 0)), r(i, 0)))
+				for j := 1; j < k; j++ {
+					s.Assert(smt.Or(smt.Not(x[i]), smt.Not(r(i-1, j-1)), r(i, j)))
+					s.Assert(smt.Or(smt.Not(r(i-1, j)), r(i, j)))
+				}
+				s.Assert(smt.Or(smt.Not(x[i]), smt.Not(r(i-1, k-1))))
+			}
+		}
+		if s.Check() == sat.Sat {
+			return k
+		}
+	}
+	return -1
+}
+
+// checkHits asserts that set is ascending, draws from the n candidates,
+// and meets every list.
+func checkHits(t *testing.T, name string, lists [][]int, n int, set []int) {
+	t.Helper()
+	if !slices.IsSorted(set) || len(set) > 0 && (set[0] < 0 || set[len(set)-1] >= n) {
+		t.Fatalf("%s: hitting set %v is not ascending over %d candidates", name, set, n)
+	}
+	for _, l := range lists {
+		if !slices.ContainsFunc(l, func(c int) bool { _, ok := slices.BinarySearch(set, c); return ok }) {
+			t.Fatalf("%s: hitting set %v misses list %v", name, set, l)
+		}
+	}
+}
+
 // CheckHittingSet asserts that minimalFences' inputs for res — the spans,
 // the candidate list and every span's kill list — equal the reference
-// implementations'. The external test package drives it over progen
-// programs, which this package cannot import.
+// implementations', and that hittingSet meets every kill list with as
+// many candidates as the reference per-k loop needs. The external test
+// package drives it over progen programs, which this package cannot
+// import.
 func CheckHittingSet(t *testing.T, name string, res *detect.Result) {
 	t.Helper()
 	g := res.Graph
@@ -513,7 +579,7 @@ func CheckHittingSet(t *testing.T, name string, res *detect.Result) {
 			wantErr = i
 		}
 	}
-	got, err := killLists(g, spans, cands)
+	got, err := killLists(context.Background(), g, spans, cands)
 	if wantErr >= 0 {
 		if msg := fmt.Sprintf("repair: finding %d has no cutting position", wantErr); err == nil || err.Error() != msg {
 			t.Fatalf("%s: kill lists error %v, reference %q", name, err, msg)
@@ -522,6 +588,127 @@ func CheckHittingSet(t *testing.T, name string, res *detect.Result) {
 	}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: kill lists %v (err %v), reference %v", name, got, err, want)
+	}
+	set := hittingSet(got)
+	checkHits(t, name, got, len(cands), set)
+	if k := refMinimumK(got, len(cands)); len(set) != k {
+		t.Fatalf("%s: hitting set %v has %d candidates, reference minimum %d", name, set, len(set), k)
+	}
+}
+
+// bruteMinimum is the size of a smallest subset of the n candidates that
+// meets every list, by enumerating all 2^n subsets.
+func bruteMinimum(lists [][]int, n int) int {
+	best := n
+	for mask := uint(0); mask < 1<<n; mask++ {
+		if bits.OnesCount(mask) < best && !slices.ContainsFunc(lists, func(l []int) bool {
+			return !slices.ContainsFunc(l, func(c int) bool { return mask&(1<<c) != 0 })
+		}) {
+			best = bits.OnesCount(mask)
+		}
+	}
+	return best
+}
+
+// TestHittingSetRandom holds hittingSet to brute force on random
+// instances of at most 10 candidates, where branching is common: few
+// progen or litmus repairs get past the dominance reduction.
+func TestHittingSetRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(10)
+		lists := make([][]int, 1+rng.Intn(12))
+		for li := range lists {
+			for c := 0; c < n; c++ {
+				if rng.Intn(3) == 0 {
+					lists[li] = append(lists[li], c)
+				}
+			}
+			if len(lists[li]) == 0 {
+				lists[li] = []int{rng.Intn(n)}
+			}
+		}
+		name := fmt.Sprintf("instance %d %v", i, lists)
+		set := hittingSet(lists)
+		checkHits(t, name, lists, n, set)
+		if want := bruteMinimum(lists, n); len(set) != want {
+			t.Fatalf("%s: hitting set %v, brute-force minimum %d", name, set, want)
+		}
+	}
+}
+
+// TestHittingSetKernels pins hand-built instances: a triangle and a
+// four-cycle, which no dominance reduction settles, need two and (with a
+// forced candidate) three; a chain of nested lists needs one. Candidates
+// that meet the same lists leave the lowest index. Every call returns the
+// same set.
+func TestHittingSetKernels(t *testing.T) {
+	for _, c := range []struct {
+		lists [][]int
+		n     int
+		want  int
+	}{
+		{[][]int{{0, 1}, {1, 2}, {0, 2}}, 3, 2},
+		{[][]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}, {4}}, 5, 3},
+		{[][]int{{0, 1, 2}, {1, 2}, {1, 2, 3}}, 4, 1},
+	} {
+		name := fmt.Sprint(c.lists)
+		first := hittingSet(c.lists)
+		checkHits(t, name, c.lists, c.n, first)
+		if len(first) != c.want {
+			t.Errorf("%s: hitting set %v, want %d candidates", name, first, c.want)
+		}
+		if k := refMinimumK(c.lists, c.n); k != c.want {
+			t.Errorf("%s: reference minimum %d, want %d", name, k, c.want)
+		}
+		for i := 0; i < 20; i++ {
+			if again := hittingSet(c.lists); !reflect.DeepEqual(again, first) {
+				t.Fatalf("%s: call %d returned %v, first call %v", name, i, again, first)
+			}
+		}
+	}
+	if got := hittingSet([][]int{{1, 2}, {1, 2}}); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("equal candidates 1 and 2: hitting set %v, want [1]", got)
+	}
+}
+
+// cryptoModule compiles the named corpus library.
+func cryptoModule(t *testing.T, lib string) *ir.Module {
+	t.Helper()
+	l, ok := cryptolib.Lookup(lib)
+	if !ok {
+		t.Fatalf("no library %q", lib)
+	}
+	return compile(t, l.Source)
+}
+
+// TestRepairMEECBC: mee_cbc_decrypt under Clou-stl repairs clean with 13
+// fences, the minimum the per-k solver loop could not reach in minutes.
+func TestRepairMEECBC(t *testing.T) {
+	m := cryptoModule(t, "mee-cbc")
+	res, err := Repair(m, "mee_cbc_decrypt", detect.DefaultSTL(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fences != 13 || res.Remaining != 0 {
+		t.Errorf("repair %+v, want 13 fences and 0 remaining", res)
+	}
+}
+
+// TestRepairCtxDeadlineBindsFenceMinimisation: crypto_secretbox_open under
+// Clou-ss spends nearly all of its repair in the kill lists, which check
+// the context between spans, so a deadline ends the repair promptly.
+func TestRepairCtxDeadlineBindsFenceMinimisation(t *testing.T) {
+	m := cryptoModule(t, "secretbox")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := RepairCtx(ctx, m, "crypto_secretbox_open", detect.DefaultSS(), 0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("repair returned %v after the start, deadline 2s", d)
 	}
 }
 

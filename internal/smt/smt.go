@@ -1,10 +1,9 @@
 // Package smt provides a boolean formula layer over the sat package: named
 // variables, And/Or/Not/Implies/Iff connectives, Tseitin transformation to
-// CNF, incremental solving under assumptions, and sequential-counter
-// cardinality constraints. Together with sat it replaces the Z3 instance
-// Clou drives (§5.3): symbolic S-AEG edges become formula variables, the
-// consistency/confidentiality predicates become asserted formulas, and
-// witness executions are read back from models.
+// CNF, and incremental solving under assumptions. Together with sat it
+// replaces the Z3 instance Clou drives (§5.3): symbolic S-AEG edges become
+// formula variables, the consistency/confidentiality predicates become
+// asserted formulas, and witness executions are read back from models.
 package smt
 
 import (
@@ -124,8 +123,8 @@ type Solver struct {
 	// exactly the value of its operator over its children, so the extension
 	// satisfies every definitional clause by construction). A query whose
 	// assumptions hold under the extended model is Sat with an exhibited
-	// model — no search. Invalidated by user-level constraints (Assert,
-	// AssertClause, AtMostK), which can make the cached model a non-model.
+	// model — no search. Invalidated by Assert, whose constraint can make
+	// the cached model a non-model.
 	gateDefs    []gateDef
 	cachedModel []bool
 	modelOK     bool
@@ -192,16 +191,8 @@ func (s *Solver) Var(name string) *Expr {
 	return e
 }
 
-// FreshVar allocates an anonymous variable with a unique generated name.
-func (s *Solver) FreshVar(prefix string) *Expr {
-	return s.Var(fmt.Sprintf("%s!%d", prefix, s.sat.NumVars()))
-}
-
 // NumVars returns the number of underlying SAT variables.
 func (s *Solver) NumVars() int { return s.sat.NumVars() }
-
-// NumClauses returns the number of CNF clauses generated so far.
-func (s *Solver) NumClauses() int { return s.sat.NumClauses() }
 
 // And returns the conjunction of es (True if empty).
 func And(es ...*Expr) *Expr {
@@ -256,11 +247,6 @@ func Implies(a, b *Expr) *Expr { return Or(Not(a), b) }
 // Iff returns a ↔ b.
 func Iff(a, b *Expr) *Expr {
 	return And(Implies(a, b), Implies(b, a))
-}
-
-// Xor returns a ⊕ b.
-func Xor(a, b *Expr) *Expr {
-	return Or(And(a, Not(b)), And(Not(a), b))
 }
 
 // lit Tseitin-transforms e and returns its defining literal. Results are
@@ -386,26 +372,14 @@ func (s *Solver) assert(e *Expr) {
 			s.assert(k)
 		}
 	case e != nil && e.op == opOr:
-		s.clause(e.kids)
+		lits := make([]sat.Lit, len(e.kids))
+		for i, k := range e.kids {
+			lits[i] = s.lit(k)
+		}
+		s.addClause(lits...)
 	default:
 		s.addClause(s.lit(e))
 	}
-}
-
-// AssertClause adds a disjunction of formulas as one CNF clause, as
-// Assert(Or(es...)) does.
-func (s *Solver) AssertClause(es ...*Expr) {
-	s.invalidate()
-	s.clause(es)
-}
-
-// clause adds the disjunction of es' literals as one CNF clause.
-func (s *Solver) clause(es []*Expr) {
-	lits := make([]sat.Lit, len(es))
-	for i, e := range es {
-		lits[i] = s.lit(e)
-	}
-	s.addClause(lits...)
 }
 
 // Check determines satisfiability of the asserted formulas under the given
@@ -638,60 +612,4 @@ func (s *Solver) Value(e *Expr) bool {
 		return false
 	}
 	return false
-}
-
-// AtMostK asserts that at most k of es are true, using the sequential
-// counter encoding (Sinz 2005).
-func (s *Solver) AtMostK(k int, es ...*Expr) {
-	n := len(es)
-	if k >= n {
-		return
-	}
-	s.invalidate()
-	if k < 0 {
-		s.Assert(s.False())
-		return
-	}
-	if k == 0 {
-		for _, e := range es {
-			s.Assert(Not(e))
-		}
-		return
-	}
-	lits := make([]sat.Lit, n)
-	for i, e := range es {
-		lits[i] = s.lit(e)
-	}
-	// r[i][j]: among es[0..i], at least j+1 are true.
-	r := make([][]sat.Lit, n)
-	for i := range r {
-		r[i] = make([]sat.Lit, k)
-		for j := range r[i] {
-			r[i][j] = sat.Lit(s.sat.NewVar())
-		}
-	}
-	s.addClause(lits[0].Neg(), r[0][0])
-	for j := 1; j < k; j++ {
-		s.addClause(r[0][j].Neg())
-	}
-	for i := 1; i < n; i++ {
-		s.addClause(lits[i].Neg(), r[i][0])
-		s.addClause(r[i-1][0].Neg(), r[i][0])
-		for j := 1; j < k; j++ {
-			s.addClause(lits[i].Neg(), r[i-1][j-1].Neg(), r[i][j])
-			s.addClause(r[i-1][j].Neg(), r[i][j])
-		}
-		s.addClause(lits[i].Neg(), r[i-1][k-1].Neg())
-	}
-}
-
-// AtLeastOne asserts that at least one of es is true.
-func (s *Solver) AtLeastOne(es ...*Expr) {
-	s.AssertClause(es...)
-}
-
-// ExactlyOne asserts that exactly one of es is true.
-func (s *Solver) ExactlyOne(es ...*Expr) {
-	s.AtLeastOne(es...)
-	s.AtMostK(1, es...)
 }
